@@ -35,18 +35,11 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 
 
-def _read_document(path: str):
-    """Parse a document; returns (record, raw JSON dict)."""
+def _read_text(path: str) -> str:
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from exc
-    return documents.parse_document(raw), raw
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _open_out(path: str):
@@ -56,16 +49,14 @@ def _open_out(path: str):
 
 
 def cmd_validate(args) -> int:
-    record, _ = _read_document(args.path)
-    c = documents.as_coupling(record)
+    c = documents.as_coupling(documents.loads(_read_text(args.path)))
     params = parameter_count(c.n, c.r_a, c.r_b)
     print(f"valid n={c.n} r_A={c.r_a} r_B={c.r_b} parameters={params}")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    record, _ = _read_document(args.path)
-    c = documents.as_coupling(record)
+    c = documents.as_coupling(documents.loads(_read_text(args.path)))
     converters = {
         "st": to_st_form,
         "reverse-st": to_reverse_st_form,
@@ -79,8 +70,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_smatrix(args) -> int:
-    record, _ = _read_document(args.path)
-    c = documents.as_coupling(record)
+    c = documents.as_coupling(documents.loads(_read_text(args.path)))
     s = smatrix_direct(c, args.k)
     entries = np.asarray(s.entries)
     out = {
@@ -105,15 +95,13 @@ def _k_grid(k_min: float, k_max: float, points: int, scale: str) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    record, raw = _read_document(args.path)
-    c = documents.as_coupling(record)
+    text = _read_text(args.path)
+    c = documents.as_coupling(documents.loads(text))
     ks = _k_grid(args.k_min, args.k_max, args.points, args.scale)
-    probs = np.empty((ks.size, c.n, c.n))
-    for i, k in enumerate(ks):
-        probs[i] = np.abs(np.asarray(smatrix_direct(c, float(k)).entries)) ** 2
     declared = args.blocks if args.blocks else None
-    if declared is None and isinstance(raw.get("blocks"), list):
-        declared = ",".join(str(b) for b in raw["blocks"])
+    raw_blocks = json.loads(text).get("blocks")  # loads() accepted this text
+    if declared is None and isinstance(raw_blocks, list):
+        declared = ",".join(str(b) for b in raw_blocks)
     blocks = None
     if declared:
         try:
@@ -122,7 +110,7 @@ def cmd_sweep(args) -> int:
             raise VertexError(f"bad block sizes {declared!r}") from exc
         if len(blocks) != 3 or sum(blocks) != c.n or any(b < 0 for b in blocks):
             raise VertexError(f"block sizes must be three values summing to n={c.n}")
-    table = filters.SweepTable(n=c.n, ks=ks, probabilities=probs, block_sizes=blocks)
+    table = filters.pair_sweep(c.A, c.B, ks, blocks)
     stream, close = _open_out(args.out)
     try:
         documents.write_sweep_csv(table, stream)

@@ -120,16 +120,9 @@ def unitary_eigensplit(U, tol: float = EIGENVALUE_CLUSTER_TOL):
     near_minus = np.abs(w + 1.0) <= tol
     near_plus = np.abs(w - 1.0) <= tol
     rest = ~(near_minus | near_plus)
-
-    def _orth(block):
-        if block.shape[1] == 0:
-            return block
-        q, _ = np.linalg.qr(block)
-        return q
-
     return (
-        _orth(v[:, near_minus]),
-        _orth(v[:, near_plus]),
-        _orth(v[:, rest]),
+        linalg.orth_columns(v[:, near_minus]),
+        linalg.orth_columns(v[:, near_plus]),
+        linalg.orth_columns(v[:, rest]),
         w[rest],
     )

@@ -37,10 +37,6 @@ class SingularSBlock(VertexError, ArithmeticError):
     """The Hermitian S block is singular where a regular one is required."""
 
 
-class SingularShift(VertexError, ArithmeticError):
-    """1 + alpha*m vanishes in the closed-form rank-one inverse."""
-
-
 class DocumentError(VertexError, ValueError):
     """A coupling or form document cannot be parsed."""
 

@@ -30,15 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidShape, SingularShift, SingularSBlock
-from .forms import PQRSForm
-from .scattering import limit_high_k, limit_low_k, smatrix_pqrs
+from .errors import InvalidShape, SingularSBlock
+from .forms import PQRSForm, _pqrs_pair
+from .scattering import _smatrix_grid, limit_high_k, limit_low_k
 
 #: default dominance ratio of probabilities used to read ">>" in a design
 DEFAULT_DOMINANCE = 3.0
 
 #: tolerance for closed-form vs matrix-limit agreement reports
 CLOSED_FORM_TOL = 1e-6
+
+#: momenta per batched solve and per block of CSV rows; a long sweep then
+#: holds the complex temporaries and row lists of one block only
+SWEEP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,8 @@ class FilterParams:
                 f"block sizes ({m}, {self.n - self.r_a}, {self.n - self.r_b}) "
                 f"are not admissible for n = {self.n}"
             )
+        if not np.isfinite([self.p, self.q, self.r, self.s]).all():
+            raise ValueError(f"block constants must be finite, got {self}")
         if m > 0 and self.s == 0.0:
             raise SingularSBlock("s must be nonzero when the S block is nonempty")
 
@@ -84,16 +90,6 @@ def ones_block(rows: int, cols: int) -> np.ndarray:
     return np.ones((rows, cols), dtype=complex)
 
 
-def rank_one_inverse(m: int, alpha: float) -> np.ndarray:
-    """(I + alpha F)^{-1} = I - alpha/(1 + alpha m) F, for the m x m all-ones F."""
-    if m < 0:
-        raise InvalidShape(f"negative size {m}")
-    denom = 1.0 + alpha * m
-    if abs(denom) <= 1e-14 * max(1.0, abs(alpha * m)):
-        raise SingularShift(f"1 + alpha*m = {denom:g} vanishes for m={m}, alpha={alpha:g}")
-    return np.eye(m, dtype=complex) - (alpha / denom) * ones_block(m, m)
-
-
 def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
     """PQRS form with constant blocks and the identity edge numbering."""
     m, na, nb = fp.block_sizes
@@ -109,9 +105,29 @@ def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
     )
 
 
-def _block_slices(sizes: tuple[int, int, int]) -> dict[int, slice]:
-    m, na, nb = sizes
-    return {1: slice(0, m), 2: slice(m, m + na), 3: slice(m + na, m + na + nb)}
+def _block_means(x: np.ndarray, sizes: tuple[int, int, int]) -> dict[str, np.ndarray]:
+    """Block-pair means of ``x`` (shape (..., n, n)), keyed by CSV column in order.
+
+    ``b{mu}{nu}`` is the mean of a cross block; a diagonal block gives the
+    mean of its diagonal, ``b{mu}{mu}_refl``, and, with two or more edges,
+    of its off-diagonal entries, ``b{mu}{mu}_intra``.  Empty blocks give none.
+    """
+    edges = np.cumsum((0,) + tuple(sizes))
+    spans = [(mu, slice(edges[mu - 1], edges[mu])) for mu in (1, 2, 3) if sizes[mu - 1]]
+    means = {}
+    for mu, rows in spans:
+        for nu, cols in spans:
+            blk = x[..., rows, cols]
+            if mu != nu:
+                means[f"b{mu}{nu}"] = blk.mean(axis=(-2, -1))
+                continue
+            means[f"b{mu}{mu}_refl"] = np.diagonal(blk, axis1=-2, axis2=-1).mean(axis=-1)
+            if sizes[mu - 1] > 1:
+                # boolean indexing returns the stack column-major; C order keeps
+                # each row's summation order that of a single matrix
+                off = np.ascontiguousarray(blk[..., ~np.eye(sizes[mu - 1], dtype=bool)])
+                means[f"b{mu}{mu}_intra"] = off.mean(axis=-1)
+    return means
 
 
 @dataclass(frozen=True)
@@ -156,8 +172,6 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     form = uniform_block_pqrs(fp)
     hi = np.abs(np.asarray(limit_high_k(form).entries))
     lo = np.abs(np.asarray(limit_low_k(form, allow_singular=True).entries))
-    sizes = {1: m, 2: na, 3: nb}
-    sl = _block_slices((m, na, nb))
 
     l_p = nb * m
     l_q = nb * na
@@ -176,27 +190,12 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
         (3, 1): 2.0 * na * abs(fp.r) * abs(fp.q) / denom_lo,
     }
 
-    high_k, low_k = {}, {}
-    high_refl, low_refl = {}, {}
-    high_intra, low_intra = {}, {}
-    for mu in (1, 2, 3):
-        if sizes[mu] == 0:
-            continue
-        for nu in (1, 2, 3):
-            if sizes[nu] == 0:
-                continue
-            hi_blk = hi[sl[mu], sl[nu]]
-            lo_blk = lo[sl[mu], sl[nu]]
-            if mu == nu:
-                high_refl[mu] = float(np.mean(np.diagonal(hi_blk)))
-                low_refl[mu] = float(np.mean(np.diagonal(lo_blk)))
-                if sizes[mu] > 1:
-                    off = ~np.eye(sizes[mu], dtype=bool)
-                    high_intra[mu] = float(np.mean(hi_blk[off]))
-                    low_intra[mu] = float(np.mean(lo_blk[off]))
-            else:
-                high_k[(mu, nu)] = float(np.mean(hi_blk))
-                low_k[(mu, nu)] = float(np.mean(lo_blk))
+    tables = {"": ({}, {}), "_refl": ({}, {}), "_intra": ({}, {})}  # (high-k, low-k)
+    for name, (high, low) in _block_means(np.stack([hi, lo]), fp.block_sizes).items():
+        key = (int(name[1]), int(name[2])) if len(name) == 3 else int(name[1])
+        high_table, low_table = tables[name[3:]]
+        high_table[key], low_table[key] = float(high), float(low)
+    (high_k, low_k), (high_refl, low_refl), (high_intra, low_intra) = tables.values()
 
     closed_high = {p: v for p, v in closed_candidates_high.items() if p in high_k}
     closed_low = {p: v for p, v in closed_candidates_low.items() if p in low_k}
@@ -260,57 +259,28 @@ class SweepTable:
     block_sizes: tuple[int, int, int] | None = None
 
     def header(self) -> list[str]:
-        cols = ["k"]
-        cols += [f"S{i + 1}{j + 1}" for i in range(self.n) for j in range(self.n)]
-        cols += self._block_names()
+        cols = ["k"] + [f"S{i + 1}{j + 1}" for i in range(self.n) for j in range(self.n)]
+        if self.block_sizes is not None:
+            cols += list(_block_means(self.probabilities[:0], self.block_sizes))
         return cols
-
-    def _block_names(self) -> list[str]:
-        if self.block_sizes is None:
-            return []
-        sizes = {1: self.block_sizes[0], 2: self.block_sizes[1], 3: self.block_sizes[2]}
-        names = []
-        for mu in (1, 2, 3):
-            if sizes[mu] == 0:
-                continue
-            for nu in (1, 2, 3):
-                if sizes[nu] == 0:
-                    continue
-                if mu == nu:
-                    names.append(f"b{mu}{mu}_refl")
-                    if sizes[mu] > 1:
-                        names.append(f"b{mu}{mu}_intra")
-                else:
-                    names.append(f"b{mu}{nu}")
-        return names
-
-    def _block_values(self, prob: np.ndarray) -> list[float]:
-        if self.block_sizes is None:
-            return []
-        sizes = {1: self.block_sizes[0], 2: self.block_sizes[1], 3: self.block_sizes[2]}
-        sl = _block_slices(self.block_sizes)
-        values = []
-        for mu in (1, 2, 3):
-            if sizes[mu] == 0:
-                continue
-            for nu in (1, 2, 3):
-                if sizes[nu] == 0:
-                    continue
-                blk = prob[sl[mu], sl[nu]]
-                if mu == nu:
-                    values.append(float(np.mean(np.diagonal(blk))))
-                    if sizes[mu] > 1:
-                        off = ~np.eye(sizes[mu], dtype=bool)
-                        values.append(float(np.mean(blk[off])))
-                else:
-                    values.append(float(np.mean(blk)))
-        return values
 
     def rows(self):
         """Yield one list of floats per momentum, matching ``header()``."""
-        for idx, k in enumerate(self.ks):
-            prob = self.probabilities[idx]
-            yield [float(k)] + [float(x) for x in prob.reshape(-1)] + self._block_values(prob)
+        for start in range(0, self.ks.size, SWEEP_BLOCK):
+            block = slice(start, start + SWEEP_BLOCK)
+            prob = self.probabilities[block]
+            means = {} if self.block_sizes is None else _block_means(prob, self.block_sizes)
+            columns = [self.ks[block], prob.reshape(len(prob), -1), *means.values()]
+            yield from np.column_stack(columns).tolist()
+
+
+def pair_sweep(A, B, ks: np.ndarray, block_sizes: tuple[int, int, int] | None) -> SweepTable:
+    """|S_ij(k)|^2 of the pair (A, B) over the ascending positive grid ``ks``."""
+    probs = np.empty((ks.size,) + A.shape)
+    for start in range(0, ks.size, SWEEP_BLOCK):
+        s = _smatrix_grid(A, B, ks[start:start + SWEEP_BLOCK])
+        probs[start:start + SWEEP_BLOCK] = np.abs(s) ** 2
+    return SweepTable(n=A.shape[0], ks=ks, probabilities=probs, block_sizes=block_sizes)
 
 
 def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:
@@ -320,8 +290,5 @@ def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:
         raise ValueError("k_grid must be a non-empty 1-d array")
     if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
         raise ValueError("k_grid must be strictly positive and ascending")
-    form = uniform_block_pqrs(fp)
-    probs = np.empty((ks.size, fp.n, fp.n), dtype=float)
-    for i, k in enumerate(ks):
-        probs[i] = np.abs(np.asarray(smatrix_pqrs(form, float(k)).entries)) ** 2
-    return SweepTable(n=fp.n, ks=ks, probabilities=probs, block_sizes=fp.block_sizes)
+    A, B = _pqrs_pair(uniform_block_pqrs(fp))
+    return pair_sweep(A, B, ks, fp.block_sizes)

@@ -123,9 +123,8 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     picked = _greedy_independent_columns(B, r_b, tol)
     rest = [j for j in range(n) if j not in picked]
     perm = tuple(picked + rest)
-    pmat = linalg.permutation_matrix(perm)
-    At = A @ pmat.T
-    Bt = B @ pmat.T
+    At = A[:, picked + rest]
+    Bt = B[:, picked + rest]
 
     B1 = Bt[:, :r_b]
     T = np.linalg.lstsq(B1, Bt[:, r_b:], rcond=None)[0]
@@ -159,32 +158,33 @@ def to_reverse_st_form(c: VertexCoupling) -> ReverseSTForm:
     return ReverseSTForm(n=c.n, r_a=c.r_a, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
 
+def _st_blocks(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
+    """(I T; 0 0) and -(S 0; -T* I) in the original numbering.
+
+    They are (B, A) of an ST form and (A, B) of a reverse ST form.
+    """
+    n, r = f.n, f.T.shape[0]
+    inv = linalg.inverse_permutation(f.perm)
+    top = np.zeros((n, n), dtype=complex)
+    top[:r, :r] = np.eye(r)
+    top[:r, r:] = f.T
+    bottom = np.zeros((n, n), dtype=complex)
+    bottom[:r, :r] = f.S
+    bottom[r:, :r] = -f.T.conj().T
+    bottom[r:, r:] = np.eye(n - r)
+    # 0 - x rather than -x: exact zeros stay +0.0 and print as 0.0 in documents
+    return top[:, inv], 0.0 - bottom[:, inv]
+
+
 def st_to_matrices(f: STForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Assemble (A, B) from an ST form and validate, in original numbering."""
-    n, r_b = f.n, f.r_b
-    pmat = linalg.permutation_matrix(f.perm)
-    Bh = np.zeros((n, n), dtype=complex)
-    Bh[:r_b, :r_b] = np.eye(r_b)
-    Bh[:r_b, r_b:] = f.T
-    Ah = np.zeros((n, n), dtype=complex)
-    Ah[:r_b, :r_b] = f.S
-    Ah[r_b:, :r_b] = -f.T.conj().T
-    Ah[r_b:, r_b:] = np.eye(n - r_b)
-    return validate(-Ah @ pmat, Bh @ pmat, tol)
+    B, A = _st_blocks(f)
+    return validate(A, B, tol)
 
 
 def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Assemble (A, B) from a reverse ST form and validate."""
-    n, r_a = f.n, f.r_a
-    pmat = linalg.permutation_matrix(f.perm)
-    Ah = np.zeros((n, n), dtype=complex)
-    Ah[:r_a, :r_a] = np.eye(r_a)
-    Ah[:r_a, r_a:] = f.T
-    Bh = np.zeros((n, n), dtype=complex)
-    Bh[:r_a, :r_a] = f.S
-    Bh[r_a:, :r_a] = -f.T.conj().T
-    Bh[r_a:, r_a:] = np.eye(n - r_a)
-    return validate(Ah @ pmat, -Bh @ pmat, tol)
+    return validate(*_st_blocks(f), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +250,8 @@ def _check_pqrs_shapes(f: PQRSForm) -> tuple[int, int, int]:
     return m, na, nb
 
 
-def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
-    """Assemble (A, B) from PQRS blocks, undo the permutation, validate.
-
-    S only needs to be Hermitian here; with a singular S the assembled
-    pair is still admissible, but its actual rank of A drops below the
-    declared r_a, so the declared ranks match the validated ones only for
-    regular S.
-    """
+def _pqrs_pair(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) assembled from PQRS blocks in the original numbering, unvalidated."""
     m, na, nb = _check_pqrs_shapes(f)
     n = f.n
     Bh = np.zeros((n, n), dtype=complex)
@@ -272,8 +266,19 @@ def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCou
     Rh[m + na:, :m] = -f.P.conj().T
     Rh[m + na:, m:m + na] = (f.R @ f.P - f.Q).conj().T
     Rh[m + na:, m + na:] = np.eye(nb)
-    pmat = linalg.permutation_matrix(f.perm)
-    return validate(-Rh @ pmat, Bh @ pmat, tol)
+    inv = linalg.inverse_permutation(f.perm)
+    return 0.0 - Rh[:, inv], Bh[:, inv]  # 0 - x: see _st_blocks
+
+
+def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
+    """Assemble (A, B) from PQRS blocks, undo the permutation, validate.
+
+    S only needs to be Hermitian here; with a singular S the assembled
+    pair is still admissible, but its actual rank of A drops below the
+    declared r_a, so the declared ranks match the validated ones only for
+    regular S.
+    """
+    return validate(*_pqrs_pair(f), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +323,6 @@ def build_x(f: PQRSForm) -> np.ndarray:
     return first - Z @ np.linalg.solve(core, f.R + f.Q @ f.P.conj().T)
 
 
-def _orth_columns(M: np.ndarray) -> np.ndarray:
-    if M.shape[1] == 0:
-        return M
-    q, _ = np.linalg.qr(M)
-    return q
-
-
 def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     """Projector description (proj_p, proj_q, proj_c, lam) of a coupling.
 
@@ -337,8 +335,8 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     m, _, _ = f.block_sizes
     n = f.n
     Y, Z = _pqrs_stacks(f)
-    qy = _orth_columns(Y)
-    qz = _orth_columns(Z)
+    qy = linalg.orth_columns(Y)
+    qz = linalg.orth_columns(Z)
     proj_p = qy @ qy.conj().T
     proj_q = qz @ qz.conj().T
     proj_c = np.eye(n) - proj_p - proj_q
@@ -349,13 +347,14 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
         lam = linalg.hermitian_part(lam)
     else:
         lam = np.zeros((n, n), dtype=complex)
-    pmat = linalg.permutation_matrix(f.perm)
+    inv = linalg.inverse_permutation(f.perm)
+    back = np.ix_(inv, inv)
     return ProjectorForm(
         n=n,
-        projector_p=linalg.frozen(pmat.T @ proj_p @ pmat),
-        projector_q=linalg.frozen(pmat.T @ proj_q @ pmat),
-        projector_c=linalg.frozen(pmat.T @ proj_c @ pmat),
-        lam=linalg.frozen(pmat.T @ lam @ pmat),
+        projector_p=linalg.frozen(proj_p[back]),
+        projector_q=linalg.frozen(proj_q[back]),
+        projector_c=linalg.frozen(proj_c[back]),
+        lam=linalg.frozen(lam[back]),
     )
 
 

@@ -82,10 +82,18 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def permutation_matrix(perm) -> np.ndarray:
-    """Matrix P with row i equal to e_{perm[i]}, so (P x)_i = x_{perm[i]}."""
+def inverse_permutation(perm) -> np.ndarray:
+    """``inv`` with perm[inv[j]] = j: M[:, inv] and M[np.ix_(inv, inv)] undo ``perm``."""
     perm = list(perm)
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    return np.eye(n)[perm]
+    return np.argsort(perm)
+
+
+def orth_columns(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (reduced QR) of the columns of M; M may have none."""
+    if m.shape[1] == 0:
+        return m
+    q, _ = np.linalg.qr(m)
+    return q

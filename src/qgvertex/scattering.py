@@ -106,44 +106,59 @@ def _require_momentum(k: float) -> None:
 
 
 def _unpermute(s: np.ndarray, perm) -> np.ndarray:
-    pmat = linalg.permutation_matrix(perm)
-    return pmat.T @ s @ pmat
+    inv = linalg.inverse_permutation(perm)
+    return s[np.ix_(inv, inv)]
+
+
+def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
+
+    Raises ValueError instead of returning a non-finite S once k B overflows.
+    """
+    ikb = (1j * ks)[:, None, None] * B
+    s = -np.linalg.solve(A + ikb, A - ikb)
+    if not np.isfinite(s).all():
+        raise ValueError(f"S(k) is not finite for k in [{ks.min():g}, {ks.max():g}]: "
+                         "k B overflows")
+    return s
+
+
+def _st_stack(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
+    """L = (I; T*) in permuted coordinates and its Gram matrix I + TT*."""
+    n, r = f.n, f.T.shape[0]
+    left = np.zeros((n, r), dtype=complex)
+    left[:r] = np.eye(r)
+    left[r:] = f.T.conj().T
+    return left, np.eye(r) + f.T @ f.T.conj().T
 
 
 # ---------------------------------------------------------------------------
-# The four scattering routes
+# The five scattering routes
 # ---------------------------------------------------------------------------
 
 def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
     """S(k) from the defining pair; inverts the full n x n matrix A + ikB."""
     _require_momentum(k)
-    s = -np.linalg.solve(np.asarray(c.A) + 1j * k * np.asarray(c.B),
-                         np.asarray(c.A) - 1j * k * np.asarray(c.B))
+    s = _smatrix_grid(c.A, c.B, np.array([k], dtype=float))[0]
     return SMatrix(n=c.n, k=k, entries=linalg.frozen(s))
 
 
 def smatrix_st(f: STForm, k: float) -> SMatrix:
     """S(k) from the ST form; inverts only an r_b x r_b matrix."""
     _require_momentum(k)
-    n, r_b = f.n, f.r_b
-    left = np.zeros((n, r_b), dtype=complex)
-    left[:r_b] = np.eye(r_b)
-    left[r_b:] = f.T.conj().T
-    mid = np.eye(r_b) + f.T @ f.T.conj().T - np.asarray(f.S) / (1j * k)
-    s = -np.eye(n, dtype=complex) + 2.0 * left @ np.linalg.solve(mid, left.conj().T)
-    return SMatrix(n=n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
+    left, gram = _st_stack(f)
+    mid = gram - np.asarray(f.S) / (1j * k)
+    s = -np.eye(f.n, dtype=complex) + 2.0 * left @ np.linalg.solve(mid, left.conj().T)
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
 
 
 def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
     """S(k) from the reverse ST form; inverts only an r_a x r_a matrix."""
     _require_momentum(k)
-    n, r_a = f.n, f.r_a
-    left = np.zeros((n, r_a), dtype=complex)
-    left[:r_a] = np.eye(r_a)
-    left[r_a:] = f.T.conj().T
-    mid = np.eye(r_a) + f.T @ f.T.conj().T - 1j * k * np.asarray(f.S)
-    s = np.eye(n, dtype=complex) - 2.0 * left @ np.linalg.solve(mid, left.conj().T)
-    return SMatrix(n=n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
+    left, gram = _st_stack(f)
+    mid = gram - 1j * k * np.asarray(f.S)
+    s = np.eye(f.n, dtype=complex) - 2.0 * left @ np.linalg.solve(mid, left.conj().T)
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
 
 
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
@@ -155,16 +170,12 @@ def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     absent for scale-invariant couplings (empty S block).
     """
     _require_momentum(k)
-    m, na, _ = f.block_sizes
-    n = f.n
-    _, Z = _pqrs_stacks(f)
-    core = np.eye(na) + f.R @ f.R.conj().T + f.Q @ f.Q.conj().T
-    s = -np.eye(n, dtype=complex) + 2.0 * Z @ np.linalg.solve(core, Z.conj().T)
-    if m > 0:
+    s = _low_k_matrix(f)
+    if f.block_sizes[0] > 0:
         X = build_x(f)
         mid = X.conj().T @ X - np.asarray(f.S) / (1j * k)
         s = s + 2.0 * X @ np.linalg.solve(mid, X.conj().T)
-    return SMatrix(n=n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
 
 
 def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
@@ -274,51 +285,32 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
     if kind not in ("high-k", "low-k"):
         raise ValueError(f"kind must be 'high-k' or 'low-k', got {kind!r}")
 
-    if isinstance(f, STForm):
-        if kind != "high-k":
-            raise ValueError("the low-k expansion requires the PQRS form")
-        n, r_b = f.n, f.r_b
-        left = np.zeros((n, r_b), dtype=complex)
-        left[:r_b] = np.eye(r_b)
-        left[r_b:] = f.T.conj().T
-        gram = np.eye(r_b) + f.T @ f.T.conj().T
-        limit = -np.eye(n, dtype=complex) + 2.0 * left @ np.linalg.solve(gram, left.conj().T)
-        step = np.linalg.solve(gram, np.asarray(f.S))
-        coeffs = [limit]
-        for j in range(1, order + 1):
-            coeffs.append(2.0 * left @ np.linalg.matrix_power(step, j)
-                          @ np.linalg.solve(gram, left.conj().T))
-        radius = _spectral_radius(step)
-        perm = f.perm
-    else:
-        m = f.block_sizes[0]
-        n = f.n
-        X = build_x(f)
-        xtx = X.conj().T @ X
-        if kind == "high-k":
-            limit = _high_k_matrix(f)
-            step = np.linalg.solve(xtx, np.asarray(f.S)) if m else np.zeros((0, 0), complex)
-            coeffs = [limit]
-            for j in range(1, order + 1):
-                coeffs.append(2.0 * X @ np.linalg.matrix_power(step, j)
-                              @ np.linalg.solve(xtx, X.conj().T))
-            radius = _spectral_radius(step)
+    if kind == "high-k":
+        # C_j = 2 L [G^{-1} S]^j G^{-1} L* with (L, G) = (L, I + TT*) or (X, X*X)
+        if isinstance(f, STForm):
+            left, gram = _st_stack(f)
+            limit = -np.eye(f.n, dtype=complex) + 2.0 * left @ np.linalg.solve(gram, left.conj().T)
         else:
-            if _s_block_is_singular(f, tol):
-                raise SingularSBlock("the low-k expansion requires a regular S block")
-            limit = _low_k_matrix(f)
-            s_inv = linalg.inverse(np.asarray(f.S), tol)
-            step = s_inv @ xtx
-            coeffs = [limit]
-            for j in range(1, order + 1):
-                coeffs.append(-2.0 * X @ np.linalg.matrix_power(step, j - 1)
-                              @ s_inv @ X.conj().T)
-            radius = _spectral_radius(step)
-        perm = f.perm
-
-    coeffs = tuple(linalg.frozen(_unpermute(c, perm)) for c in coeffs)
-    return SeriesExpansion(n=n, kind=kind, order=order,
-                           coefficients=coeffs, spectral_radius=radius)
+            left = build_x(f)
+            gram = left.conj().T @ left
+            limit = _high_k_matrix(f)
+        step = np.linalg.solve(gram, np.asarray(f.S))
+        tail = np.linalg.solve(gram, left.conj().T)
+        coeffs = [limit] + [2.0 * left @ np.linalg.matrix_power(step, j) @ tail
+                            for j in range(1, order + 1)]
+    elif isinstance(f, STForm):
+        raise ValueError("the low-k expansion requires the PQRS form")
+    else:
+        if _s_block_is_singular(f, tol):
+            raise SingularSBlock("the low-k expansion requires a regular S block")
+        X = build_x(f)
+        s_inv = linalg.inverse(np.asarray(f.S), tol)
+        step = s_inv @ (X.conj().T @ X)
+        coeffs = [_low_k_matrix(f)] + [-2.0 * X @ np.linalg.matrix_power(step, j - 1)
+                                       @ s_inv @ X.conj().T for j in range(1, order + 1)]
+    coeffs = tuple(linalg.frozen(_unpermute(c, f.perm)) for c in coeffs)
+    return SeriesExpansion(n=f.n, kind=kind, order=order,
+                           coefficients=coeffs, spectral_radius=_spectral_radius(step))
 
 
 # ---------------------------------------------------------------------------

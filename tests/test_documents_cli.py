@@ -202,6 +202,17 @@ class TestCliSweep:
             assert np.max(np.abs(probs.sum(axis=0) - 1.0)) < 1e-8
         assert all(k1 < k2 for k1, k2 in zip(ks, ks[1:]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_momentum_exits_2(self, tmp_path, capsys):
+        assert main(["filter-demo", "--preset", "fig1"]) == 0
+        path = write_doc(tmp_path, json.loads(capsys.readouterr().out), "fig1.json")
+        out_path = tmp_path / "sweep.csv"
+        code = main(["sweep", path, "--k-min", "0.1", "--k-max", "1e308", "--points", "5",
+                     "--out", str(out_path)])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_bad_range_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, dirichlet_doc())
         assert main(["sweep", path, "--k-min", "5", "--k-max", "1", "--points", "4"]) == 2
@@ -215,6 +226,7 @@ class TestCliFilterDemo:
         doc = json.loads(captured.out)
         assert doc["n"] == 5
         assert doc["blocks"] == [2, 2, 1]
+        assert "-0.0" not in captured.out  # exact zeros print unsigned
         assert "delta-delta-deltaprime" in captured.err
         assert "all closed-form amplitudes match" in captured.err
 

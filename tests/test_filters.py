@@ -8,22 +8,23 @@ from qgvertex import (
     classify_branching,
     limit_high_k,
     limit_low_k,
-    linalg,
     pqrs_to_matrices,
     probability_sweep,
-    rank_one_inverse,
+    smatrix_direct,
     smatrix_pqrs,
     uniform_block_pqrs,
 )
-from qgvertex.errors import InvalidShape, SingularSBlock, SingularShift
+from qgvertex.errors import InvalidShape, SingularSBlock
 from qgvertex.filters import (
     DELTA_DELTA_DELTAPRIME,
     DELTA_DELTAPRIME_DELTAPRIME,
     FIG1_PARAMS,
     FIG2_PARAMS,
     NO_BRANCHING,
+    SWEEP_BLOCK,
     FilterParams,
-    ones_block,
+    SweepTable,
+    _block_means,
 )
 
 from conftest import unitarity_defect
@@ -47,6 +48,13 @@ class TestFilterParams:
     def test_zero_s_allowed_when_block_empty(self):
         fp = FilterParams(n=3, r_a=2, r_b=1, p=0.5, q=0.5, r=0.5, s=0.0)
         assert fp.block_sizes[0] == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_constants_rejected(self, bad):
+        for field in ("p", "q", "r", "s"):
+            values = {"p": 2.5, "q": 1.2, "r": 0.0, "s": 3.0, field: bad}
+            with pytest.raises(ValueError):
+                FilterParams(n=5, r_a=3, r_b=4, **values)
 
 
 class TestUniformBlocks:
@@ -74,28 +82,6 @@ class TestUniformBlocks:
         off[m:m + na, m:m + na] = False
         off[m + na:, m + na:] = False
         assert np.max(np.abs(s[off])) < 1e-12
-
-
-class TestRankOneInverse:
-    def test_scalar(self):
-        assert np.allclose(rank_one_inverse(1, 3.0), [[0.25]])
-
-    def test_two_by_two(self):
-        expected = np.eye(2) - np.ones((2, 2)) / 3.0
-        assert np.allclose(rank_one_inverse(2, 1.0), expected)
-
-    def test_singular_shift(self):
-        with pytest.raises(SingularShift):
-            rank_one_inverse(3, -1.0 / 3.0)
-
-    def test_matches_generic_inverse(self, rng):
-        for _ in range(20):
-            m = int(rng.integers(1, 7))
-            alpha = float(rng.uniform(-3.0, 3.0))
-            if abs(1.0 + alpha * m) < 1e-3:
-                continue
-            direct = linalg.inverse(np.eye(m) + alpha * ones_block(m, m))
-            assert linalg.max_norm(direct - rank_one_inverse(m, alpha)) < 1e-12
 
 
 class TestAmplitudeLimits:
@@ -227,6 +213,67 @@ class TestProbabilitySweep:
             probability_sweep(FIG1_PARAMS, [1.0, 0.5])
         with pytest.raises(ValueError):
             probability_sweep(FIG1_PARAMS, [-1.0, 1.0])
+
+    def test_blocked_sweep_matches_per_k_loop(self):
+        ks = np.logspace(-2, 2, 2 * SWEEP_BLOCK + 3)
+        for fp in (FIG1_PARAMS, FIG2_PARAMS):
+            table = probability_sweep(fp, ks)
+            c = pqrs_to_matrices(uniform_block_pqrs(fp))
+            loop = np.array([np.abs(np.asarray(smatrix_direct(c, float(k)).entries)) ** 2
+                             for k in ks])
+            assert np.array_equal(table.probabilities, loop)
+
+            header = table.header()
+            rows = list(table.rows())
+            assert len(rows) == ks.size
+            edges = np.cumsum((0,) + fp.block_sizes)
+            for row, prob in zip(rows, loop):
+                values = dict(zip(header, row))
+                for mu in range(3):
+                    for nu in range(3):
+                        blk = prob[edges[mu]:edges[mu + 1], edges[nu]:edges[nu + 1]]
+                        if mu != nu:
+                            expected = {f"b{mu + 1}{nu + 1}": blk.mean()}
+                        else:
+                            expected = {f"b{mu + 1}{mu + 1}_refl": np.diagonal(blk).mean()}
+                            if blk.shape[0] > 1:
+                                off = blk[~np.eye(blk.shape[0], dtype=bool)]
+                                expected[f"b{mu + 1}{mu + 1}_intra"] = off.mean()
+                        for name, mean in expected.items():
+                            assert abs(values[name] - mean) < 1e-12
+
+    def test_block_means_keys_match_header_and_limits(self):
+        for n in range(1, 6):
+            for m in range(n + 1):
+                for na in range(n - m + 1):
+                    sizes = (m, na, n - m - na)
+                    keys = list(_block_means(np.zeros((n, n)), sizes))
+                    table = SweepTable(n=n, ks=np.ones(1), probabilities=np.zeros((1, n, n)),
+                                       block_sizes=sizes)
+                    assert table.header()[1 + n * n:] == keys
+                    fp = FilterParams(n=n, r_a=n - na, r_b=m + na, p=0.7, q=-0.4, r=1.3,
+                                      s=1.1 if m else 0.0)
+                    limits = amplitude_limits(fp)
+                    reported = ({f"b{mu}{nu}" for mu, nu in limits.high_k}
+                                | {f"b{mu}{mu}_refl" for mu in limits.high_k_reflection}
+                                | {f"b{mu}{mu}_intra" for mu in limits.high_k_intra})
+                    assert set(keys) == reported
+                    assert limits.high_k.keys() == limits.low_k.keys()
+                    assert limits.high_k_reflection.keys() == limits.low_k_reflection.keys()
+                    assert limits.high_k_intra.keys() == limits.low_k_intra.keys()
+
+    def test_stacked_block_means_equal_single_matrix_means(self, rng):
+        # rows() aggregates a stack of momenta at once; each row must sum in
+        # the same order as amplitude_limits does for one matrix
+        for n in range(1, 8):
+            for m in range(n + 1):
+                for na in range(n - m + 1):
+                    sizes = (m, na, n - m - na)
+                    x = rng.random((3, n, n))
+                    stacked = _block_means(x, sizes)
+                    for i in range(3):
+                        for name, value in _block_means(x[i], sizes).items():
+                            assert stacked[name][i] == value, (sizes, name)
 
     def test_header_matches_rows(self):
         table = probability_sweep(FIG1_PARAMS, np.logspace(-1, 1, 3))

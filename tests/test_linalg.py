@@ -99,14 +99,14 @@ class TestHelpers:
         with pytest.raises(ValueError):
             m[0, 0] = 5.0
 
-    def test_permutation_matrix(self):
-        p = linalg.permutation_matrix((2, 0, 1))
+    def test_inverse_permutation(self):
+        inv = linalg.inverse_permutation((2, 0, 1))
         x = np.array([10.0, 20.0, 30.0])
-        assert np.allclose(p @ x, [30.0, 10.0, 20.0])
+        assert np.array_equal(x[[2, 0, 1]][inv], x)
 
-    def test_permutation_matrix_invalid(self):
+    def test_inverse_permutation_invalid(self):
         with pytest.raises(ValueError):
-            linalg.permutation_matrix((0, 0, 1))
+            linalg.inverse_permutation((0, 0, 1))
 
     def test_as_complex_matrix_rejects_vectors(self):
         with pytest.raises(ShapeMismatch):
