@@ -34,7 +34,7 @@ from .forms import (
 def matrix_to_json(m) -> list:
     """Nested [re, im] rows of a matrix."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:

@@ -35,6 +35,7 @@ always see matrices in their original edge numbering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,18 +96,49 @@ class ProjectorForm:
 # ---------------------------------------------------------------------------
 
 def _greedy_independent_columns(M: np.ndarray, count: int, tol: float) -> list[int]:
-    """Lexicographically smallest set of ``count`` independent columns of M."""
+    """Lexicographically smallest set of ``count`` independent columns of M.
+
+    One left-to-right Gram-Schmidt pass: each candidate column is projected
+    twice against an orthonormal basis of the columns picked so far
+    (classical Gram-Schmidt with reorthogonalisation, CGS2) and is accepted
+    when its residual norm exceeds ``tol`` times the Frobenius norm of the
+    picked columns plus the candidate.  An SVD rank test of the same columns
+    picks the same set on random couplings, but it can reject a clearly
+    independent column when an earlier picked column is tiny, because the
+    condition number of the set then exceeds 1/tol; this test accepts it.
+    """
+    M = np.asarray(M, dtype=complex)
+    sq_norms = (M.real ** 2 + M.imag ** 2).sum(axis=0).tolist()
+    basis = np.empty((count, M.shape[0]), dtype=complex)  # orthonormal rows b_i
+    basis_h = np.empty_like(basis)                         # their conjugates
     picked: list[int] = []
-    for j in range(M.shape[1]):
-        if len(picked) == count:
+    picked_sq = 0.0
+    for j, v in enumerate(M.T):
+        found = len(picked)
+        if found == count:
             break
-        if linalg.rank(M[:, picked + [j]], tol) == len(picked) + 1:
+        if found:
+            q, qh = basis[:found], basis_h[:found]
+            v = v - (qh @ v) @ q
+            v = v - (qh @ v) @ q
+        residual = math.sqrt(np.vdot(v, v).real)
+        if residual > tol * math.sqrt(picked_sq + sq_norms[j]):
+            basis[found] = v / residual
+            basis_h[found] = basis[found].conj()
             picked.append(j)
+            picked_sq += sq_norms[j]
     if len(picked) != count:
         raise SingularMatrix(
             f"found only {len(picked)} independent columns where {count} were expected"
         )
     return picked
+
+
+def _picked_first(picked: list[int], size: int) -> list[int]:
+    """``picked`` followed by the remaining indices of range(size) in order."""
+    rest = np.ones(size, dtype=bool)
+    rest[picked] = False
+    return picked + np.flatnonzero(rest).tolist()
 
 
 def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
@@ -120,11 +152,10 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     obtained as the corresponding Schur complement.
     """
     n = A.shape[0]
-    picked = _greedy_independent_columns(B, r_b, tol)
-    rest = [j for j in range(n) if j not in picked]
-    perm = tuple(picked + rest)
-    At = A[:, picked + rest]
-    Bt = B[:, picked + rest]
+    order = _picked_first(_greedy_independent_columns(B, r_b, tol), n)
+    perm = tuple(order)
+    At = A[:, order]
+    Bt = B[:, order]
 
     B1 = Bt[:, :r_b]
     T = np.linalg.lstsq(B1, Bt[:, r_b:], rcond=None)[0]
@@ -214,8 +245,7 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
             "the Hermitian block of the ST form is numerically rank-deficient "
             f"(expected rank {m}); the PQRS reduction would not be unique"
         ) from exc
-    rest = [i for i in range(r_b) if i not in picked]
-    sigma = picked + rest
+    sigma = _picked_first(picked, r_b)
     Sp = S_st[np.ix_(sigma, sigma)]
     Tp = T_st[sigma, :]
     perm = tuple(st.perm[i] for i in sigma) + st.perm[r_b:]
@@ -306,18 +336,23 @@ def _pqrs_stacks(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
     return Y, Z
 
 
-def build_x(f: PQRSForm) -> np.ndarray:
+def build_x(f: PQRSForm, z_projector: np.ndarray | None = None) -> np.ndarray:
     """Auxiliary n x m matrix spanning the momentum-dependent subspace.
 
     X = (I; 0; P*) - (R*; I; Q*) (I + RR* + QQ*)^{-1} (R + QP*), in
     permuted coordinates; its columns are orthogonal to both stacks of
-    ``_pqrs_stacks`` and it has full column rank m.
+    ``_pqrs_stacks`` and it has full column rank m.  Since Z* (I; 0; P*)
+    = R + QP* and Z*Z = I + RR* + QQ* for Z = (R*; I; Q*), a caller that
+    already holds ``z_projector`` = Z (Z*Z)^{-1} Z* gets the same X as
+    (I - z_projector) (I; 0; P*) without another solve.
     """
     m, na, nb = f.block_sizes
     n = f.n
     first = np.zeros((n, m), dtype=complex)
     first[:m] = np.eye(m)
     first[m + na:] = f.P.conj().T
+    if z_projector is not None:
+        return first - z_projector @ first
     _, Z = _pqrs_stacks(f)
     core = np.eye(na) + f.R @ f.R.conj().T + f.Q @ f.Q.conj().T
     return first - Z @ np.linalg.solve(core, f.R + f.Q @ f.P.conj().T)

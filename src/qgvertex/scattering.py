@@ -113,10 +113,12 @@ def _unpermute(s: np.ndarray, perm) -> np.ndarray:
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
 
-    Raises ValueError instead of returning a non-finite S once k B overflows.
+    Raises ValueError instead of returning a non-finite S once k B overflows;
+    numpy's overflow warnings are silenced, since that error reports it.
     """
-    ikb = (1j * ks)[:, None, None] * B
-    s = -np.linalg.solve(A + ikb, A - ikb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ikb = (1j * ks)[:, None, None] * B
+        s = -np.linalg.solve(A + ikb, A - ikb)
     if not np.isfinite(s).all():
         raise ValueError(f"S(k) is not finite for k in [{ks.min():g}, {ks.max():g}]: "
                          "k B overflows")
@@ -164,15 +166,17 @@ def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     """S(k) from the PQRS form.
 
-    Inverts one (n - r_a) block and one (r_a + r_b - n) block.  The
+    Inverts one (n - r_a) block and one (r_a + r_b - n) block; the first,
+    Z*Z, serves both the k-independent term and X.  The
     momentum-dependent term reads 2 X (X*X - S/ik)^{-1} X*; it is well
     defined for every Hermitian S at k > 0, including singular S, and is
     absent for scale-invariant couplings (empty S block).
     """
     _require_momentum(k)
-    s = _low_k_matrix(f)
+    z_projector = _range_projector(_pqrs_stacks(f)[1])
+    s = _low_k_matrix(f, z_projector)
     if f.block_sizes[0] > 0:
-        X = build_x(f)
+        X = build_x(f, z_projector)
         mid = X.conj().T @ X - np.asarray(f.S) / (1j * k)
         s = s + 2.0 * X @ np.linalg.solve(mid, X.conj().T)
     return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
@@ -202,18 +206,25 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
 # Limits
 # ---------------------------------------------------------------------------
 
+def _range_projector(m: np.ndarray) -> np.ndarray:
+    """Orthogonal projector M (M*M)^{-1} M* onto the columns of M (full column rank)."""
+    return m @ np.linalg.solve(m.conj().T @ m, m.conj().T)
+
+
 def _high_k_matrix(f: PQRSForm) -> np.ndarray:
     """Scale-invariant limit in permuted coordinates: I - 2 Y (Y*Y)^{-1} Y*."""
-    Y, _ = _pqrs_stacks(f)
-    gram = Y.conj().T @ Y  # = I + P*P + (RP-Q)*(RP-Q)
-    return np.eye(f.n, dtype=complex) - 2.0 * Y @ np.linalg.solve(gram, Y.conj().T)
+    Y, _ = _pqrs_stacks(f)  # Y*Y = I + P*P + (RP-Q)*(RP-Q)
+    return np.eye(f.n, dtype=complex) - 2.0 * _range_projector(Y)
 
 
-def _low_k_matrix(f: PQRSForm) -> np.ndarray:
-    """Reverse scale-invariant limit in permuted coordinates: -I + 2 Z (Z*Z)^{-1} Z*."""
-    _, Z = _pqrs_stacks(f)
-    gram = Z.conj().T @ Z  # = I + RR* + QQ*
-    return -np.eye(f.n, dtype=complex) + 2.0 * Z @ np.linalg.solve(gram, Z.conj().T)
+def _low_k_matrix(f: PQRSForm, z_projector: np.ndarray | None = None) -> np.ndarray:
+    """Reverse scale-invariant limit in permuted coordinates: -I + 2 Z (Z*Z)^{-1} Z*.
+
+    ``z_projector`` is Z (Z*Z)^{-1} Z* when the caller has it already.
+    """
+    if z_projector is None:
+        z_projector = _range_projector(_pqrs_stacks(f)[1])  # Z*Z = I + RR* + QQ*
+    return -np.eye(f.n, dtype=complex) + 2.0 * z_projector
 
 
 def _s_block_is_singular(f: PQRSForm, tol: float) -> bool:

@@ -1,6 +1,8 @@
 """Tests for document round-trips and the command-line interface."""
 
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +61,29 @@ class TestDocuments:
             assert type(parsed) is type(record)
             back = documents.as_coupling(parsed)
             assert smatrix_distance(back, c) < 1e-9
+
+    @pytest.mark.parametrize("n", [5, 60])
+    def test_matrix_json_matches_per_entry_conversion(self, n, rng, monkeypatch):
+        def per_entry(m):
+            m = np.asarray(m, dtype=complex)
+            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+        c = random_coupling(n, round(0.6 * n), round(0.8 * n), rng)
+        records = [c, to_st_form(c), to_reverse_st_form(c), to_pqrs_form(c),
+                   to_unitary(c), to_projector_form(c)]
+        for record in records:
+            planted = {}
+            for name, value in vars(record).items():
+                if isinstance(value, np.ndarray) and value.size:
+                    m = np.array(value)
+                    m[0, 0] = complex(-0.0, -0.0)
+                    planted[name] = m
+            record = replace(record, **planted)
+            text = documents.dumps(documents.form_to_document(record))
+            assert "-0.0" in text
+            with monkeypatch.context() as patched:
+                patched.setattr(documents, "matrix_to_json", per_entry)
+                assert documents.dumps(documents.form_to_document(record)) == text
 
     def test_zero_dimensional_blocks_survive(self):
         c = validate(*delta_pair(2.0))
@@ -202,15 +227,20 @@ class TestCliSweep:
             assert np.max(np.abs(probs.sum(axis=0) - 1.0)) < 1e-8
         assert all(k1 < k2 for k1, k2 in zip(ks, ks[1:]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_momentum_exits_2(self, tmp_path, capsys):
         assert main(["filter-demo", "--preset", "fig1"]) == 0
         path = write_doc(tmp_path, json.loads(capsys.readouterr().out), "fig1.json")
         out_path = tmp_path / "sweep.csv"
-        code = main(["sweep", path, "--k-min", "0.1", "--k-max", "1e308", "--points", "5",
-                     "--out", str(out_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", path, "--k-min", "0.1", "--k-max", "1e308", "--points", "5",
+                         "--out", str(out_path)])
         assert code == 2
-        assert "not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        # the error line is the only report: numpy's overflow warning stays silent
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught] == []
         assert not out_path.exists()
 
     def test_bad_range_exits_2(self, tmp_path, capsys):

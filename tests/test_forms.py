@@ -22,8 +22,8 @@ from qgvertex import (
     to_st_form,
     validate,
 )
-from qgvertex.errors import InvalidRankPair
-from qgvertex.forms import PQRSForm
+from qgvertex.errors import InvalidRankPair, SingularMatrix
+from qgvertex.forms import PQRSForm, _greedy_independent_columns
 
 from test_coupling import delta_pair
 
@@ -92,6 +92,46 @@ class TestReverseSTForm:
             f = to_reverse_st_form(c)
             assert linalg.is_hermitian(f.S, 1e-12)
             assert smatrix_distance(reverse_st_to_matrices(f), c) < 1e-9
+
+
+def svd_greedy_columns(M, count, tol):
+    """Reference column pick: one SVD rank test per candidate column."""
+    picked = []
+    for j in range(M.shape[1]):
+        if len(picked) == count:
+            break
+        if linalg.rank(M[:, picked + [j]], tol) == len(picked) + 1:
+            picked.append(j)
+    if len(picked) != count:
+        raise SingularMatrix("too few independent columns")
+    return picked
+
+
+class TestColumnPick:
+    def test_dependent_column_before_independent_one(self):
+        # Neumann, Dirichlet, Neumann: column 1 of B is zero and column 2 is not
+        A = [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
+        B = [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
+        f = to_st_form(validate(A, B))
+        assert f.perm == (0, 2, 1)
+
+    def test_matches_svd_reference(self, corpus):
+        gen = np.random.default_rng(60)
+        large = [random_coupling(60, r_a, r_b, gen)
+                 for r_a, r_b in ((36, 48), (54, 30), (42, 60), (24, 36))]
+        for c in list(corpus) + large:
+            m = c.r_a + c.r_b - c.n
+            cases = [(c.B, c.r_b), (c.A, c.r_a),
+                     (np.asarray(to_st_form(c).S).conj().T, m)]
+            for M, count in cases:
+                M = np.asarray(M)
+                assert (_greedy_independent_columns(M, count, c.tol)
+                        == svd_greedy_columns(M, count, c.tol))
+
+    def test_zero_count_and_zero_matrix(self):
+        assert _greedy_independent_columns(np.ones((3, 3)), 0, 1e-10) == []
+        with pytest.raises(SingularMatrix):
+            _greedy_independent_columns(np.zeros((3, 3)), 1, 1e-10)
 
 
 class TestPQRSForm:
