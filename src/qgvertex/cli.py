@@ -9,7 +9,6 @@ coupling, invalid ranks, bad momentum range).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -95,11 +94,11 @@ def _k_grid(k_min: float, k_max: float, points: int, scale: str) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    text = _read_text(args.path)
-    c = documents.as_coupling(documents.loads(text))
+    doc = documents._decode(_read_text(args.path))
+    c = documents.as_coupling(documents.parse_document(doc))
     ks = _k_grid(args.k_min, args.k_max, args.points, args.scale)
     declared = args.blocks if args.blocks else None
-    raw_blocks = json.loads(text).get("blocks")  # loads() accepted this text
+    raw_blocks = doc.get("blocks")  # parse_document accepted a JSON object
     if declared is None and isinstance(raw_blocks, list):
         declared = ",".join(str(b) for b in raw_blocks)
     blocks = None

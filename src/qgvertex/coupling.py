@@ -25,9 +25,9 @@ import numpy as np
 from . import linalg
 from .errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
 
-# Absolute tolerance for clustering eigenvalues of U at -1 and +1.  This is
-# the single knob that couples numerical rank decisions on the unitary side
-# (eigenvalue multiplicities) to the ranks r_a, r_b on the matrix-pair side.
+# Absolute tolerance with which ``unitary_eigensplit`` clusters eigenvalues
+# of U at -1 and +1.  Only that function reads it; the ranks r_a, r_b of a
+# validated pair are decided by singular values at the pair's own ``tol``.
 EIGENVALUE_CLUSTER_TOL = 1e-8
 
 

@@ -187,12 +187,16 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2)
 
 
-def loads(text: str, tol: float = linalg.DEFAULT_RTOL):
+def _decode(text: str):
+    """JSON value of ``text``; DocumentError when it is not valid JSON."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
-    return parse_document(doc, tol)
+
+
+def loads(text: str, tol: float = linalg.DEFAULT_RTOL):
+    return parse_document(_decode(text), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -316,72 +316,85 @@ def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCou
 # ---------------------------------------------------------------------------
 
 def _pqrs_stacks(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
-    """Column stacks spanning ker(Psi conditions) and ker(Psi' conditions).
+    """Column stacks Z = (R*; I; Q*) and W = (I; 0; P*) in permuted coordinates.
 
-    Y = (-P; RP - Q; I) spans the subspace on which Psi is annihilated,
-    Z = (R*; I; Q*) the one on which Psi' is annihilated; both are in
-    permuted coordinates and have full column rank thanks to the identity
-    blocks.
+    Z spans the subspace on which Psi' is annihilated.  The part of W
+    orthogonal to Z spans the momentum-dependent subspace, and what is
+    orthogonal to both is spanned by Y = (-P; RP - Q; I), the subspace on
+    which Psi is annihilated.  Z and W have full column rank thanks to
+    their identity blocks.
     """
     m, na, nb = f.block_sizes
     n = f.n
-    Y = np.zeros((n, nb), dtype=complex)
-    Y[:m] = -f.P
-    Y[m:m + na] = f.R @ f.P - f.Q
-    Y[m + na:] = np.eye(nb)
     Z = np.zeros((n, na), dtype=complex)
     Z[:m] = f.R.conj().T
     Z[m:m + na] = np.eye(na)
     Z[m + na:] = f.Q.conj().T
-    return Y, Z
+    W = np.zeros((n, m), dtype=complex)
+    W[:m] = np.eye(m)
+    W[m + na:] = f.P.conj().T
+    return Z, W
 
 
-def build_x(f: PQRSForm, z_projector: np.ndarray | None = None) -> np.ndarray:
+def _st_stack(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
+    """L = (I; T*) in permuted coordinates and its Gram matrix I + TT*."""
+    n, r = f.n, f.T.shape[0]
+    left = np.zeros((n, r), dtype=complex)
+    left[:r] = np.eye(r)
+    left[r:] = f.T.conj().T
+    return left, np.eye(r) + f.T @ f.T.conj().T
+
+
+def build_x(f: PQRSForm) -> np.ndarray:
     """Auxiliary n x m matrix spanning the momentum-dependent subspace.
 
-    X = (I; 0; P*) - (R*; I; Q*) (I + RR* + QQ*)^{-1} (R + QP*), in
-    permuted coordinates; its columns are orthogonal to both stacks of
-    ``_pqrs_stacks`` and it has full column rank m.  Since Z* (I; 0; P*)
-    = R + QP* and Z*Z = I + RR* + QQ* for Z = (R*; I; Q*), a caller that
-    already holds ``z_projector`` = Z (Z*Z)^{-1} Z* gets the same X as
-    (I - z_projector) (I; 0; P*) without another solve.
+    X = W - Z (Z*Z)^{-1} Z* W = (I; 0; P*) - (R*; I; Q*) (I + RR* + QQ*)^{-1}
+    (R + QP*) for the stacks of ``_pqrs_stacks``, in permuted coordinates;
+    its columns are orthogonal to Z and Y, and it has full column rank m.
     """
-    m, na, nb = f.block_sizes
-    n = f.n
-    first = np.zeros((n, m), dtype=complex)
-    first[:m] = np.eye(m)
-    first[m + na:] = f.P.conj().T
-    if z_projector is not None:
-        return first - z_projector @ first
-    _, Z = _pqrs_stacks(f)
-    core = np.eye(na) + f.R @ f.R.conj().T + f.Q @ f.Q.conj().T
-    return first - Z @ np.linalg.solve(core, f.R + f.Q @ f.P.conj().T)
+    Z, W = _pqrs_stacks(f)
+    core = np.eye(f.n - f.r_a) + f.R @ f.R.conj().T + f.Q @ f.Q.conj().T  # Z*Z
+    return W - Z @ np.linalg.solve(core, f.R + f.Q @ f.P.conj().T)
+
+
+def _spectral_split(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(proj_z, U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*.
+
+    In permuted coordinates the PQRS route reads S(k) = -I + 2 proj_z
+    + 2 X (X*X - S/ik)^{-1} X*, with proj_z the orthogonal projector onto
+    Z.  With the reduced QR factorisation X = QR this is the expression
+    above for the eigensystem (w, V) of the Hermitian R^{-*} S R^{-1} and
+    U = QV.  One reduced QR of (Z | W) yields both: its leading columns
+    span Z, and since X = W - proj_z W, the trailing columns and the
+    trailing diagonal block of R are Q and R of X.  The ST form is the
+    case without Z (proj_z = 0) and with L = (I; T*) as W.
+    """
+    if isinstance(f, STForm):
+        Z, W = np.zeros((f.n, 0), dtype=complex), _st_stack(f)[0]
+    else:
+        Z, W = _pqrs_stacks(f)
+    na = Z.shape[1]
+    q, r = np.linalg.qr(np.concatenate([Z, W], axis=1))
+    qz, qx = q[:, :na], q[:, na:]
+    r_inv = np.linalg.inv(r[na:, na:])
+    w, v = np.linalg.eigh(linalg.hermitian_part(r_inv.conj().T @ np.asarray(f.S) @ r_inv))
+    return qz @ qz.conj().T, qx @ v, w
 
 
 def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     """Projector description (proj_p, proj_q, proj_c, lam) of a coupling.
 
-    proj_p and proj_q project onto the column spaces of the two PQRS
-    stacks; proj_c is their complement.  lam is assembled from X and S as
-    X (X*X)^{-1} S (X*X)^{-1} X*, which reproduces the scattering matrix
-    through the projector formula (verified property, not assumed).
+    From ``_spectral_split`` of the PQRS form: proj_q = proj_z projects
+    onto Z, proj_c = U U* onto range(X), proj_p onto the rest, which is
+    range(Y), and lam = U diag(w) U* = X (X*X)^{-1} S (X*X)^{-1} X*
+    reproduces the scattering matrix through the projector formula.
     """
     f = to_pqrs_form(c)
-    m, _, _ = f.block_sizes
     n = f.n
-    Y, Z = _pqrs_stacks(f)
-    qy = linalg.orth_columns(Y)
-    qz = linalg.orth_columns(Z)
-    proj_p = qy @ qy.conj().T
-    proj_q = qz @ qz.conj().T
-    proj_c = np.eye(n) - proj_p - proj_q
-    if m > 0:
-        X = build_x(f)
-        xtx = X.conj().T @ X
-        lam = X @ np.linalg.solve(xtx, np.asarray(f.S)) @ np.linalg.solve(xtx, X.conj().T)
-        lam = linalg.hermitian_part(lam)
-    else:
-        lam = np.zeros((n, n), dtype=complex)
+    proj_q, u, w = _spectral_split(f)
+    proj_c = u @ u.conj().T
+    proj_p = np.eye(n) - proj_q - proj_c
+    lam = linalg.hermitian_part((u * w) @ u.conj().T)
     inv = linalg.inverse_permutation(f.perm)
     back = np.ix_(inv, inv)
     return ProjectorForm(

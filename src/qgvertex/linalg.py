@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import ShapeMismatch, SingularMatrix
 
-ComplexMatrix = np.ndarray
-
 # Default relative cutoff on singular values for rank decisions.  Rank
 # determines which canonical-form branch is taken downstream, so every
 # routine takes the tolerance as a parameter instead of hard-coding it.

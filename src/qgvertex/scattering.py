@@ -12,8 +12,16 @@ respectively).  Form-based routes work in permuted coordinates and are
 conjugated back, so every function here returns S(k) in the original edge
 numbering.
 
-k = 0 and k = infinity are never substituted into the definition; the
-closed-form limit matrices are used instead.
+k = 0 and k = infinity are never substituted into the definition.  The
+limits and both momentum series come from one formula instead: in the
+permuted coordinates of a PQRS form,
+
+    S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*,
+
+with proj_z the orthogonal projector onto Z = (R*; I; Q*), X = QR the
+reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
+of the Hermitian R^{-*} S R^{-1} and U = QV (``forms._spectral_split``;
+an ST form is the case proj_z = 0 with L = (I; T*) in place of X).
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ import numpy as np
 from . import linalg
 from .coupling import VertexCoupling
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import PQRSForm, ProjectorForm, ReverseSTForm, STForm, _pqrs_stacks, build_x
+from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _pqrs_stacks,
+                    _spectral_split, _st_stack, build_x)
 
 #: momenta used when deciding whether two couplings describe the same vertex
 EQUIVALENCE_GRID = (0.1, 1.0, 10.0)
@@ -107,7 +116,7 @@ def _require_momentum(k: float) -> None:
 
 def _unpermute(s: np.ndarray, perm) -> np.ndarray:
     inv = linalg.inverse_permutation(perm)
-    return s[np.ix_(inv, inv)]
+    return s.take(inv, axis=0).take(inv, axis=1)
 
 
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -123,15 +132,6 @@ def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
         raise ValueError(f"S(k) is not finite for k in [{ks.min():g}, {ks.max():g}]: "
                          "k B overflows")
     return s
-
-
-def _st_stack(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
-    """L = (I; T*) in permuted coordinates and its Gram matrix I + TT*."""
-    n, r = f.n, f.T.shape[0]
-    left = np.zeros((n, r), dtype=complex)
-    left[:r] = np.eye(r)
-    left[r:] = f.T.conj().T
-    return left, np.eye(r) + f.T @ f.T.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +164,19 @@ def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
 
 
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
-    """S(k) from the PQRS form.
+    """S(k) = -I + 2 Z (Z*Z)^{-1} Z* + 2 X (X*X - S/ik)^{-1} X* from the PQRS form.
 
-    Inverts one (n - r_a) block and one (r_a + r_b - n) block; the first,
-    Z*Z, serves both the k-independent term and X.  The
-    momentum-dependent term reads 2 X (X*X - S/ik)^{-1} X*; it is well
-    defined for every Hermitian S at k > 0, including singular S, and is
-    absent for scale-invariant couplings (empty S block).
+    Z (Z*Z)^{-1} Z* is taken by reduced QR; ``build_x`` inverts the
+    (n - r_a) block Z*Z and the momentum-dependent term the (r_a + r_b - n)
+    block X*X - S/ik.  That term is well defined for every Hermitian S at
+    k > 0, including singular S, and is absent for scale-invariant
+    couplings (empty S block).
     """
     _require_momentum(k)
-    z_projector = _range_projector(_pqrs_stacks(f)[1])
-    s = _low_k_matrix(f, z_projector)
+    qz = linalg.orth_columns(_pqrs_stacks(f)[0])
+    s = -np.eye(f.n, dtype=complex) + 2.0 * qz @ qz.conj().T
     if f.block_sizes[0] > 0:
-        X = build_x(f, z_projector)
+        X = build_x(f)
         mid = X.conj().T @ X - np.asarray(f.S) / (1j * k)
         s = s + 2.0 * X @ np.linalg.solve(mid, X.conj().T)
     return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
@@ -203,39 +203,25 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Limits
+# Limits and momentum expansions
+#
+# All of them come from one spectral split of the form (``_spectral_split``):
+#     S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*
+# in permuted coordinates.  As k -> infinity every factor 1/(1 - w/ik)
+# tends to 1, as k -> 0 only those with w = 0 stay (at 1); expanding the
+# factor in powers of 1/ik gives w^j, in powers of ik it gives -w^{-j}.
 # ---------------------------------------------------------------------------
 
-def _range_projector(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projector M (M*M)^{-1} M* onto the columns of M (full column rank)."""
-    return m @ np.linalg.solve(m.conj().T @ m, m.conj().T)
-
-
-def _high_k_matrix(f: PQRSForm) -> np.ndarray:
-    """Scale-invariant limit in permuted coordinates: I - 2 Y (Y*Y)^{-1} Y*."""
-    Y, _ = _pqrs_stacks(f)  # Y*Y = I + P*P + (RP-Q)*(RP-Q)
-    return np.eye(f.n, dtype=complex) - 2.0 * _range_projector(Y)
-
-
-def _low_k_matrix(f: PQRSForm, z_projector: np.ndarray | None = None) -> np.ndarray:
-    """Reverse scale-invariant limit in permuted coordinates: -I + 2 Z (Z*Z)^{-1} Z*.
-
-    ``z_projector`` is Z (Z*Z)^{-1} Z* when the caller has it already.
-    """
-    if z_projector is None:
-        z_projector = _range_projector(_pqrs_stacks(f)[1])  # Z*Z = I + RR* + QQ*
-    return -np.eye(f.n, dtype=complex) + 2.0 * z_projector
-
-
-def _s_block_is_singular(f: PQRSForm, tol: float) -> bool:
-    m = f.block_sizes[0]
-    return m > 0 and linalg.rank(np.asarray(f.S), tol) < m
+def _limit_matrix(proj_z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """-I + 2 proj_z + 2 U U*: the limit that keeps the columns ``u`` of U."""
+    return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + u @ u.conj().T)
 
 
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
+    proj_z, u, _ = _spectral_split(f)
     return SMatrix(n=f.n, k=math.inf,
-                   entries=linalg.frozen(_unpermute(_high_k_matrix(f), f.perm)))
+                   entries=linalg.frozen(_unpermute(_limit_matrix(proj_z, u), f.perm)))
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False,
@@ -246,48 +232,32 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
     S is present but singular that expression is not the limit any more: a
     SingularSBlock is raised unless ``allow_singular`` is set, in which
     case the exact limit is returned, i.e. the expression above plus twice
-    the projector onto the part of range(X) on which S acts as zero.
+    the projector onto the m - rank(S) columns of U with the smallest |w|,
+    the part of range(X) on which S acts as zero.
     """
-    m = f.block_sizes[0]
-    base = _low_k_matrix(f)
-    if m > 0 and _s_block_is_singular(f, tol):
-        if not allow_singular:
-            raise SingularSBlock(
-                "the S block is numerically singular; the closed-form k -> 0 "
-                "limit does not apply (pass allow_singular=True for the exact limit)"
-            )
-        X = build_x(f)
-        qx, rx = np.linalg.qr(X)
-        lam_c = np.linalg.solve(rx.conj().T, np.asarray(f.S)) @ np.linalg.inv(rx)
-        lam_c = linalg.hermitian_part(lam_c)
-        w, v = np.linalg.eigh(lam_c)
-        scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
-        kernel = v[:, np.abs(w) <= tol * scale]
-        wk = qx @ kernel
-        base = base + 2.0 * wk @ wk.conj().T
-    return SMatrix(n=f.n, k=0.0, entries=linalg.frozen(_unpermute(base, f.perm)))
-
-
-# ---------------------------------------------------------------------------
-# Momentum expansions
-# ---------------------------------------------------------------------------
-
-def _spectral_radius(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    deficit = f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
+    if deficit > 0 and not allow_singular:
+        raise SingularSBlock(
+            "the S block is numerically singular; the closed-form k -> 0 "
+            "limit does not apply (pass allow_singular=True for the exact limit)"
+        )
+    proj_z, u, w = _spectral_split(f)
+    kernel = u[:, np.argsort(np.abs(w))[:deficit]]
+    return SMatrix(n=f.n, k=0.0,
+                   entries=linalg.frozen(_unpermute(_limit_matrix(proj_z, kernel), f.perm)))
 
 
 def expand(f: PQRSForm | STForm, kind: str, order: int,
            tol: float = linalg.DEFAULT_RTOL) -> SeriesExpansion:
     """Truncated geometric expansion of S(k) around k = infinity or k = 0.
 
-    high-k:  C_0 is the scale-invariant limit and, for j >= 1,
-             C_j = 2 X [(X*X)^{-1} S]^j (X*X)^{-1} X*          (PQRS form)
-             C_j = 2 L [(I + TT*)^{-1} S]^j (I + TT*)^{-1} L*  (ST form)
-    low-k:   C_0 is the reverse limit and, for j >= 1,
-             C_j = -2 X (S^{-1} X*X)^{j-1} S^{-1} X*; this needs a regular
-             S and is only available for the PQRS form.
+    With S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U* (proj_z = 0 for
+    the ST form):
+    high-k:  C_0 = -I + 2 proj_z + 2 U U* and C_j = 2 U diag(w^j) U*;
+             the series converges for k > max |w|.
+    low-k:   C_0 = -I + 2 proj_z and C_j = -2 U diag(w^-j) U*; this
+             needs a regular S, is only available for the PQRS form and
+             converges for k < min |w|.
 
     Coefficients are returned in the original edge numbering.
     """
@@ -295,33 +265,22 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
         raise ValueError("expansion order must be non-negative")
     if kind not in ("high-k", "low-k"):
         raise ValueError(f"kind must be 'high-k' or 'low-k', got {kind!r}")
-
-    if kind == "high-k":
-        # C_j = 2 L [G^{-1} S]^j G^{-1} L* with (L, G) = (L, I + TT*) or (X, X*X)
+    if kind == "low-k":
         if isinstance(f, STForm):
-            left, gram = _st_stack(f)
-            limit = -np.eye(f.n, dtype=complex) + 2.0 * left @ np.linalg.solve(gram, left.conj().T)
-        else:
-            left = build_x(f)
-            gram = left.conj().T @ left
-            limit = _high_k_matrix(f)
-        step = np.linalg.solve(gram, np.asarray(f.S))
-        tail = np.linalg.solve(gram, left.conj().T)
-        coeffs = [limit] + [2.0 * left @ np.linalg.matrix_power(step, j) @ tail
-                            for j in range(1, order + 1)]
-    elif isinstance(f, STForm):
-        raise ValueError("the low-k expansion requires the PQRS form")
-    else:
-        if _s_block_is_singular(f, tol):
+            raise ValueError("the low-k expansion requires the PQRS form")
+        if linalg.rank(np.asarray(f.S), tol) < f.block_sizes[0]:
             raise SingularSBlock("the low-k expansion requires a regular S block")
-        X = build_x(f)
-        s_inv = linalg.inverse(np.asarray(f.S), tol)
-        step = s_inv @ (X.conj().T @ X)
-        coeffs = [_low_k_matrix(f)] + [-2.0 * X @ np.linalg.matrix_power(step, j - 1)
-                                       @ s_inv @ X.conj().T for j in range(1, order + 1)]
+
+    proj_z, u, w = _spectral_split(f)
+    if kind == "high-k":
+        sign, ratio, limit = 2.0, w, _limit_matrix(proj_z, u)
+    else:
+        sign, ratio, limit = -2.0, 1.0 / w, _limit_matrix(proj_z, u[:, :0])
+    coeffs = [limit] + [sign * (u * ratio**j) @ u.conj().T for j in range(1, order + 1)]
     coeffs = tuple(linalg.frozen(_unpermute(c, f.perm)) for c in coeffs)
+    radius = float(np.max(np.abs(ratio))) if ratio.size else 0.0
     return SeriesExpansion(n=f.n, kind=kind, order=order,
-                           coefficients=coeffs, spectral_radius=_spectral_radius(step))
+                           coefficients=coeffs, spectral_radius=radius)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,15 @@ class TestCliSweep:
         assert [str(w.message) for w in caught] == []
         assert not out_path.exists()
 
+    def test_malformed_document_exits_1(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json", encoding="utf-8")
+        not_object = tmp_path / "list.json"
+        not_object.write_text("[1, 2]", encoding="utf-8")
+        for path in (broken, not_object):
+            assert main(["sweep", str(path), "--k-min", "1", "--k-max", "2", "--points", "2"]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_bad_range_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, dirichlet_doc())
         assert main(["sweep", path, "--k-min", "5", "--k-max", "1", "--points", "4"]) == 2

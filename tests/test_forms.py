@@ -1,5 +1,9 @@
 """Tests for the canonical forms and parameter counting."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -237,6 +241,22 @@ class TestProjectorForm:
         for _ in range(10):
             c = random_coupling(int(rng.integers(1, 6)), rng=rng)
             assert smatrix_distance(projector_to_matrices(to_projector_form(c)), c) < 1e-9
+
+    def test_large_round_trip_validates_at_default_tolerance(self, tmp_path, monkeypatch):
+        # item 5 of the benchmark's large-n-forms pool for this seed has
+        # n = 150 and ranks (135, 75); with lam = X (X*X)^{-1} S (X*X)^{-1} X*
+        # the rebuilt A B* was Hermitian only to 1.4 times the default tolerance
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        item = workloads.make_large_items(1027653364, tmp_path)[5]
+        assert (item.n, item.r_a, item.r_b) == (150, 135, 75)
+        c = validate(item.A, item.B)
+        rebuilt = projector_to_matrices(to_projector_form(c))
+        assert (rebuilt.r_a, rebuilt.r_b) == (c.r_a, c.r_b)
 
 
 class TestParameterCounts:

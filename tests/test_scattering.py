@@ -184,7 +184,58 @@ class TestLimits:
             assert gap(limit_low_k(f).entries, smatrix_direct(c, 1e-6).entries) < 1e-5
 
 
+def reference_expansion(f, kind, order):
+    """Coefficients and spectral radius from the closed forms
+
+        high-k:  C_j = 2 X [(X*X)^{-1} S]^j (X*X)^{-1} X*, or L = (I; T*) for X
+        low-k:   C_j = -2 X (S^{-1} X*X)^{j-1} S^{-1} X*
+
+    with C_0 = I - 2 Y (Y*Y)^{-1} Y* (high-k, PQRS), -I + 2 L (L*L)^{-1} L*
+    (high-k, ST) or -I + 2 Z (Z*Z)^{-1} Z* (low-k), in the original numbering.
+    """
+    eye = np.eye(f.n)
+    S = np.asarray(f.S)
+    if isinstance(f, STForm):
+        left = np.vstack([np.eye(f.r_b), np.asarray(f.T).conj().T])
+        limit = -eye + 2.0 * left @ np.linalg.solve(left.conj().T @ left, left.conj().T)
+    else:
+        m, na, nb = f.block_sizes
+        P, Q, R = (np.asarray(b) for b in (f.P, f.Q, f.R))
+        Y = np.vstack([-P, R @ P - Q, np.eye(nb)])
+        Z = np.vstack([R.conj().T, np.eye(na), Q.conj().T])
+        left = build_x(f)
+        if kind == "high-k":
+            limit = eye - 2.0 * Y @ np.linalg.solve(Y.conj().T @ Y, Y.conj().T)
+        else:
+            limit = -eye + 2.0 * Z @ np.linalg.solve(Z.conj().T @ Z, Z.conj().T)
+    gram = left.conj().T @ left
+    if kind == "high-k":
+        step = np.linalg.solve(gram, S)
+        tail = np.linalg.solve(gram, left.conj().T)
+        coeffs = [limit] + [2.0 * left @ np.linalg.matrix_power(step, j) @ tail
+                            for j in range(1, order + 1)]
+    else:
+        s_inv = np.linalg.inv(S)
+        step = s_inv @ gram
+        coeffs = [limit] + [-2.0 * left @ np.linalg.matrix_power(step, j - 1) @ s_inv
+                            @ left.conj().T for j in range(1, order + 1)]
+    radius = float(np.max(np.abs(np.linalg.eigvals(step)))) if step.size else 0.0
+    inv = linalg.inverse_permutation(f.perm)
+    return [c[np.ix_(inv, inv)] for c in coeffs], radius
+
+
 class TestExpansion:
+    def test_matches_closed_forms_on_corpus(self, corpus):
+        for c in corpus:
+            cases = [(to_st_form(c), "high-k")]
+            cases += [(to_pqrs_form(c), kind) for kind in ("high-k", "low-k")]
+            for f, kind in cases:
+                series = expand(f, kind, 3)
+                coeffs, radius = reference_expansion(f, kind, 3)
+                for got, want in zip(series.coefficients, coeffs):
+                    assert gap(got, want) <= 1e-12 * max(1.0, linalg.max_norm(want))
+                assert abs(series.spectral_radius - radius) <= 1e-12 * max(1.0, radius)
+
     def test_order_zero_is_the_limit(self):
         f = to_pqrs_form(validate(*delta_pair(2.0)))
         high = expand(f, "high-k", 0)
@@ -282,6 +333,29 @@ class TestPhysicalConsistency:
 
 
 class TestUniformSingularS:
+    # uniform-block S blocks are s times the all-ones matrix: rank one, so
+    # for m >= 2 the kernel has m - 1 directions
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p, q, r, s", [(2.5, 1.2, 0.0, 3.0), (0.0, 1.2, 2.1, 0.2),
+                                            (-1.3, 0.4, 0.9, -1.7)])
+    def test_low_k_limit_with_singular_s(self, m, p, q, r, s):
+        from qgvertex import pqrs_to_matrices
+
+        f = uniform_block_pqrs(FilterParams(n=m + 3, r_a=m + 1, r_b=m + 2,
+                                            p=p, q=q, r=r, s=s))
+        assert f.block_sizes == (m, 2, 1)
+        c = pqrs_to_matrices(f)
+        lo = limit_low_k(f, allow_singular=True).entries
+        assert gap(lo, smatrix_direct(c, 1e-7).entries) < 1e-5
+        if m == 1:
+            assert gap(limit_low_k(f).entries, lo) == 0.0
+            expand(f, "low-k", 1)
+        else:
+            with pytest.raises(SingularSBlock):
+                limit_low_k(f)
+            with pytest.raises(SingularSBlock):
+                expand(f, "low-k", 1)
+
     def test_pqrs_route_handles_singular_s(self):
         from qgvertex import pqrs_to_matrices
 
