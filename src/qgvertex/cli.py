@@ -143,7 +143,7 @@ def cmd_filter_demo(args) -> int:
     )
     print(documents.dumps(doc))
     limits = filters.amplitude_limits(fp)
-    verdict = filters.classify_branching(fp, args.threshold)
+    verdict = filters.classify_branching(fp, args.threshold, limits)
     sys.stderr.write(documents.render_limits_report(fp, limits, verdict, args.threshold))
     return EXIT_OK
 

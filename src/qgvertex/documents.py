@@ -7,11 +7,23 @@ permutations are 1-based edge numberings.  Coupling documents have keys
 form documents add a "form" discriminator (st, reverse-st, pqrs, unitary,
 projector).  Floats are emitted through ``repr`` and therefore re-parse to
 identical values.
+
+``dumps`` writes exactly the bytes of ``json.dumps(doc, indent=2)``, whose
+indented encoder runs in pure Python.  Each top-level value of a dict
+document with str keys that is a non-empty matrix of [re, im] pairs of
+finite floats (exact type ``float``) is written with one ``%r`` template;
+every other value goes through ``json.dumps(value, indent=2)``, re-indented
+by two spaces.  That fallback covers ints, bools, numpy scalars (whose
+``%r`` is not their JSON text), NaN and infinities, empty and ragged
+matrices, zero-width rows and nested objects.  A document that is not a
+dict, or has a key that is not a str, goes to ``json.dumps`` whole.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -38,24 +50,37 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(rows, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
-    """Parse nested [re, im] rows; ``shape`` disambiguates zero-dim blocks."""
+    """Parse nested [re, im] rows; ``shape`` disambiguates zero-dim blocks.
+
+    Each entry must be a list of exactly two finite numbers (JSON ints or
+    floats, not booleans or strings).
+    """
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise DocumentError(f"{name}: expected a list of rows")
+    pairs = list(chain.from_iterable(rows))
+    if not set(map(type, pairs)) <= {list} or not set(map(len, pairs)) <= {2}:
+        raise DocumentError(f"{name}: entries must be [re, im] pairs")
+    values = list(chain.from_iterable(pairs))
+    if not set(map(type, values)) <= {float, int}:
+        raise DocumentError(f"{name}: entries must be [re, im] pairs")
     try:
-        parsed = [[complex(float(v[0]), float(v[1])) for v in row] for row in rows]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise DocumentError(f"{name}: entries must be [re, im] pairs") from exc
-    widths = {len(row) for row in parsed}
+        parts = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise DocumentError(f"{name}: entries must be finite") from exc
+    if not all(map(math.isfinite, values)):
+        raise DocumentError(f"{name}: entries must be finite")
+    widths = set(map(len, rows))
     if len(widths) > 1:
         raise DocumentError(f"{name}: rows have unequal lengths")
+    width = widths.pop() if widths else 0
     if shape is not None:
         r, c = shape
-        if len(parsed) != r or (parsed and widths != {c}) or (not parsed and r != 0):
-            raise DocumentError(f"{name}: expected shape {shape}, got {len(parsed)} rows")
-        return np.array(parsed, dtype=complex).reshape(r, c)
-    if not parsed:
+        if len(rows) != r or (rows and width != c):
+            raise DocumentError(f"{name}: expected shape {shape}, got {len(rows)} rows")
+        return parts.view(complex).reshape(r, c)
+    if not rows:
         raise DocumentError(f"{name}: cannot infer the shape of an empty matrix")
-    return np.array(parsed, dtype=complex)
+    return parts.view(complex).reshape(len(rows), width)
 
 
 def _perm_to_json(perm) -> list[int]:
@@ -183,8 +208,38 @@ def as_coupling(obj, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     raise DocumentError(f"cannot interpret {type(obj).__name__} as a coupling")
 
 
+def _matrix_text(rows) -> str | None:
+    """``rows`` as ``json.dumps`` writes a top-level value of an indent-2
+    object, or None unless it is a non-empty matrix of finite float pairs."""
+    if type(rows) is not list or not rows or set(map(type, rows)) != {list}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    values = tuple(chain.from_iterable(pairs))
+    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
+        return None
+    pair = "[\n        %r,\n        %r\n      ]"
+    row = "[\n      " + ",\n      ".join([pair] * widths.pop()) + "\n    ]"
+    return ("[\n    " + ",\n    ".join([row] * len(rows)) + "\n  ]") % values
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    """``json.dumps(doc, indent=2)``, byte for byte (see the module docstring)."""
+    if type(doc) is not dict or not doc or any(type(key) is not str for key in doc):
+        return json.dumps(doc, indent=2)
+    items = []
+    for key, value in doc.items():
+        text = _matrix_text(value)
+        if text is None:
+            # JSON text holds no raw newline inside a string, so this only
+            # indents the value's own lines one level deeper
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def _decode(text: str):

@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidShape, SingularSBlock
 from .forms import PQRSForm, _pqrs_pair
-from .scattering import _smatrix_grid, limit_high_k, limit_low_k
+from .scattering import _limit_pair, _smatrix_grid
 
 #: default dominance ratio of probabilities used to read ">>" in a design
 DEFAULT_DOMINANCE = 3.0
@@ -169,9 +169,8 @@ class AmplitudeLimits:
 def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> AmplitudeLimits:
     """Evaluate both limit tables and check the closed forms against them."""
     m, na, nb = fp.block_sizes
-    form = uniform_block_pqrs(fp)
-    hi = np.abs(np.asarray(limit_high_k(form).entries))
-    lo = np.abs(np.asarray(limit_low_k(form, allow_singular=True).entries))
+    high, low = _limit_pair(uniform_block_pqrs(fp))
+    hi, lo = np.abs(np.asarray(high.entries)), np.abs(np.asarray(low.entries))
 
     l_p = nb * m
     l_q = nb * na
@@ -216,18 +215,22 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     )
 
 
-def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -> str:
+def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE,
+                       limits: AmplitudeLimits | None = None) -> str:
     """Branching label from the dominance pattern of the limit amplitudes.
 
     ``threshold`` is the required ratio of probabilities (squared
     amplitudes) for reading one channel as dominating another.  Couplings
     whose three blocks are not all nonempty carry no tripartite label.
+    ``limits``, when given, must be ``amplitude_limits(fp)``; it saves
+    computing them again.
     """
     if threshold <= 1.0:
         raise ValueError("dominance threshold must exceed 1")
     if any(size == 0 for size in fp.block_sizes):
         return NO_BRANCHING
-    limits = amplitude_limits(fp)
+    if limits is None:
+        limits = amplitude_limits(fp)
     hi12, hi23, hi31 = (limits.high_k[p] ** 2 for p in ((1, 2), (2, 3), (3, 1)))
     lo12, lo23, lo31 = (limits.low_k[p] ** 2 for p in ((1, 2), (2, 3), (3, 1)))
     floor = 1e-24  # a dominant channel must carry actual probability

@@ -217,11 +217,32 @@ def _limit_matrix(proj_z: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + u @ u.conj().T)
 
 
+def _limit(f: PQRSForm, k: float, proj_z: np.ndarray, u: np.ndarray) -> SMatrix:
+    """``_limit_matrix`` in the original edge numbering, as the limit at ``k``."""
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(_limit_matrix(proj_z, u), f.perm)))
+
+
+def _low_k_deficit(f: PQRSForm, allow_singular: bool, tol: float) -> int:
+    """m - rank(S); a SingularSBlock when it is positive and not allowed."""
+    deficit = f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
+    if deficit > 0 and not allow_singular:
+        raise SingularSBlock(
+            "the S block is numerically singular; the closed-form k -> 0 "
+            "limit does not apply (pass allow_singular=True for the exact limit)"
+        )
+    return deficit
+
+
+def _low_k_limit(f: PQRSForm, split, deficit: int) -> SMatrix:
+    """k -> 0 limit from the split: U keeps its ``deficit`` columns of smallest |w|."""
+    proj_z, u, w = split
+    return _limit(f, 0.0, proj_z, u[:, np.argsort(np.abs(w))[:deficit]])
+
+
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
     proj_z, u, _ = _spectral_split(f)
-    return SMatrix(n=f.n, k=math.inf,
-                   entries=linalg.frozen(_unpermute(_limit_matrix(proj_z, u), f.perm)))
+    return _limit(f, math.inf, proj_z, u)
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False,
@@ -235,16 +256,15 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
     the projector onto the m - rank(S) columns of U with the smallest |w|,
     the part of range(X) on which S acts as zero.
     """
-    deficit = f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
-    if deficit > 0 and not allow_singular:
-        raise SingularSBlock(
-            "the S block is numerically singular; the closed-form k -> 0 "
-            "limit does not apply (pass allow_singular=True for the exact limit)"
-        )
-    proj_z, u, w = _spectral_split(f)
-    kernel = u[:, np.argsort(np.abs(w))[:deficit]]
-    return SMatrix(n=f.n, k=0.0,
-                   entries=linalg.frozen(_unpermute(_limit_matrix(proj_z, kernel), f.perm)))
+    deficit = _low_k_deficit(f, allow_singular, tol)
+    return _low_k_limit(f, _spectral_split(f), deficit)
+
+
+def _limit_pair(f: PQRSForm) -> tuple[SMatrix, SMatrix]:
+    """``limit_high_k(f)`` and ``limit_low_k(f, allow_singular=True)`` from one split."""
+    deficit = _low_k_deficit(f, True, linalg.DEFAULT_RTOL)
+    split = _spectral_split(f)
+    return _limit(f, math.inf, *split[:2]), _low_k_limit(f, split, deficit)
 
 
 def expand(f: PQRSForm | STForm, kind: str, order: int,

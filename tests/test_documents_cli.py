@@ -1,6 +1,7 @@
 """Tests for document round-trips and the command-line interface."""
 
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -30,6 +31,32 @@ from test_coupling import delta_pair
 def dirichlet_doc(n=2):
     c = validate(np.eye(n), np.zeros((n, n)))
     return documents.coupling_to_document(c, label="dirichlet")
+
+
+#: [re, im] entries that are not two finite non-bool numbers, with the error they raise
+BAD_ENTRIES = [
+    pytest.param([1.0, 2.0, 3.0], "entries must be [re, im] pairs", id="three-values"),
+    pytest.param([1.0], "entries must be [re, im] pairs", id="one-value"),
+    pytest.param(["1.5", "2"], "entries must be [re, im] pairs", id="strings"),
+    pytest.param([True, False], "entries must be [re, im] pairs", id="booleans"),
+    pytest.param([None, 1.0], "entries must be [re, im] pairs", id="null"),
+    pytest.param(1.0, "entries must be [re, im] pairs", id="bare-number"),
+    pytest.param({"re": 1.0, "im": 0.0}, "entries must be [re, im] pairs", id="object"),
+    pytest.param([float("nan"), 0.0], "entries must be finite", id="nan"),
+    pytest.param([1.0, float("inf")], "entries must be finite", id="infinity"),
+    pytest.param([-float("inf"), 0.0], "entries must be finite", id="minus-infinity"),
+    pytest.param([10**400, 0], "entries must be finite", id="huge-int"),
+]
+
+
+def bad_entry_documents(entry):
+    """(document, matrix name): a coupling with ``entry`` in A, an ST form with it in S."""
+    c = validate(*delta_pair(2.0))
+    coupling_doc = documents.coupling_to_document(c)
+    coupling_doc["A"][1][0] = entry
+    st_doc = documents.form_to_document(to_st_form(c))
+    st_doc["S"][0][0] = entry
+    return [(coupling_doc, "A"), (st_doc, "S")]
 
 
 def write_doc(tmp_path, doc, name="coupling.json"):
@@ -96,23 +123,137 @@ class TestDocuments:
 
     def test_malformed_documents_rejected(self):
         bad = [
-            {"n": 2, "A": [[[1, 0]]], "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
-            {"n": 2, "A": "nope", "B": "nope"},
-            {"n": "two"},
-            {"form": "mystery", "n": 2},
-            {"form": "pqrs", "n": 2, "r_a": 0, "r_b": 0, "permutation": [1, 2],
-             "P": [], "Q": [], "R": [], "S": []},
-            [1, 2, 3],
+            ({"n": 2, "A": [[[1, 0]]], "B": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
+             r"^A: expected shape \(2, 2\), got 1 rows$"),
+            ({"n": 2, "A": "nope", "B": "nope"}, r"^A: expected a list of rows$"),
+            ({"n": 2, "A": ["nope"], "B": []}, r"^A: expected a list of rows$"),
+            ({"n": 2, "A": [[[1, 0], [0, 0]], [[0, 1]]], "B": []},
+             r"^A: rows have unequal lengths$"),
+            ({"n": "two"}, r"^missing or non-integer field 'n'$"),
+            ({"n": True}, r"^missing or non-integer field 'n'$"),
+            ({"n": 0}, r"^n must be a positive integer$"),
+            ({"form": "mystery", "n": 2}, r"^unknown form 'mystery'$"),
+            ({"form": "st", "n": 2, "permutation": [1, 2]},
+             r"^missing or non-integer field 'r_b'$"),
+            ({"form": "pqrs", "n": 2, "r_a": 0, "r_b": 0, "permutation": [1, 2],
+              "P": [], "Q": [], "R": [], "S": []}, r"^r_a \+ r_b must be at least n$"),
+            ({"form": "reverse-st", "n": 2, "r_a": 1, "permutation": [1, 1]},
+             r"^permutation must list 1\.\.2 exactly once$"),
+            ([1, 2, 3], r"^document must be a JSON object$"),
         ]
-        for doc in bad:
-            with pytest.raises(DocumentError):
+        for doc, message in bad:
+            with pytest.raises(DocumentError, match=message):
                 documents.parse_document(doc)
+
+    def test_other_document_errors(self):
+        with pytest.raises(DocumentError, match=r"^matrix: cannot infer the shape of an empty matrix$"):
+            documents.matrix_from_json([])
+        with pytest.raises(DocumentError, match=r"^cannot serialize object of type dict$"):
+            documents.form_to_document({})
+        with pytest.raises(DocumentError, match=r"^cannot interpret dict as a coupling$"):
+            documents.as_coupling({})
+        with pytest.raises(DocumentError, match=r"^not valid JSON: Expecting"):
+            documents.loads("{not json")
+
+    def test_matrix_from_json_shapes(self):
+        assert documents.matrix_from_json([], (0, 3)).shape == (0, 3)
+        assert documents.matrix_from_json([[], []], (2, 0)).shape == (2, 0)
+        assert documents.matrix_from_json([[], []]).shape == (2, 0)
+        m = documents.matrix_from_json([[[1, -0.0], [2.5, 3]]], (1, 2))
+        assert m.dtype == complex and m.shape == (1, 2)
+        assert np.array_equal(m, [[1 - 0j, 2.5 + 3j]])
+        assert np.signbit(m[0, 0].imag)
+
+    @pytest.mark.parametrize("entry, message", BAD_ENTRIES)
+    def test_bad_entries_rejected(self, entry, message, tmp_path, capsys):
+        for doc, name in bad_entry_documents(entry):
+            with pytest.raises(DocumentError, match=f"^{re.escape(f'{name}: {message}')}$"):
+                documents.parse_document(json.loads(json.dumps(doc)))
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["validate", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {name}: {message}\n"
 
     def test_permutation_is_one_based(self, rng):
         c = random_coupling(4, 2, 3, rng)
         f = to_pqrs_form(c)
         doc = documents.form_to_document(f)
         assert sorted(doc["permutation"]) == [1, 2, 3, 4]
+
+
+class TestEmitter:
+    """``dumps`` must write exactly the bytes of ``json.dumps(doc, indent=2)``."""
+
+    @staticmethod
+    def assert_same(doc):
+        assert documents.dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("n", [5, 60])
+    def test_every_form_kind(self, n, rng):
+        c = random_coupling(n, round(0.6 * n), round(0.8 * n), rng)
+        for record in (c, to_st_form(c), to_reverse_st_form(c), to_pqrs_form(c),
+                       to_unitary(c), to_projector_form(c)):
+            self.assert_same(documents.form_to_document(record))
+
+    def test_zero_size_blocks(self):
+        self.assert_same(documents.form_to_document(to_pqrs_form(validate(*delta_pair(2.0)))))
+        self.assert_same(documents.form_to_document(to_st_form(validate(np.eye(2), np.zeros((2, 2))))))
+        self.assert_same(documents.form_to_document(to_st_form(validate(np.zeros((3, 3)), np.eye(3)))))
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            doc = {"M": documents.matrix_to_json(np.zeros(shape)), "n": 3}
+            self.assert_same(doc)
+        self.assert_same({"M": [], "N": [[]], "K": [[], []]})
+
+    def test_special_values(self):
+        values = [-0.0, 1e308, 5e-324, -5e-324, float("nan"), float("inf"), -float("inf"), 0.1]
+        for v in values:
+            self.assert_same({"M": [[[v, 1.0], [2.0, -v]]], "x": v})
+        self.assert_same({"M": [[[a, b] for a in values] for b in values]})
+
+    def test_non_float_entries(self):
+        for v in (1, 0, -3, True, False, None, np.float64(1.5), np.float64(-0.0), 10**30):
+            self.assert_same({"M": [[[v, 1.0]], [[2.0, 3.0]]]})
+            self.assert_same({"M": [[[1.0, 2.0]], [[3.0, v]]], "v": v})
+        # numpy 2 prints np.float64(1.5) for %r; JSON writes 1.5
+        assert '"M": [\n    [\n      [\n        1.5,' in documents.dumps({"M": [[[np.float64(1.5), 0.0]]]})
+
+    def test_irregular_values(self):
+        docs = [
+            {},
+            {"M": [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]]},
+            {"M": [[[1.0, 2.0, 3.0]]]},
+            {"M": [[[1.0]]]},
+            {"M": [[(1.0, 2.0)]]},
+            {"M": [[1.0, 2.0]]},
+            {"M": [1.0, 2.0]},
+            {"M": (((1.0, 2.0),),)},
+            {"outer": {"M": [[[1.0, 2.0]]], "inner": {"deep": [1, [2, {}]], "e": []}}},
+            {"label": "caf\u00e9 \u2192 \U0001d54a", "text": "line one\nline two\t\"quoted\"\\"},
+            {"caf\u00e9\nkey": "x", "": 0},
+            {"permutation": [3, 1, 2], "blocks": [2, 2, 1], "flag": True, "nothing": None},
+        ]
+        for doc in docs:
+            self.assert_same(doc)
+        for doc in ([], [1, [2.0, "x"]], "text", 1.5, None, {1: "int key"}, {"a": 1, 2: "b"}):
+            self.assert_same(doc)
+
+    def test_cli_documents(self, tmp_path, capsys, monkeypatch, rng):
+        written = []
+        emit = documents.dumps
+
+        def recording(doc):
+            written.append(doc)
+            return emit(doc)
+
+        path = write_doc(tmp_path, documents.coupling_to_document(random_coupling(5, 3, 4, rng)))
+        monkeypatch.setattr(documents, "dumps", recording)
+        commands = [["smatrix", path, "--k", "2.0"], ["filter-demo", "--preset", "fig1"]]
+        commands += [["convert", path, "--to", t]
+                     for t in ("st", "reverse-st", "pqrs", "unitary", "projector")]
+        for argv in commands:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == json.dumps(written[-1], indent=2) + "\n"
+        assert len(written) == len(commands)
 
 
 class TestCliValidate:

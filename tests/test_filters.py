@@ -6,14 +6,17 @@ import pytest
 from qgvertex import (
     amplitude_limits,
     classify_branching,
+    forms,
     limit_high_k,
     limit_low_k,
     pqrs_to_matrices,
     probability_sweep,
+    scattering,
     smatrix_direct,
     smatrix_pqrs,
     uniform_block_pqrs,
 )
+from qgvertex.cli import main
 from qgvertex.errors import InvalidShape, SingularSBlock
 from qgvertex.filters import (
     DELTA_DELTA_DELTAPRIME,
@@ -178,6 +181,44 @@ class TestClassification:
     def test_empty_block_designs_are_unlabeled(self):
         fp = FilterParams(n=3, r_a=3, r_b=3, p=1.0, q=1.0, r=1.0, s=1.0)
         assert classify_branching(fp) == NO_BRANCHING
+
+    def test_given_limits_give_the_same_label(self):
+        for fp in (FIG1_PARAMS, FIG2_PARAMS, FilterParams(5, 3, 4, 0.0, 0.0, 0.0, 1.0)):
+            limits = amplitude_limits(fp)
+            assert classify_branching(fp, 3.0, limits) == classify_branching(fp, 3.0)
+
+
+class TestOneSplit:
+    def test_amplitude_limits_match_the_separate_limits(self):
+        """Both limit tables come from one split and equal the two public limits bit for bit."""
+        for n in range(1, 5):
+            for r_a in range(n + 1):
+                for r_b in range(n - r_a, n + 1):
+                    m = r_a + r_b - n
+                    fp = FilterParams(n, r_a, r_b, 1.3, -0.4, 0.7, 0.9 if m else 0.0)
+                    form = uniform_block_pqrs(fp)
+                    hi = np.abs(np.asarray(limit_high_k(form).entries))
+                    lo = np.abs(np.asarray(limit_low_k(form, allow_singular=True).entries))
+                    limits = amplitude_limits(fp)
+                    for name, (high, low) in _block_means(np.stack([hi, lo]), fp.block_sizes).items():
+                        key = (int(name[1]), int(name[2])) if len(name) == 3 else int(name[1])
+                        table = {"": "", "_refl": "_reflection", "_intra": "_intra"}[name[3:]]
+                        assert getattr(limits, "high_k" + table)[key] == float(high)
+                        assert getattr(limits, "low_k" + table)[key] == float(low)
+
+    def test_filter_demo_splits_once(self, monkeypatch, capsys):
+        calls = []
+        split = forms._spectral_split
+
+        def counted(f):
+            calls.append(f)
+            return split(f)
+
+        monkeypatch.setattr(forms, "_spectral_split", counted)
+        monkeypatch.setattr(scattering, "_spectral_split", counted)
+        assert main(["filter-demo", "--preset", "fig1"]) == 0
+        assert "delta-delta-deltaprime" in capsys.readouterr().err
+        assert len(calls) == 1
 
 
 class TestProbabilitySweep:
