@@ -48,17 +48,13 @@ from .forms import (
 )
 from .sampling import admissible_rank_pairs, haar_unitary, random_coupling
 from .scattering import (
-    ScatteringSolution,
     SeriesExpansion,
     SMatrix,
     bc_residual,
-    couplings_equivalent,
     expand,
     limit_high_k,
     limit_low_k,
-    scattering_solution,
     smatrix_direct,
-    smatrix_distance,
     smatrix_pqrs,
     smatrix_projector,
     smatrix_reverse_st,
@@ -78,7 +74,6 @@ __all__ = [
     "ReverseSTForm",
     "SMatrix",
     "STForm",
-    "ScatteringSolution",
     "SeriesExpansion",
     "SweepTable",
     "UnitaryForm",
@@ -87,7 +82,6 @@ __all__ = [
     "amplitude_limits",
     "bc_residual",
     "classify_branching",
-    "couplings_equivalent",
     "delta_parameters",
     "errors",
     "expand",
@@ -101,9 +95,7 @@ __all__ = [
     "projector_to_matrices",
     "random_coupling",
     "reverse_st_to_matrices",
-    "scattering_solution",
     "smatrix_direct",
-    "smatrix_distance",
     "smatrix_pqrs",
     "smatrix_projector",
     "smatrix_reverse_st",

@@ -145,11 +145,14 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     """Reduce the pair (A, B) to ST shape; returns (perm, S, T).
 
     The permutation moves the lexicographically earliest independent
-    columns of B to the front.  An invertible left factor M with
-    M B_perm = (I T; 0 0) is built from a basis completion of those
-    columns; admissibility then forces -M A_perm into the shape
-    (S 0; -T* I) after eliminating its lower-right block, and S is
-    obtained as the corresponding Schur complement.
+    columns B1 of B to the front.  One complete QR factorisation
+    B1 = Q1 R11, with Q = (Q1 Q2), gives the invertible left factor
+    W^{-1} for W = (B1 Q2) = Q diag(R11, I), so that W^{-1} B_perm =
+    (I T; 0 0) with T = R11^{-1} Q1* B2.  The reduced pair
+    -W^{-1} A_perm has the rows -R11^{-1} Q1* A_perm over -Q2* A_perm;
+    admissibility forces it into the shape (S 0; -T* I) after eliminating
+    its lower-right block, and S is obtained as the corresponding Schur
+    complement.
     """
     n = A.shape[0]
     order = _picked_first(_greedy_independent_columns(B, r_b, tol), n)
@@ -157,11 +160,12 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     At = A[:, order]
     Bt = B[:, order]
 
-    B1 = Bt[:, :r_b]
-    T = np.linalg.lstsq(B1, Bt[:, r_b:], rcond=None)[0]
-    q, _ = np.linalg.qr(B1, mode="complete")
-    W = np.concatenate([B1, q[:, r_b:]], axis=1)
-    Ap = -np.linalg.solve(W, At)
+    q, r = np.linalg.qr(Bt[:, :r_b], mode="complete")
+    qh = q.conj().T
+    qa = qh @ At
+    top = np.linalg.solve(r[:r_b], np.concatenate([qh[:r_b] @ Bt[:, r_b:], qa[:r_b]], axis=1))
+    T = top[:, :n - r_b]
+    Ap = -np.concatenate([top[:, n - r_b:], qa[r_b:]], axis=0)
 
     A12 = Ap[:r_b, r_b:]
     A21 = Ap[r_b:, :r_b]
@@ -252,8 +256,9 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
 
     top = Sp[:m, :]   # (S11 S21*), independent rows
     bot = Sp[m:, :]   # (S21 S22), their linear combinations
-    # unique R with bot = -R top, solved in the least-squares sense
-    R = -np.linalg.lstsq(top.conj().T, bot.conj().T, rcond=None)[0].conj().T
+    # unique R with bot = -R top: with top* = Q R_t, R* = -R_t^{-1} Q* bot*
+    q, r = np.linalg.qr(top.conj().T)
+    R = -np.linalg.solve(r, q.conj().T @ bot.conj().T).conj().T
     T1 = Tp[:m, :]
     T2 = Tp[m:, :]
     return PQRSForm(
@@ -395,15 +400,9 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     proj_c = u @ u.conj().T
     proj_p = np.eye(n) - proj_q - proj_c
     lam = linalg.hermitian_part((u * w) @ u.conj().T)
-    inv = linalg.inverse_permutation(f.perm)
-    back = np.ix_(inv, inv)
-    return ProjectorForm(
-        n=n,
-        projector_p=linalg.frozen(proj_p[back]),
-        projector_q=linalg.frozen(proj_q[back]),
-        projector_c=linalg.frozen(proj_c[back]),
-        lam=linalg.frozen(lam[back]),
-    )
+    proj_p, proj_q, proj_c, lam = (linalg.frozen(linalg.unpermute(m, f.perm))
+                                   for m in (proj_p, proj_q, proj_c, lam))
+    return ProjectorForm(n=n, projector_p=proj_p, projector_q=proj_q, projector_c=proj_c, lam=lam)
 
 
 def projector_to_matrices(p: ProjectorForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:

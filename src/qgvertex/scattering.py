@@ -5,12 +5,12 @@ The on-shell scattering matrix of a coupling (A, B) at momentum k > 0 is
     S(k) = -(A + ikB)^{-1} (A - ikB),
 
 an n x n unitary matrix.  ``smatrix_direct`` evaluates this definition and
-serves as the reference oracle; the ST, reverse-ST, PQRS and projector
-routes compute the same matrix while inverting only blocks of the sizes
-fixed by the ranks (r_b, r_a, and n - r_a with r_a + r_b - n
-respectively).  Form-based routes work in permuted coordinates and are
-conjugated back, so every function here returns S(k) in the original edge
-numbering.
+serves as the reference oracle; the ST, reverse-ST and PQRS routes
+compute the same matrix while inverting only blocks of the sizes fixed by
+the ranks (r_b, r_a, and n - r_a with r_a + r_b - n respectively), and the
+projector route reads it off the projectors with one n x n solve.  The ST,
+reverse-ST and PQRS routes work in permuted coordinates and are conjugated
+back, so every function here returns S(k) in the original edge numbering.
 
 k = 0 and k = infinity are never substituted into the definition.  The
 limits and both momentum series come from one formula instead: in the
@@ -38,10 +38,6 @@ from .errors import SeriesDivergence, SingularSBlock
 from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _pqrs_stacks,
                     _spectral_split, _st_stack, build_x)
 
-#: momenta used when deciding whether two couplings describe the same vertex
-EQUIVALENCE_GRID = (0.1, 1.0, 10.0)
-
-
 @dataclass(frozen=True, eq=False)
 class SMatrix:
     """Scattering matrix at momentum ``k`` (math.inf and 0.0 mark limits)."""
@@ -49,20 +45,6 @@ class SMatrix:
     n: int
     k: float
     entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ScatteringSolution:
-    """Boundary data of the scattering solution for one incoming edge.
-
-    psi = (I + S) e_j and dpsi = ik (S - I) e_j satisfy A psi + B dpsi = 0
-    for the coupling the matrix was computed from.
-    """
-
-    edge: int
-    k: float
-    psi: np.ndarray
-    dpsi: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +96,6 @@ def _require_momentum(k: float) -> None:
         raise ValueError(f"momentum k must be positive and finite, got {k!r}")
 
 
-def _unpermute(s: np.ndarray, perm) -> np.ndarray:
-    inv = linalg.inverse_permutation(perm)
-    return s.take(inv, axis=0).take(inv, axis=1)
-
-
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
 
@@ -151,7 +128,7 @@ def smatrix_st(f: STForm, k: float) -> SMatrix:
     left, gram = _st_stack(f)
     mid = gram - np.asarray(f.S) / (1j * k)
     s = -np.eye(f.n, dtype=complex) + 2.0 * left @ np.linalg.solve(mid, left.conj().T)
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
 
 
 def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
@@ -160,7 +137,7 @@ def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
     left, gram = _st_stack(f)
     mid = gram - 1j * k * np.asarray(f.S)
     s = np.eye(f.n, dtype=complex) - 2.0 * left @ np.linalg.solve(mid, left.conj().T)
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
 
 
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
@@ -179,27 +156,27 @@ def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
         X = build_x(f)
         mid = X.conj().T @ X - np.asarray(f.S) / (1j * k)
         s = s + 2.0 * X @ np.linalg.solve(mid, X.conj().T)
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(s, f.perm)))
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
 
 
 def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
     """S(k) = -proj_p + proj_q - (lam - ik)^{-1} (lam + ik) proj_c.
 
-    The resolvent is inverted on range(proj_c) only, through an
-    orthonormal eigenbasis of the projector.
+    The resolvent acts on range(proj_c) only.  One n x n solve covers it:
+    with lam_c = proj_c lam proj_c, the matrix lam_c - ik proj_c + I - proj_c
+    is lam_c - ik on range(proj_c) and the identity on its complement,
+    where lam_c + ik proj_c vanishes, so
+
+        S(k) = -proj_p + proj_q
+               - (lam_c - ik proj_c + I - proj_c)^{-1} (lam_c + ik proj_c).
     """
     _require_momentum(k)
-    n = p.n
-    w, v = np.linalg.eigh(np.asarray(p.projector_c))
-    qc = v[:, w > 0.5]
-    mc = qc.shape[1]
-    s = -np.asarray(p.projector_p) + np.asarray(p.projector_q)
-    if mc > 0:
-        lam_c = qc.conj().T @ np.asarray(p.lam) @ qc
-        resolvent = np.linalg.solve(lam_c - 1j * k * np.eye(mc),
-                                    (lam_c + 1j * k * np.eye(mc)) @ qc.conj().T)
-        s = s - qc @ resolvent
-    return SMatrix(n=n, k=k, entries=linalg.frozen(s))
+    proj_c = np.asarray(p.projector_c)
+    lam_c = proj_c @ np.asarray(p.lam) @ proj_c
+    ik_c = 1j * k * proj_c
+    resolvent = np.linalg.solve(lam_c - ik_c + np.eye(p.n) - proj_c, lam_c + ik_c)
+    s = -np.asarray(p.projector_p) + np.asarray(p.projector_q) - resolvent
+    return SMatrix(n=p.n, k=k, entries=linalg.frozen(s))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +196,8 @@ def _limit_matrix(proj_z: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _limit(f: PQRSForm, k: float, proj_z: np.ndarray, u: np.ndarray) -> SMatrix:
     """``_limit_matrix`` in the original edge numbering, as the limit at ``k``."""
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(_unpermute(_limit_matrix(proj_z, u), f.perm)))
+    entries = linalg.unpermute(_limit_matrix(proj_z, u), f.perm)
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(entries))
 
 
 def _low_k_deficit(f: PQRSForm, allow_singular: bool, tol: float) -> int:
@@ -297,7 +275,7 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
     else:
         sign, ratio, limit = -2.0, 1.0 / w, _limit_matrix(proj_z, u[:, :0])
     coeffs = [limit] + [sign * (u * ratio**j) @ u.conj().T for j in range(1, order + 1)]
-    coeffs = tuple(linalg.frozen(_unpermute(c, f.perm)) for c in coeffs)
+    coeffs = tuple(linalg.frozen(linalg.unpermute(c, f.perm)) for c in coeffs)
     radius = float(np.max(np.abs(ratio))) if ratio.size else 0.0
     return SeriesExpansion(n=f.n, kind=kind, order=order,
                            coefficients=coeffs, spectral_radius=radius)
@@ -307,19 +285,6 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
 # Physical consistency
 # ---------------------------------------------------------------------------
 
-def scattering_solution(s: SMatrix, edge: int) -> ScatteringSolution:
-    """Boundary data for a wave entering on ``edge`` (0-based)."""
-    _require_momentum(s.k)
-    if not (0 <= edge < s.n):
-        raise ValueError(f"edge index {edge} out of range for degree {s.n}")
-    e = np.zeros(s.n, dtype=complex)
-    e[edge] = 1.0
-    entries = np.asarray(s.entries)
-    psi = (np.eye(s.n) + entries) @ e
-    dpsi = 1j * s.k * (entries - np.eye(s.n)) @ e
-    return ScatteringSolution(edge=edge, k=s.k, psi=psi, dpsi=dpsi)
-
-
 def bc_residual(c: VertexCoupling, s: SMatrix) -> float:
     """max-norm of A (I + S) + ik B (S - I); ~0 when S solves the coupling."""
     _require_momentum(s.k)
@@ -327,21 +292,3 @@ def bc_residual(c: VertexCoupling, s: SMatrix) -> float:
     eye = np.eye(c.n)
     res = np.asarray(c.A) @ (eye + entries) + 1j * s.k * np.asarray(c.B) @ (entries - eye)
     return linalg.max_norm(res)
-
-
-def smatrix_distance(c1: VertexCoupling, c2: VertexCoupling,
-                     ks=EQUIVALENCE_GRID) -> float:
-    """Largest max-norm gap between the two scattering matrices over ``ks``."""
-    return max(
-        linalg.max_norm(np.asarray(smatrix_direct(c1, k).entries)
-                        - np.asarray(smatrix_direct(c2, k).entries))
-        for k in ks
-    )
-
-
-def couplings_equivalent(c1: VertexCoupling, c2: VertexCoupling,
-                         ks=EQUIVALENCE_GRID, tol: float = 1e-9) -> bool:
-    """Extensional equality: same S(k) on a momentum grid within ``tol``."""
-    if c1.n != c2.n:
-        return False
-    return smatrix_distance(c1, c2, ks) <= tol

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qgvertex import admissible_rank_pairs, random_coupling
+from qgvertex import admissible_rank_pairs, random_coupling, smatrix_direct
 
 CORPUS_SEED = 20260809
 CORPUS_SIZE = 100
@@ -44,3 +44,15 @@ def unitarity_defect(entries) -> float:
     entries = np.asarray(entries)
     n = entries.shape[0]
     return float(np.max(np.abs(entries @ entries.conj().T - np.eye(n))))
+
+
+def smatrix_distance(c1, c2, ks=(0.1, 1.0, 10.0)) -> float:
+    """Largest max-norm gap between the two couplings' S(k) over ``ks``."""
+    return max(float(np.max(np.abs(np.asarray(smatrix_direct(c1, k).entries)
+                                   - np.asarray(smatrix_direct(c2, k).entries))))
+               for k in ks)
+
+
+def couplings_equivalent(c1, c2, tol=1e-9) -> bool:
+    """Same degree and the same S(k) on the momentum grid within ``tol``."""
+    return c1.n == c2.n and smatrix_distance(c1, c2) <= tol

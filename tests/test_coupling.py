@@ -7,12 +7,13 @@ from qgvertex import (
     from_unitary,
     haar_unitary,
     random_coupling,
-    smatrix_distance,
     to_unitary,
     unitary_eigensplit,
     validate,
 )
 from qgvertex.errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
+
+from conftest import smatrix_distance
 
 KIRCHHOFF2_A = np.array([[1.0, -1.0], [0.0, 0.0]])
 KIRCHHOFF2_B = np.array([[0.0, 0.0], [1.0, 1.0]])

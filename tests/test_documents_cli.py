@@ -10,11 +10,9 @@ import pytest
 
 from qgvertex import (
     FIG1_PARAMS,
-    couplings_equivalent,
     documents,
     linalg,
     random_coupling,
-    smatrix_distance,
     to_pqrs_form,
     to_projector_form,
     to_reverse_st_form,
@@ -25,6 +23,7 @@ from qgvertex import (
 from qgvertex.cli import main
 from qgvertex.errors import DocumentError
 
+from conftest import couplings_equivalent, smatrix_distance
 from test_coupling import delta_pair
 
 

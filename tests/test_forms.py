@@ -9,7 +9,6 @@ import pytest
 
 from qgvertex import (
     admissible_rank_pairs,
-    couplings_equivalent,
     delta_parameters,
     linalg,
     parameter_count,
@@ -17,7 +16,6 @@ from qgvertex import (
     projector_to_matrices,
     random_coupling,
     reverse_st_to_matrices,
-    smatrix_distance,
     st_to_matrices,
     subfamily_count,
     to_pqrs_form,
@@ -27,8 +25,9 @@ from qgvertex import (
     validate,
 )
 from qgvertex.errors import InvalidRankPair, SingularMatrix
-from qgvertex.forms import PQRSForm, _greedy_independent_columns
+from qgvertex.forms import PQRSForm, _greedy_independent_columns, _picked_first, _st_reduce
 
+from conftest import couplings_equivalent, smatrix_distance
 from test_coupling import delta_pair
 
 
@@ -111,6 +110,12 @@ def svd_greedy_columns(M, count, tol):
     return picked
 
 
+def degree_60_couplings():
+    gen = np.random.default_rng(60)
+    return [random_coupling(60, r_a, r_b, gen)
+            for r_a, r_b in ((36, 48), (54, 30), (42, 60), (24, 36))]
+
+
 class TestColumnPick:
     def test_dependent_column_before_independent_one(self):
         # Neumann, Dirichlet, Neumann: column 1 of B is zero and column 2 is not
@@ -120,10 +125,7 @@ class TestColumnPick:
         assert f.perm == (0, 2, 1)
 
     def test_matches_svd_reference(self, corpus):
-        gen = np.random.default_rng(60)
-        large = [random_coupling(60, r_a, r_b, gen)
-                 for r_a, r_b in ((36, 48), (54, 30), (42, 60), (24, 36))]
-        for c in list(corpus) + large:
+        for c in list(corpus) + degree_60_couplings():
             m = c.r_a + c.r_b - c.n
             cases = [(c.B, c.r_b), (c.A, c.r_a),
                      (np.asarray(to_st_form(c).S).conj().T, m)]
@@ -136,6 +138,63 @@ class TestColumnPick:
         assert _greedy_independent_columns(np.ones((3, 3)), 0, 1e-10) == []
         with pytest.raises(SingularMatrix):
             _greedy_independent_columns(np.zeros((3, 3)), 1, 1e-10)
+
+
+def lstsq_st_reduce(A, B, r_b, tol):
+    """Reference ST reduction: T by least squares, W = (B1 Q2) from a complete
+    QR of B1, and the reduced pair by one n x n solve with W."""
+    n = A.shape[0]
+    order = _picked_first(_greedy_independent_columns(B, r_b, tol), n)
+    At, Bt = A[:, order], B[:, order]
+    B1 = Bt[:, :r_b]
+    T = np.linalg.lstsq(B1, Bt[:, r_b:], rcond=None)[0]
+    q, _ = np.linalg.qr(B1, mode="complete")
+    Ap = -np.linalg.solve(np.concatenate([B1, q[:, r_b:]], axis=1), At)
+    A12, A21, A22 = Ap[:r_b, r_b:], Ap[r_b:, :r_b], Ap[r_b:, r_b:]
+    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ np.linalg.solve(A22, A21))
+    return tuple(order), S, T
+
+
+def lstsq_pqrs_r(c):
+    """Reference R of the PQRS form: least squares for bot = -R top."""
+    S = np.asarray(to_st_form(c).S)
+    m = c.r_a + c.r_b - c.n
+    sigma = _picked_first(_greedy_independent_columns(S.conj().T, m, c.tol), c.r_b)
+    Sp = S[np.ix_(sigma, sigma)]
+    top, bot = Sp[:m, :], Sp[m:, :]
+    return -np.linalg.lstsq(top.conj().T, bot.conj().T, rcond=None)[0].conj().T
+
+
+def relative_gap(got, want) -> float:
+    return linalg.max_norm(got - want) / max(1.0, linalg.max_norm(want))
+
+
+class TestReduction:
+    @pytest.fixture(scope="class")
+    def couplings(self, corpus):
+        return list(corpus) + degree_60_couplings()
+
+    def test_st_reduce_matches_lstsq_reference(self, couplings):
+        for c in couplings:
+            A, B = np.asarray(c.A), np.asarray(c.B)
+            for M, N, r in ((A, B, c.r_b), (B, A, c.r_a)):
+                perm, S, T = _st_reduce(M, N, r, c.tol)
+                ref_perm, ref_S, ref_T = lstsq_st_reduce(M, N, r, c.tol)
+                assert perm == ref_perm
+                assert relative_gap(S, ref_S) <= 1e-12
+                assert relative_gap(T, ref_T) <= 1e-12
+
+    def test_pqrs_r_matches_lstsq_reference(self, couplings):
+        for c in couplings:
+            assert relative_gap(np.asarray(to_pqrs_form(c).R), lstsq_pqrs_r(c)) <= 1e-12
+
+    def test_singular_lower_right_block_raises(self):
+        # B = diag(1, 0) picks column 0; with A = 0 the block A22 is zero
+        message = ("lower-right block of the reduced pair is singular; "
+                   "the input pair is numerically inadmissible")
+        with pytest.raises(SingularMatrix, match=message):
+            _st_reduce(np.zeros((2, 2), dtype=complex), np.diag([1.0, 0.0]).astype(complex),
+                       1, 1e-10)
 
 
 class TestPQRSForm:

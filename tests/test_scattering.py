@@ -10,7 +10,6 @@ from qgvertex import (
     limit_low_k,
     linalg,
     random_coupling,
-    scattering_solution,
     smatrix_direct,
     smatrix_pqrs,
     smatrix_projector,
@@ -25,7 +24,7 @@ from qgvertex import (
 )
 from qgvertex.errors import SeriesDivergence, SingularSBlock
 from qgvertex.filters import FIG1_PARAMS, FilterParams
-from qgvertex.forms import STForm
+from qgvertex.forms import ProjectorForm, STForm
 from qgvertex.scattering import build_x
 
 from conftest import unitarity_defect
@@ -121,6 +120,40 @@ class TestFormRoutes:
                 for s in (smatrix_st(st, k), smatrix_reverse_st(rst, k),
                           smatrix_pqrs(pqrs, k), smatrix_projector(proj, k)):
                     assert gap(s.entries, reference) < 1e-9
+
+
+def eigh_smatrix_projector(p, k):
+    """Reference: the resolvent inverted in an eigenbasis qc of proj_c."""
+    w, v = np.linalg.eigh(np.asarray(p.projector_c))
+    qc = v[:, w > 0.5]
+    eye = np.eye(qc.shape[1])
+    lam_c = qc.conj().T @ np.asarray(p.lam) @ qc
+    resolvent = np.linalg.solve(lam_c - 1j * k * eye, (lam_c + 1j * k * eye) @ qc.conj().T)
+    return -np.asarray(p.projector_p) + np.asarray(p.projector_q) - qc @ resolvent
+
+
+class TestProjectorRoute:
+    def test_matches_eigh_reference_on_corpus(self, corpus):
+        for c in corpus:
+            p = to_projector_form(c)
+            for k in (0.1, 1.0, 10.0):
+                assert gap(smatrix_projector(p, k).entries, eigh_smatrix_projector(p, k)) <= 1e-12
+
+    def test_lam_outside_range_of_proj_c_is_ignored(self, rng):
+        # lam has components outside range(proj_c); both formulas use only
+        # proj_c lam proj_c, so they agree and S(k) stays unitary
+        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        proj = [v[:, cols] @ v[:, cols].conj().T for cols in ([0], [1], [2, 3])]
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        lam = h + h.conj().T
+        assert linalg.max_norm(proj[2] @ lam @ proj[2] - lam) > 0.1
+        p = ProjectorForm(n=4, projector_p=linalg.frozen(proj[0]),
+                          projector_q=linalg.frozen(proj[1]),
+                          projector_c=linalg.frozen(proj[2]), lam=linalg.frozen(lam))
+        for k in (0.1, 1.0, 10.0):
+            s = smatrix_projector(p, k).entries
+            assert gap(s, eigh_smatrix_projector(p, k)) <= 1e-12
+            assert unitarity_defect(s) < 1e-12
 
 
 class TestBuildX:
@@ -319,17 +352,15 @@ class TestPhysicalConsistency:
             assert bc_residual(c, smatrix_direct(c, 1.0)) < 1e-10
 
     def test_scattering_solution_satisfies_bc(self, rng):
+        # psi = (I + S) e_j and psi' = ik (S - I) e_j solve A psi + B psi' = 0
         c = random_coupling(4, rng=rng)
-        s = smatrix_direct(c, 2.0)
+        s = np.asarray(smatrix_direct(c, 2.0).entries)
+        eye = np.eye(4)
         for edge in range(4):
-            sol = scattering_solution(s, edge)
-            res = np.asarray(c.A) @ sol.psi + np.asarray(c.B) @ sol.dpsi
+            psi = (eye + s)[:, edge]
+            dpsi = 2.0j * (s - eye)[:, edge]
+            res = np.asarray(c.A) @ psi + np.asarray(c.B) @ dpsi
             assert np.max(np.abs(res)) < 1e-12
-
-    def test_scattering_solution_bad_edge(self):
-        s = smatrix_direct(dirichlet(2), 1.0)
-        with pytest.raises(ValueError):
-            scattering_solution(s, 5)
 
 
 class TestUniformSingularS:
