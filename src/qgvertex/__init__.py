@@ -14,7 +14,6 @@ from .coupling import (
     VertexCoupling,
     from_unitary,
     to_unitary,
-    unitary_eigensplit,
     validate,
 )
 from .filters import (
@@ -108,6 +107,5 @@ __all__ = [
     "to_st_form",
     "to_unitary",
     "uniform_block_pqrs",
-    "unitary_eigensplit",
     "validate",
 ]

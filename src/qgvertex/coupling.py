@@ -25,11 +25,6 @@ import numpy as np
 from . import linalg
 from .errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
 
-# Absolute tolerance with which ``unitary_eigensplit`` clusters eigenvalues
-# of U at -1 and +1.  Only that function reads it; the ranks r_a, r_b of a
-# validated pair are decided by singular values at the pair's own ``tol``.
-EIGENVALUE_CLUSTER_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class VertexCoupling:
@@ -104,25 +99,3 @@ def from_unitary(u, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     if defect > max(tol, linalg.DEFAULT_ATOL):
         raise NotUnitary(f"max-norm unitarity defect {defect:.3e} exceeds tolerance")
     return validate(U - np.eye(n), 1j * (U + np.eye(n)), tol)
-
-
-def unitary_eigensplit(U, tol: float = EIGENVALUE_CLUSTER_TOL):
-    """Split the spectrum of a unitary U at the eigenvalues -1 and +1.
-
-    Returns ``(minus, plus, rest, rest_values)`` where the first three are
-    orthonormal column blocks spanning the eigenspaces with eigenvalue
-    within ``tol`` of -1, of +1, and the remainder.  The -1 block has
-    n - r_b columns and the +1 block n - r_a columns for the associated
-    coupling.
-    """
-    U = np.asarray(U, dtype=complex)
-    w, v = np.linalg.eig(U)
-    near_minus = np.abs(w + 1.0) <= tol
-    near_plus = np.abs(w - 1.0) <= tol
-    rest = ~(near_minus | near_plus)
-    return (
-        linalg.orth_columns(v[:, near_minus]),
-        linalg.orth_columns(v[:, near_plus]),
-        linalg.orth_columns(v[:, rest]),
-        w[rest],
-    )

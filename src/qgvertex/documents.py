@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import linalg
-from .coupling import UnitaryForm, VertexCoupling, from_unitary, to_unitary, validate
+from .coupling import UnitaryForm, VertexCoupling, from_unitary, validate
 from .errors import DocumentError
 from .filters import SweepTable
 from .forms import (
@@ -41,6 +41,9 @@ from .forms import (
     reverse_st_to_matrices,
     st_to_matrices,
 )
+
+#: form kind -> (record type, name of its rank field) of the two ST shapes
+_ST_KINDS = {"st": (STForm, "r_b"), "reverse-st": (ReverseSTForm, "r_a")}
 
 
 def matrix_to_json(m) -> list:
@@ -114,14 +117,11 @@ def form_to_document(obj) -> dict:
     """JSON document for any form record (or a coupling)."""
     if isinstance(obj, VertexCoupling):
         return coupling_to_document(obj)
-    if isinstance(obj, STForm):
-        return {"form": "st", "n": obj.n, "r_b": obj.r_b,
-                "permutation": _perm_to_json(obj.perm),
-                "S": matrix_to_json(obj.S), "T": matrix_to_json(obj.T)}
-    if isinstance(obj, ReverseSTForm):
-        return {"form": "reverse-st", "n": obj.n, "r_a": obj.r_a,
-                "permutation": _perm_to_json(obj.perm),
-                "S": matrix_to_json(obj.S), "T": matrix_to_json(obj.T)}
+    for kind, (record, rank_key) in _ST_KINDS.items():
+        if isinstance(obj, record):
+            return {"form": kind, "n": obj.n, rank_key: getattr(obj, rank_key),
+                    "permutation": _perm_to_json(obj.perm),
+                    "S": matrix_to_json(obj.S), "T": matrix_to_json(obj.T)}
     if isinstance(obj, PQRSForm):
         return {"form": "pqrs", "n": obj.n, "r_a": obj.r_a, "r_b": obj.r_b,
                 "permutation": _perm_to_json(obj.perm),
@@ -156,16 +156,12 @@ def parse_document(doc: dict, tol: float = linalg.DEFAULT_RTOL):
         a = matrix_from_json(doc.get("A"), (n, n), "A")
         b = matrix_from_json(doc.get("B"), (n, n), "B")
         return validate(a, b, tol)
-    if kind == "st":
-        r_b = _require_int(doc, "r_b")
-        return STForm(n=n, r_b=r_b, perm=_perm_from_json(doc.get("permutation"), n),
-                      S=linalg.frozen(matrix_from_json(doc.get("S"), (r_b, r_b), "S")),
-                      T=linalg.frozen(matrix_from_json(doc.get("T"), (r_b, n - r_b), "T")))
-    if kind == "reverse-st":
-        r_a = _require_int(doc, "r_a")
-        return ReverseSTForm(n=n, r_a=r_a, perm=_perm_from_json(doc.get("permutation"), n),
-                             S=linalg.frozen(matrix_from_json(doc.get("S"), (r_a, r_a), "S")),
-                             T=linalg.frozen(matrix_from_json(doc.get("T"), (r_a, n - r_a), "T")))
+    for st_kind, (record, rank_key) in _ST_KINDS.items():
+        if kind == st_kind:
+            r = _require_int(doc, rank_key)
+            return record(n, r, _perm_from_json(doc.get("permutation"), n),
+                          S=linalg.frozen(matrix_from_json(doc.get("S"), (r, r), "S")),
+                          T=linalg.frozen(matrix_from_json(doc.get("T"), (r, n - r), "T")))
     if kind == "pqrs":
         r_a = _require_int(doc, "r_a")
         r_b = _require_int(doc, "r_b")

@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidShape, SingularSBlock
 from .forms import PQRSForm, _pqrs_pair
-from .scattering import _limit_pair, _smatrix_grid
+from .scattering import _limits, _low_k_deficit, _smatrix_grid
 
 #: default dominance ratio of probabilities used to read ">>" in a design
 DEFAULT_DOMINANCE = 3.0
@@ -169,7 +169,8 @@ class AmplitudeLimits:
 def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> AmplitudeLimits:
     """Evaluate both limit tables and check the closed forms against them."""
     m, na, nb = fp.block_sizes
-    high, low = _limit_pair(uniform_block_pqrs(fp))
+    form = uniform_block_pqrs(fp)
+    high, low = _limits(form, True, _low_k_deficit(form, linalg.DEFAULT_RTOL))
     hi, lo = np.abs(np.asarray(high.entries)), np.abs(np.asarray(low.entries))
 
     l_p = nb * m

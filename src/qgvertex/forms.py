@@ -350,29 +350,17 @@ def _st_stack(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
     return left, np.eye(r) + f.T @ f.T.conj().T
 
 
-def build_x(f: PQRSForm) -> np.ndarray:
-    """Auxiliary n x m matrix spanning the momentum-dependent subspace.
+def _split_factors(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q_z, Q_x, H) from one reduced QR factorisation of (Z | W).
 
-    X = W - Z (Z*Z)^{-1} Z* W = (I; 0; P*) - (R*; I; Q*) (I + RR* + QQ*)^{-1}
-    (R + QP*) for the stacks of ``_pqrs_stacks``, in permuted coordinates;
-    its columns are orthogonal to Z and Y, and it has full column rank m.
-    """
-    Z, W = _pqrs_stacks(f)
-    core = np.eye(f.n - f.r_a) + f.R @ f.R.conj().T + f.Q @ f.Q.conj().T  # Z*Z
-    return W - Z @ np.linalg.solve(core, f.R + f.Q @ f.P.conj().T)
-
-
-def _spectral_split(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(proj_z, U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*.
-
-    In permuted coordinates the PQRS route reads S(k) = -I + 2 proj_z
-    + 2 X (X*X - S/ik)^{-1} X*, with proj_z the orthogonal projector onto
-    Z.  With the reduced QR factorisation X = QR this is the expression
-    above for the eigensystem (w, V) of the Hermitian R^{-*} S R^{-1} and
-    U = QV.  One reduced QR of (Z | W) yields both: its leading columns
-    span Z, and since X = W - proj_z W, the trailing columns and the
-    trailing diagonal block of R are Q and R of X.  The ST form is the
-    case without Z (proj_z = 0) and with L = (I; T*) as W.
+    Its leading columns Q_z are an orthonormal basis of Z.  Since the
+    auxiliary matrix X = W - Z (Z*Z)^{-1} Z* W of the PQRS route is the
+    part of W orthogonal to Z, the trailing columns Q_x and the trailing
+    diagonal block R of the triangular factor are the reduced QR
+    factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  H is the
+    Hermitian m x m matrix R^{-*} S R^{-1}, with which
+    X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.  The ST form is the
+    case without Z and with L = (I; T*) as W.
     """
     if isinstance(f, STForm):
         Z, W = np.zeros((f.n, 0), dtype=complex), _st_stack(f)[0]
@@ -380,9 +368,19 @@ def _spectral_split(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.nd
         Z, W = _pqrs_stacks(f)
     na = Z.shape[1]
     q, r = np.linalg.qr(np.concatenate([Z, W], axis=1))
-    qz, qx = q[:, :na], q[:, na:]
     r_inv = np.linalg.inv(r[na:, na:])
-    w, v = np.linalg.eigh(linalg.hermitian_part(r_inv.conj().T @ np.asarray(f.S) @ r_inv))
+    return q[:, :na], q[:, na:], linalg.hermitian_part(r_inv.conj().T @ np.asarray(f.S) @ r_inv)
+
+
+def _spectral_split(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(proj_z, U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*.
+
+    In permuted coordinates, with (Q_z, Q_x, H) of ``_split_factors``,
+    proj_z = Q_z Q_z* is the orthogonal projector onto Z, (w, V) is the
+    eigensystem of H and U = Q_x V.
+    """
+    qz, qx, h = _split_factors(f)
+    w, v = np.linalg.eigh(h)
     return qz @ qz.conj().T, qx @ v, w
 
 

@@ -93,11 +93,3 @@ def unpermute(m: np.ndarray, perm) -> np.ndarray:
     """Square M with rows and columns moved from slots ``perm`` back to the original numbering."""
     inv = inverse_permutation(perm)
     return m.take(inv, axis=0).take(inv, axis=1)
-
-
-def orth_columns(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (reduced QR) of the columns of M; M may have none."""
-    if m.shape[1] == 0:
-        return m
-    q, _ = np.linalg.qr(m)
-    return q

@@ -7,10 +7,11 @@ The on-shell scattering matrix of a coupling (A, B) at momentum k > 0 is
 an n x n unitary matrix.  ``smatrix_direct`` evaluates this definition and
 serves as the reference oracle; the ST, reverse-ST and PQRS routes
 compute the same matrix while inverting only blocks of the sizes fixed by
-the ranks (r_b, r_a, and n - r_a with r_a + r_b - n respectively), and the
-projector route reads it off the projectors with one n x n solve.  The ST,
-reverse-ST and PQRS routes work in permuted coordinates and are conjugated
-back, so every function here returns S(k) in the original edge numbering.
+the ranks (r_b, r_a, and the m = r_a + r_b - n block alone for PQRS), and
+the projector route reads it off the projectors with one n x n solve.  The
+ST, reverse-ST and PQRS routes work in permuted coordinates and are
+conjugated back, so every function here returns S(k) in the original edge
+numbering.
 
 k = 0 and k = infinity are never substituted into the definition.  The
 limits and both momentum series come from one formula instead: in the
@@ -21,7 +22,9 @@ permuted coordinates of a PQRS form,
 with proj_z the orthogonal projector onto Z = (R*; I; Q*), X = QR the
 reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
 of the Hermitian R^{-*} S R^{-1} and U = QV (``forms._spectral_split``;
-an ST form is the case proj_z = 0 with L = (I; T*) in place of X).
+an ST form is the case proj_z = 0 with L = (I; T*) in place of X).  The
+PQRS route uses the same QR factors without the eigensystem
+(``forms._split_factors``).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from . import linalg
 from .coupling import VertexCoupling
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _pqrs_stacks,
-                    _spectral_split, _st_stack, build_x)
+from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _spectral_split,
+                    _split_factors, _st_stack)
 
 @dataclass(frozen=True, eq=False)
 class SMatrix:
@@ -143,19 +146,19 @@ def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     """S(k) = -I + 2 Z (Z*Z)^{-1} Z* + 2 X (X*X - S/ik)^{-1} X* from the PQRS form.
 
-    Z (Z*Z)^{-1} Z* is taken by reduced QR; ``build_x`` inverts the
-    (n - r_a) block Z*Z and the momentum-dependent term the (r_a + r_b - n)
-    block X*X - S/ik.  That term is well defined for every Hermitian S at
-    k > 0, including singular S, and is absent for scale-invariant
-    couplings (empty S block).
+    With the factors (Q_z, Q_x, H) of one QR of (Z | W), where X = Q_x R
+    and H = R^{-*} S R^{-1} (``forms._split_factors``), this is
+    S(k) = -I + 2 Q_z Q_z* + 2 Q_x (I - H/ik)^{-1} Q_x*: only the
+    m = r_a + r_b - n block I - H/ik is inverted, and neither Z*Z nor X*X
+    is formed.  The momentum-dependent term is well defined for every
+    Hermitian S at k > 0, including singular S, and is absent for
+    scale-invariant couplings (empty S block).
     """
     _require_momentum(k)
-    qz = linalg.orth_columns(_pqrs_stacks(f)[0])
-    s = -np.eye(f.n, dtype=complex) + 2.0 * qz @ qz.conj().T
-    if f.block_sizes[0] > 0:
-        X = build_x(f)
-        mid = X.conj().T @ X - np.asarray(f.S) / (1j * k)
-        s = s + 2.0 * X @ np.linalg.solve(mid, X.conj().T)
+    qz, qx, h = _split_factors(f)
+    mid = np.eye(len(h)) - h / (1j * k)
+    s = -np.eye(f.n, dtype=complex) + 2.0 * (qz @ qz.conj().T
+                                             + qx @ np.linalg.solve(mid, qx.conj().T))
     return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
 
 
@@ -194,33 +197,32 @@ def _limit_matrix(proj_z: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + u @ u.conj().T)
 
 
-def _limit(f: PQRSForm, k: float, proj_z: np.ndarray, u: np.ndarray) -> SMatrix:
-    """``_limit_matrix`` in the original edge numbering, as the limit at ``k``."""
-    entries = linalg.unpermute(_limit_matrix(proj_z, u), f.perm)
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(entries))
+def _low_k_deficit(f: PQRSForm, tol: float) -> int:
+    """m - rank(S), the number of columns of U on which S acts as zero."""
+    return f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
 
 
-def _low_k_deficit(f: PQRSForm, allow_singular: bool, tol: float) -> int:
-    """m - rank(S); a SingularSBlock when it is positive and not allowed."""
-    deficit = f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
-    if deficit > 0 and not allow_singular:
-        raise SingularSBlock(
-            "the S block is numerically singular; the closed-form k -> 0 "
-            "limit does not apply (pass allow_singular=True for the exact limit)"
-        )
-    return deficit
+def _limits(f: PQRSForm, high: bool, low_deficit: int | None) -> list[SMatrix]:
+    """From one split: the k -> infinity limit if ``high``, then the k -> 0
+    limit unless ``low_deficit`` is None.
 
-
-def _low_k_limit(f: PQRSForm, split, deficit: int) -> SMatrix:
-    """k -> 0 limit from the split: U keeps its ``deficit`` columns of smallest |w|."""
-    proj_z, u, w = split
-    return _limit(f, 0.0, proj_z, u[:, np.argsort(np.abs(w))[:deficit]])
+    Each is ``_limit_matrix`` in the original edge numbering, with U cut to
+    the columns whose factor 1/(1 - w/ik) tends to 1: all of them as
+    k -> infinity, and as k -> 0 the ``low_deficit`` = m - rank(S) columns
+    of smallest |w|.
+    """
+    proj_z, u, w = _spectral_split(f)
+    kept = [(math.inf, u)] if high else []
+    if low_deficit is not None:
+        kept.append((0.0, u[:, np.argsort(np.abs(w))[:low_deficit]]))
+    return [SMatrix(n=f.n, k=k, entries=linalg.frozen(
+                linalg.unpermute(_limit_matrix(proj_z, cols), f.perm)))
+            for k, cols in kept]
 
 
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
-    proj_z, u, _ = _spectral_split(f)
-    return _limit(f, math.inf, proj_z, u)
+    return _limits(f, True, None)[0]
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False,
@@ -234,15 +236,13 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
     the projector onto the m - rank(S) columns of U with the smallest |w|,
     the part of range(X) on which S acts as zero.
     """
-    deficit = _low_k_deficit(f, allow_singular, tol)
-    return _low_k_limit(f, _spectral_split(f), deficit)
-
-
-def _limit_pair(f: PQRSForm) -> tuple[SMatrix, SMatrix]:
-    """``limit_high_k(f)`` and ``limit_low_k(f, allow_singular=True)`` from one split."""
-    deficit = _low_k_deficit(f, True, linalg.DEFAULT_RTOL)
-    split = _spectral_split(f)
-    return _limit(f, math.inf, *split[:2]), _low_k_limit(f, split, deficit)
+    deficit = _low_k_deficit(f, tol)
+    if deficit > 0 and not allow_singular:
+        raise SingularSBlock(
+            "the S block is numerically singular; the closed-form k -> 0 "
+            "limit does not apply (pass allow_singular=True for the exact limit)"
+        )
+    return _limits(f, False, deficit)[0]
 
 
 def expand(f: PQRSForm | STForm, kind: str, order: int,
@@ -266,7 +266,7 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
     if kind == "low-k":
         if isinstance(f, STForm):
             raise ValueError("the low-k expansion requires the PQRS form")
-        if linalg.rank(np.asarray(f.S), tol) < f.block_sizes[0]:
+        if _low_k_deficit(f, tol) > 0:
             raise SingularSBlock("the low-k expansion requires a regular S block")
 
     proj_z, u, w = _spectral_split(f)

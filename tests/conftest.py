@@ -1,4 +1,8 @@
-"""Shared fixtures: seeded RNGs and the random-coupling corpus."""
+"""Shared fixtures: seeded RNGs, the random-coupling corpus and the benchmark's workloads."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,18 @@ def build_corpus(size=CORPUS_SIZE, max_degree=5, seed=CORPUS_SEED):
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's ``bench/workloads.py`` as a module, for its seeded item pools."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def unitarity_defect(entries) -> float:

@@ -132,8 +132,11 @@ class TestDocuments:
             ({"n": True}, r"^missing or non-integer field 'n'$"),
             ({"n": 0}, r"^n must be a positive integer$"),
             ({"form": "mystery", "n": 2}, r"^unknown form 'mystery'$"),
+            ({"form": ["st"], "n": 2}, r"^unknown form \['st'\]$"),
             ({"form": "st", "n": 2, "permutation": [1, 2]},
              r"^missing or non-integer field 'r_b'$"),
+            ({"form": "reverse-st", "n": 2, "permutation": [1, 2]},
+             r"^missing or non-integer field 'r_a'$"),
             ({"form": "pqrs", "n": 2, "r_a": 0, "r_b": 0, "permutation": [1, 2],
               "P": [], "Q": [], "R": [], "S": []}, r"^r_a \+ r_b must be at least n$"),
             ({"form": "reverse-st", "n": 2, "r_a": 1, "permutation": [1, 1]},

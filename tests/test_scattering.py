@@ -24,8 +24,7 @@ from qgvertex import (
 )
 from qgvertex.errors import SeriesDivergence, SingularSBlock
 from qgvertex.filters import FIG1_PARAMS, FilterParams
-from qgvertex.forms import ProjectorForm, STForm
-from qgvertex.scattering import build_x
+from qgvertex.forms import ProjectorForm, STForm, _split_factors
 
 from conftest import unitarity_defect
 from test_coupling import delta_pair
@@ -44,6 +43,23 @@ def neumann(n):
 
 def gap(a, b) -> float:
     return linalg.max_norm(np.asarray(a) - np.asarray(b))
+
+
+def build_x(f):
+    """The paper's auxiliary matrix X = W - Z (Z*Z)^{-1} Z* W of a PQRS form,
+    with Z = (R*; I; Q*) and W = (I; 0; P*), in permuted coordinates."""
+    m, na, _ = f.block_sizes
+    P, Q, R = (np.asarray(b) for b in (f.P, f.Q, f.R))
+    Z = np.vstack([R.conj().T, np.eye(na), Q.conj().T])
+    W = np.vstack([np.eye(m), np.zeros((na, m)), P.conj().T])
+    return W - Z @ np.linalg.solve(Z.conj().T @ Z, Z.conj().T @ W)
+
+
+def x_projector_gap(f) -> float:
+    """Gap between Q_x Q_x* of the split's QR and X (X*X)^{-1} X* of ``build_x``."""
+    _, qx, _ = _split_factors(f)
+    x = build_x(f)
+    return gap(qx @ qx.conj().T, x @ np.linalg.solve(x.conj().T @ x, x.conj().T))
 
 
 class TestDirectRoute:
@@ -157,19 +173,28 @@ class TestProjectorRoute:
 
 
 class TestBuildX:
+    """The split's Q_x spans the paper's X: the PQRS route reads X off it."""
+
     def test_full_rank_coupling_gives_identity(self, rng):
         c = random_coupling(3, 3, 3, rng)
         f = to_pqrs_form(c)
         assert gap(build_x(f), np.eye(3)) < 1e-12
+        assert x_projector_gap(f) < 1e-12
 
     def test_delta_coupling_column(self):
         f = to_pqrs_form(validate(*delta_pair(2.0)))
         assert gap(build_x(f), np.array([[1.0], [1.0]])) < 1e-12
+        assert x_projector_gap(f) < 1e-12
 
     def test_fig1_preset_full_column_rank(self):
-        x = build_x(uniform_block_pqrs(FIG1_PARAMS))
+        f = uniform_block_pqrs(FIG1_PARAMS)
+        x = build_x(f)
         assert x.shape == (5, 2)
         assert linalg.rank(x) == 2
+        assert x_projector_gap(f) < 1e-12
+
+    def test_corpus_projectors_agree(self, corpus):
+        assert max(x_projector_gap(to_pqrs_form(c)) for c in corpus) < 1e-12
 
 
 class TestLimits:
