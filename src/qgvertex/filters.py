@@ -83,13 +83,6 @@ DELTA_DELTAPRIME_DELTAPRIME = "delta-deltaprime-deltaprime"
 NO_BRANCHING = "none"
 
 
-def ones_block(rows: int, cols: int) -> np.ndarray:
-    """All-ones matrix of the given size."""
-    if rows < 0 or cols < 0:
-        raise InvalidShape(f"negative block shape ({rows}, {cols})")
-    return np.ones((rows, cols), dtype=complex)
-
-
 def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
     """PQRS form with constant blocks and the identity edge numbering."""
     m, na, nb = fp.block_sizes
@@ -98,10 +91,10 @@ def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
         r_a=fp.r_a,
         r_b=fp.r_b,
         perm=tuple(range(fp.n)),
-        P=linalg.frozen(fp.p * ones_block(m, nb)),
-        Q=linalg.frozen(fp.q * ones_block(na, nb)),
-        R=linalg.frozen(fp.r * ones_block(na, m)),
-        S=linalg.frozen(fp.s * ones_block(m, m)),
+        P=linalg.frozen(fp.p * np.ones((m, nb), dtype=complex)),
+        Q=linalg.frozen(fp.q * np.ones((na, nb), dtype=complex)),
+        R=linalg.frozen(fp.r * np.ones((na, m), dtype=complex)),
+        S=linalg.frozen(fp.s * np.ones((m, m), dtype=complex)),
     )
 
 
@@ -170,7 +163,7 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     """Evaluate both limit tables and check the closed forms against them."""
     m, na, nb = fp.block_sizes
     form = uniform_block_pqrs(fp)
-    high, low = _limits(form, True, _low_k_deficit(form, linalg.DEFAULT_RTOL))
+    high, low = _limits(form, _low_k_deficit(form, linalg.DEFAULT_RTOL))
     hi, lo = np.abs(np.asarray(high.entries)), np.abs(np.asarray(low.entries))
 
     l_p = nb * m

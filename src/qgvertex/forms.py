@@ -21,7 +21,9 @@ invertible matrix, in one of several unique shapes:
       ( 0  0  0 )          ( -P*  (RP-Q)*   I )
 
   where S is Hermitian (and invertible whenever the construction below
-  produced it from a coupling);
+  produced it from a coupling).  The ST form is the PQRS form with r_a = n
+  (m = r_b, Q and R empty) and P = T, and the reverse ST form is that of
+  the swapped pair (B, A); both are assembled and split as such;
 
 * projector form: orthogonal projectors (proj_p, proj_q, proj_c) summing
   to the identity plus a Hermitian lam supported on range(proj_c), with
@@ -193,33 +195,27 @@ def to_reverse_st_form(c: VertexCoupling) -> ReverseSTForm:
     return ReverseSTForm(n=c.n, r_a=c.r_a, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
 
-def _st_blocks(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
-    """(I T; 0 0) and -(S 0; -T* I) in the original numbering.
+def _st_as_pqrs(f: STForm | ReverseSTForm) -> PQRSForm:
+    """The form as the PQRS form with r_a = n and r_b = r, its rank: m = r,
+    P = T, and Q and R are empty.
 
-    They are (B, A) of an ST form and (A, B) of a reverse ST form.
+    For a reverse ST form this is the PQRS form of the swapped pair (B, A).
     """
-    n, r = f.n, f.T.shape[0]
-    inv = linalg.inverse_permutation(f.perm)
-    top = np.zeros((n, n), dtype=complex)
-    top[:r, :r] = np.eye(r)
-    top[:r, r:] = f.T
-    bottom = np.zeros((n, n), dtype=complex)
-    bottom[:r, :r] = f.S
-    bottom[r:, :r] = -f.T.conj().T
-    bottom[r:, r:] = np.eye(n - r)
-    # 0 - x rather than -x: exact zeros stay +0.0 and print as 0.0 in documents
-    return top[:, inv], 0.0 - bottom[:, inv]
+    n = f.n
+    r = f.r_b if isinstance(f, STForm) else f.r_a
+    return PQRSForm(n=n, r_a=n, r_b=r, perm=f.perm, P=f.T, Q=np.zeros((0, n - r), dtype=complex),
+                    R=np.zeros((0, r), dtype=complex), S=f.S)
 
 
 def st_to_matrices(f: STForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Assemble (A, B) from an ST form and validate, in original numbering."""
-    B, A = _st_blocks(f)
-    return validate(A, B, tol)
+    return validate(*_pqrs_pair(_st_as_pqrs(f)), tol)
 
 
 def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Assemble (A, B) from a reverse ST form and validate."""
-    return validate(*_st_blocks(f), tol)
+    A, B = _pqrs_pair(_st_as_pqrs(f))
+    return validate(B, A, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +298,7 @@ def _pqrs_pair(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
     Rh[m + na:, m:m + na] = (f.R @ f.P - f.Q).conj().T
     Rh[m + na:, m + na:] = np.eye(nb)
     inv = linalg.inverse_permutation(f.perm)
-    return 0.0 - Rh[:, inv], Bh[:, inv]  # 0 - x: see _st_blocks
+    return 0.0 - Rh[:, inv], Bh[:, inv]  # 0 - x: zeros stay +0.0, printed as 0.0
 
 
 def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
@@ -341,16 +337,7 @@ def _pqrs_stacks(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
     return Z, W
 
 
-def _st_stack(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
-    """L = (I; T*) in permuted coordinates and its Gram matrix I + TT*."""
-    n, r = f.n, f.T.shape[0]
-    left = np.zeros((n, r), dtype=complex)
-    left[:r] = np.eye(r)
-    left[r:] = f.T.conj().T
-    return left, np.eye(r) + f.T @ f.T.conj().T
-
-
-def _split_factors(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_factors(f: PQRSForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Q_z, Q_x, H) from one reduced QR factorisation of (Z | W).
 
     Its leading columns Q_z are an orthonormal basis of Z.  Since the
@@ -359,20 +346,16 @@ def _split_factors(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.nda
     diagonal block R of the triangular factor are the reduced QR
     factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  H is the
     Hermitian m x m matrix R^{-*} S R^{-1}, with which
-    X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.  The ST form is the
-    case without Z and with L = (I; T*) as W.
+    X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.
     """
-    if isinstance(f, STForm):
-        Z, W = np.zeros((f.n, 0), dtype=complex), _st_stack(f)[0]
-    else:
-        Z, W = _pqrs_stacks(f)
+    Z, W = _pqrs_stacks(f)
     na = Z.shape[1]
     q, r = np.linalg.qr(np.concatenate([Z, W], axis=1))
     r_inv = np.linalg.inv(r[na:, na:])
     return q[:, :na], q[:, na:], linalg.hermitian_part(r_inv.conj().T @ np.asarray(f.S) @ r_inv)
 
 
-def _spectral_split(f: PQRSForm | STForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectral_split(f: PQRSForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(proj_z, U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*.
 
     In permuted coordinates, with (Q_z, Q_x, H) of ``_split_factors``,

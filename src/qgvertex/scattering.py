@@ -21,10 +21,10 @@ permuted coordinates of a PQRS form,
 
 with proj_z the orthogonal projector onto Z = (R*; I; Q*), X = QR the
 reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
-of the Hermitian R^{-*} S R^{-1} and U = QV (``forms._spectral_split``;
-an ST form is the case proj_z = 0 with L = (I; T*) in place of X).  The
-PQRS route uses the same QR factors without the eigensystem
-(``forms._split_factors``).
+of the Hermitian R^{-*} S R^{-1} and U = QV (``forms._spectral_split``).
+An ST form enters as the PQRS form with r_a = n (``forms._st_as_pqrs``):
+Z is empty, so proj_z = 0, and X = W = (I; T*).  The PQRS route uses the
+same QR factors without the eigensystem (``forms._split_factors``).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 from . import linalg
 from .coupling import VertexCoupling
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _spectral_split,
-                    _split_factors, _st_stack)
+from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _pqrs_stacks,
+                    _spectral_split, _split_factors, _st_as_pqrs)
 
 @dataclass(frozen=True, eq=False)
 class SMatrix:
@@ -128,8 +128,8 @@ def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
 def smatrix_st(f: STForm, k: float) -> SMatrix:
     """S(k) from the ST form; inverts only an r_b x r_b matrix."""
     _require_momentum(k)
-    left, gram = _st_stack(f)
-    mid = gram - np.asarray(f.S) / (1j * k)
+    left = _pqrs_stacks(_st_as_pqrs(f))[1]  # L = (I; T*)
+    mid = np.eye(f.r_b) + f.T @ f.T.conj().T - np.asarray(f.S) / (1j * k)
     s = -np.eye(f.n, dtype=complex) + 2.0 * left @ np.linalg.solve(mid, left.conj().T)
     return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
 
@@ -137,8 +137,8 @@ def smatrix_st(f: STForm, k: float) -> SMatrix:
 def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
     """S(k) from the reverse ST form; inverts only an r_a x r_a matrix."""
     _require_momentum(k)
-    left, gram = _st_stack(f)
-    mid = gram - 1j * k * np.asarray(f.S)
+    left = _pqrs_stacks(_st_as_pqrs(f))[1]  # L = (I; T*)
+    mid = np.eye(f.r_a) + f.T @ f.T.conj().T - 1j * k * np.asarray(f.S)
     s = np.eye(f.n, dtype=complex) - 2.0 * left @ np.linalg.solve(mid, left.conj().T)
     return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
 
@@ -202,9 +202,8 @@ def _low_k_deficit(f: PQRSForm, tol: float) -> int:
     return f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
 
 
-def _limits(f: PQRSForm, high: bool, low_deficit: int | None) -> list[SMatrix]:
-    """From one split: the k -> infinity limit if ``high``, then the k -> 0
-    limit unless ``low_deficit`` is None.
+def _limits(f: PQRSForm, low_deficit: int) -> tuple[SMatrix, SMatrix]:
+    """The k -> infinity and k -> 0 limits, read off one split.
 
     Each is ``_limit_matrix`` in the original edge numbering, with U cut to
     the columns whose factor 1/(1 - w/ik) tends to 1: all of them as
@@ -212,17 +211,15 @@ def _limits(f: PQRSForm, high: bool, low_deficit: int | None) -> list[SMatrix]:
     of smallest |w|.
     """
     proj_z, u, w = _spectral_split(f)
-    kept = [(math.inf, u)] if high else []
-    if low_deficit is not None:
-        kept.append((0.0, u[:, np.argsort(np.abs(w))[:low_deficit]]))
-    return [SMatrix(n=f.n, k=k, entries=linalg.frozen(
-                linalg.unpermute(_limit_matrix(proj_z, cols), f.perm)))
-            for k, cols in kept]
+    low = u[:, np.argsort(np.abs(w))[:low_deficit]]
+    return tuple(SMatrix(n=f.n, k=k, entries=linalg.frozen(
+                     linalg.unpermute(_limit_matrix(proj_z, cols), f.perm)))
+                 for k, cols in ((math.inf, u), (0.0, low)))
 
 
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
-    return _limits(f, True, None)[0]
+    return _limits(f, 0)[0]
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False,
@@ -242,7 +239,7 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
             "the S block is numerically singular; the closed-form k -> 0 "
             "limit does not apply (pass allow_singular=True for the exact limit)"
         )
-    return _limits(f, False, deficit)[0]
+    return _limits(f, deficit)[1]
 
 
 def expand(f: PQRSForm | STForm, kind: str, order: int,
@@ -250,7 +247,7 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
     """Truncated geometric expansion of S(k) around k = infinity or k = 0.
 
     With S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U* (proj_z = 0 for
-    the ST form):
+    the ST form, which is split as its PQRS view):
     high-k:  C_0 = -I + 2 proj_z + 2 U U* and C_j = 2 U diag(w^j) U*;
              the series converges for k > max |w|.
     low-k:   C_0 = -I + 2 proj_z and C_j = -2 U diag(w^-j) U*; this
@@ -263,11 +260,12 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
         raise ValueError("expansion order must be non-negative")
     if kind not in ("high-k", "low-k"):
         raise ValueError(f"kind must be 'high-k' or 'low-k', got {kind!r}")
-    if kind == "low-k":
-        if isinstance(f, STForm):
+    if isinstance(f, STForm):
+        if kind == "low-k":
             raise ValueError("the low-k expansion requires the PQRS form")
-        if _low_k_deficit(f, tol) > 0:
-            raise SingularSBlock("the low-k expansion requires a regular S block")
+        f = _st_as_pqrs(f)
+    elif kind == "low-k" and _low_k_deficit(f, tol) > 0:
+        raise SingularSBlock("the low-k expansion requires a regular S block")
 
     proj_z, u, w = _spectral_split(f)
     if kind == "high-k":

@@ -22,8 +22,9 @@ from qgvertex import (
     to_st_form,
     validate,
 )
-from qgvertex.errors import InvalidRankPair, SingularMatrix
-from qgvertex.forms import PQRSForm, _greedy_independent_columns, _picked_first, _st_reduce
+from qgvertex.errors import InvalidRankPair, ShapeMismatch, SingularMatrix
+from qgvertex.forms import (PQRSForm, STForm, _greedy_independent_columns, _picked_first,
+                            _st_as_pqrs, _st_reduce)
 
 from conftest import couplings_equivalent, smatrix_distance
 from test_coupling import delta_pair
@@ -93,6 +94,55 @@ class TestReverseSTForm:
             f = to_reverse_st_form(c)
             assert linalg.is_hermitian(f.S, 1e-12)
             assert smatrix_distance(reverse_st_to_matrices(f), c) < 1e-9
+
+
+def st_blocks_reference(f):
+    """(I T; 0 0) and -(S 0; -T* I) in the original numbering, written out
+    directly: (B, A) of an ST form and (A, B) of a reverse ST form."""
+    n, r = f.n, f.T.shape[0]
+    inv = linalg.inverse_permutation(f.perm)
+    top = np.zeros((n, n), dtype=complex)
+    top[:r, :r] = np.eye(r)
+    top[:r, r:] = f.T
+    bottom = np.zeros((n, n), dtype=complex)
+    bottom[:r, :r] = f.S
+    bottom[r:, :r] = -f.T.conj().T
+    bottom[r:, r:] = np.eye(n - r)
+    return top[:, inv], 0.0 - bottom[:, inv]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike ==, tells -0.0 from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSTAsPQRS:
+    def test_pqrs_form_with_full_rank_a_is_the_st_view(self, corpus):
+        full = [c for c in corpus if c.r_a == c.n]
+        assert len(full) >= 20
+        for c in full:
+            f, view = to_pqrs_form(c), _st_as_pqrs(to_st_form(c))
+            assert (view.n, view.r_a, view.r_b) == (f.n, f.r_a, f.r_b)
+            assert view.perm == f.perm
+            for name in "PQRS":
+                assert same_bits(getattr(view, name), getattr(f, name)), name
+            assert view.Q.shape == (0, c.n - c.r_b) and view.R.shape == (0, c.r_b)
+
+    def test_assembled_pairs_match_the_direct_blocks(self, corpus):
+        for c in list(corpus) + degree_60_couplings()[:1]:
+            tol = 1e-6 if c.n > 10 else c.tol
+            top, bottom = st_blocks_reference(to_st_form(c))
+            st = st_to_matrices(to_st_form(c), tol)
+            assert same_bits(st.A, bottom) and same_bits(st.B, top)
+            top, bottom = st_blocks_reference(to_reverse_st_form(c))
+            rst = reverse_st_to_matrices(to_reverse_st_form(c), tol)
+            assert same_bits(rst.A, top) and same_bits(rst.B, bottom)
+
+    def test_t_not_matching_the_declared_rank_raises(self):
+        f = STForm(n=3, r_b=1, perm=(0, 1, 2), S=np.eye(1), T=np.ones((2, 1)))
+        with pytest.raises(ShapeMismatch, match="block P has shape"):
+            st_to_matrices(f)
 
 
 def svd_greedy_columns(M, count, tol):

@@ -242,6 +242,30 @@ class TestLimits:
             assert gap(limit_low_k(f).entries, smatrix_direct(c, 1e-6).entries) < 1e-5
 
 
+def route_results(c, ks=(0.1, 1.0, 10.0)):
+    """Both limits (exact for singular S) and all five routes at ``ks``."""
+    st, rst, pqrs, proj = (to_st_form(c), to_reverse_st_form(c), to_pqrs_form(c),
+                           to_projector_form(c))
+    results = [limit_high_k(pqrs), limit_low_k(pqrs, allow_singular=True)]
+    for k in ks:
+        results += [smatrix_direct(c, k), smatrix_st(st, k), smatrix_reverse_st(rst, k),
+                    smatrix_pqrs(pqrs, k), smatrix_projector(proj, k)]
+    return [np.asarray(s.entries) for s in results]
+
+
+class TestEdgeRelabelling:
+    def test_results_follow_relabelling(self, corpus):
+        # edge i of the relabelled vertex is edge order[i]: (A, B) -> (A Pi^T, B Pi^T)
+        # with Pi[i, order[i]] = 1, and every S(k) and limit goes to Pi S Pi^T
+        gen = np.random.default_rng(20260901)
+        for c in corpus:
+            order = gen.permutation(c.n)
+            relabelled = validate(np.asarray(c.A)[:, order], np.asarray(c.B)[:, order])
+            assert (relabelled.r_a, relabelled.r_b) == (c.r_a, c.r_b)
+            for s, s_relabelled in zip(route_results(c), route_results(relabelled)):
+                assert gap(s_relabelled, s[np.ix_(order, order)]) <= 1e-12
+
+
 def reference_expansion(f, kind, order):
     """Coefficients and spectral radius from the closed forms
 
