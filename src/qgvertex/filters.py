@@ -163,7 +163,7 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     """Evaluate both limit tables and check the closed forms against them."""
     m, na, nb = fp.block_sizes
     form = uniform_block_pqrs(fp)
-    high, low = _limits(form, _low_k_deficit(form, linalg.DEFAULT_RTOL))
+    high, low = _limits(form, None, _low_k_deficit(form, linalg.DEFAULT_RTOL))
     hi, lo = np.abs(np.asarray(high.entries)), np.abs(np.asarray(low.entries))
 
     l_p = nb * m

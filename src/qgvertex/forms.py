@@ -104,10 +104,13 @@ def _greedy_independent_columns(M: np.ndarray, count: int, tol: float) -> list[i
     twice against an orthonormal basis of the columns picked so far
     (classical Gram-Schmidt with reorthogonalisation, CGS2) and is accepted
     when its residual norm exceeds ``tol`` times the Frobenius norm of the
-    picked columns plus the candidate.  An SVD rank test of the same columns
-    picks the same set on random couplings, but it can reject a clearly
-    independent column when an earlier picked column is tiny, because the
-    condition number of the set then exceeds 1/tol; this test accepts it.
+    picked columns plus the candidate; that residual certifies each
+    decision.  An SVD rank test of the same columns picks the same set on
+    random couplings, but it can reject a clearly independent column when
+    an earlier picked column is tiny, because the condition number of the
+    set then exceeds 1/tol; this test accepts it.  This pass defines the
+    pick; ``_independent_columns_qr`` runs it only when a QR factorisation
+    cannot certify the leading columns.
     """
     M = np.asarray(M, dtype=complex)
     sq_norms = (M.real ** 2 + M.imag ** 2).sum(axis=0).tolist()
@@ -136,6 +139,31 @@ def _greedy_independent_columns(M: np.ndarray, count: int, tol: float) -> list[i
     return picked
 
 
+def _independent_columns_qr(M: np.ndarray, count: int, tol: float,
+                            mode: str) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The pick of ``_greedy_independent_columns`` and the QR factorisation
+    (``np.linalg.qr`` in ``mode``) of the picked columns, in pick order.
+
+    The leading ``count`` columns are factorised first.  |R_jj| is the
+    residual of column j against the columns before it, the quantity the
+    greedy pass compares with tol times the Frobenius norm of M[:, :j+1].
+    When every |R_jj| exceeds twice that threshold, the pass would accept
+    each leading column, so the pick is range(count) and this QR is
+    returned as is; the factor 2 covers the rounding by which the two
+    computed residuals differ.  Otherwise the greedy pass decides the pick
+    and the picked columns are factorised.
+    """
+    M = np.asarray(M, dtype=complex)
+    lead = M[:, :count]
+    q, r = np.linalg.qr(lead, mode=mode)
+    thresholds = 2.0 * tol * np.sqrt(np.cumsum((lead.real ** 2 + lead.imag ** 2).sum(axis=0)))
+    if np.all(np.abs(np.diagonal(r)) > thresholds):
+        return list(range(count)), q, r
+    picked = _greedy_independent_columns(M, count, tol)
+    q, r = np.linalg.qr(M[:, picked], mode=mode)
+    return picked, q, r
+
+
 def _picked_first(picked: list[int], size: int) -> list[int]:
     """``picked`` followed by the remaining indices of range(size) in order."""
     rest = np.ones(size, dtype=bool)
@@ -148,21 +176,22 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
 
     The permutation moves the lexicographically earliest independent
     columns B1 of B to the front.  One complete QR factorisation
-    B1 = Q1 R11, with Q = (Q1 Q2), gives the invertible left factor
-    W^{-1} for W = (B1 Q2) = Q diag(R11, I), so that W^{-1} B_perm =
-    (I T; 0 0) with T = R11^{-1} Q1* B2.  The reduced pair
+    B1 = Q1 R11, with Q = (Q1 Q2), certifies that pick when B1 is made of
+    the leading r_b columns (``_independent_columns_qr``).  It gives the
+    invertible left factor W^{-1} for W = (B1 Q2) = Q diag(R11, I), so
+    that W^{-1} B_perm = (I T; 0 0) with T = R11^{-1} Q1* B2.  The reduced pair
     -W^{-1} A_perm has the rows -R11^{-1} Q1* A_perm over -Q2* A_perm;
     admissibility forces it into the shape (S 0; -T* I) after eliminating
     its lower-right block, and S is obtained as the corresponding Schur
     complement.
     """
     n = A.shape[0]
-    order = _picked_first(_greedy_independent_columns(B, r_b, tol), n)
+    picked, q, r = _independent_columns_qr(B, r_b, tol, "complete")
+    order = _picked_first(picked, n)
     perm = tuple(order)
     At = A[:, order]
     Bt = B[:, order]
 
-    q, r = np.linalg.qr(Bt[:, :r_b], mode="complete")
     qh = q.conj().T
     qa = qh @ At
     top = np.linalg.solve(r[:r_b], np.concatenate([qh[:r_b] @ Bt[:, r_b:], qa[:r_b]], axis=1))
@@ -229,8 +258,11 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     earliest independent rows of S are permuted to the top (a secondary
     renumbering of the first r_b edges), the dependent rows are expressed
     through them by a unique matrix R, and one more left multiplication
-    clears them.  The extracted diagonal block S11 is Hermitian and
-    invertible whenever the edge renumbering above succeeded.
+    clears them.  The reduced QR factorisation of the independent rows'
+    adjoint both certifies their pick, when they are the leading m rows
+    (``_independent_columns_qr``), and gives R.  The extracted diagonal
+    block S11 is Hermitian and invertible whenever the edge renumbering
+    above succeeded.
     """
     st = to_st_form(c)
     n, r_b = c.n, c.r_b
@@ -239,21 +271,19 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     S_st = np.asarray(st.S)
     T_st = np.asarray(st.T)
     try:
-        picked = _greedy_independent_columns(S_st.conj().T, m, c.tol)
+        picked, q, r = _independent_columns_qr(S_st.conj().T, m, c.tol, "reduced")
     except SingularMatrix as exc:
         raise SingularSBlock(
             "the Hermitian block of the ST form is numerically rank-deficient "
             f"(expected rank {m}); the PQRS reduction would not be unique"
         ) from exc
     sigma = _picked_first(picked, r_b)
-    Sp = S_st[np.ix_(sigma, sigma)]
     Tp = T_st[sigma, :]
     perm = tuple(st.perm[i] for i in sigma) + st.perm[r_b:]
 
-    top = Sp[:m, :]   # (S11 S21*), independent rows
-    bot = Sp[m:, :]   # (S21 S22), their linear combinations
-    # unique R with bot = -R top: with top* = Q R_t, R* = -R_t^{-1} Q* bot*
-    q, r = np.linalg.qr(top.conj().T)
+    # unique R with bot = -R top, top the picked rows of S_st and bot the
+    # others, columns in the ST order: with top* = q r, R* = -r^{-1} q* bot*
+    bot = S_st[sigma[m:], :]
     R = -np.linalg.solve(r, q.conj().T @ bot.conj().T).conj().T
     T1 = Tp[:m, :]
     T2 = Tp[m:, :]
@@ -265,7 +295,7 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
         P=linalg.frozen(T1),
         Q=linalg.frozen(T2 + R @ T1),
         R=linalg.frozen(R),
-        S=linalg.frozen(linalg.hermitian_part(Sp[:m, :m])),
+        S=linalg.frozen(linalg.hermitian_part(S_st[np.ix_(picked, picked)])),
     )
 
 

@@ -202,24 +202,26 @@ def _low_k_deficit(f: PQRSForm, tol: float) -> int:
     return f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
 
 
-def _limits(f: PQRSForm, low_deficit: int) -> tuple[SMatrix, SMatrix]:
-    """The k -> infinity and k -> 0 limits, read off one split.
+def _limits(f: PQRSForm, *deficits: int | None) -> tuple[SMatrix, ...]:
+    """Limits of S(k) read off one split: for each entry of ``deficits``,
+    the k -> infinity limit for None and the k -> 0 limit for m - rank(S).
 
     Each is ``_limit_matrix`` in the original edge numbering, with U cut to
     the columns whose factor 1/(1 - w/ik) tends to 1: all of them as
-    k -> infinity, and as k -> 0 the ``low_deficit`` = m - rank(S) columns
-    of smallest |w|.
+    k -> infinity, and as k -> 0 the m - rank(S) columns of smallest |w|.
     """
     proj_z, u, w = _spectral_split(f)
-    low = u[:, np.argsort(np.abs(w))[:low_deficit]]
-    return tuple(SMatrix(n=f.n, k=k, entries=linalg.frozen(
-                     linalg.unpermute(_limit_matrix(proj_z, cols), f.perm)))
-                 for k, cols in ((math.inf, u), (0.0, low)))
+    limits = []
+    for deficit in deficits:
+        k, cols = (math.inf, u) if deficit is None else (0.0, u[:, np.argsort(np.abs(w))[:deficit]])
+        entries = linalg.unpermute(_limit_matrix(proj_z, cols), f.perm)
+        limits.append(SMatrix(n=f.n, k=k, entries=linalg.frozen(entries)))
+    return tuple(limits)
 
 
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
-    return _limits(f, 0)[0]
+    return _limits(f, None)[0]
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False,
@@ -239,7 +241,7 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
             "the S block is numerically singular; the closed-form k -> 0 "
             "limit does not apply (pass allow_singular=True for the exact limit)"
         )
-    return _limits(f, deficit)[1]
+    return _limits(f, deficit)[0]
 
 
 def expand(f: PQRSForm | STForm, kind: str, order: int,

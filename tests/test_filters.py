@@ -206,6 +206,21 @@ class TestOneSplit:
                         assert getattr(limits, "high_k" + table)[key] == float(high)
                         assert getattr(limits, "low_k" + table)[key] == float(low)
 
+    def test_each_limit_builds_only_its_matrix(self, monkeypatch):
+        built, splits = [], []
+        limit_matrix, split = scattering._limit_matrix, scattering._spectral_split
+        monkeypatch.setattr(scattering, "_limit_matrix",
+                            lambda *args: built.append(args) or limit_matrix(*args))
+        monkeypatch.setattr(scattering, "_spectral_split", lambda f: splits.append(f) or split(f))
+        form = uniform_block_pqrs(FIG1_PARAMS)
+        for call, matrices in ((lambda: limit_high_k(form), 1),
+                               (lambda: limit_low_k(form, allow_singular=True), 1),
+                               (lambda: amplitude_limits(FIG1_PARAMS), 2)):
+            built.clear()
+            splits.clear()
+            call()
+            assert (len(built), len(splits)) == (matrices, 1)
+
     def test_filter_demo_splits_once(self, monkeypatch, capsys):
         calls = []
         split = forms._spectral_split

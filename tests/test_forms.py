@@ -6,6 +6,7 @@ import pytest
 from qgvertex import (
     admissible_rank_pairs,
     delta_parameters,
+    forms,
     linalg,
     parameter_count,
     pqrs_to_matrices,
@@ -23,8 +24,8 @@ from qgvertex import (
     validate,
 )
 from qgvertex.errors import InvalidRankPair, ShapeMismatch, SingularMatrix
-from qgvertex.forms import (PQRSForm, STForm, _greedy_independent_columns, _picked_first,
-                            _st_as_pqrs, _st_reduce)
+from qgvertex.forms import (PQRSForm, ReverseSTForm, STForm, _greedy_independent_columns,
+                            _picked_first, _st_as_pqrs, _st_reduce)
 
 from conftest import couplings_equivalent, smatrix_distance
 from test_coupling import delta_pair
@@ -186,6 +187,155 @@ class TestColumnPick:
         assert _greedy_independent_columns(np.ones((3, 3)), 0, 1e-10) == []
         with pytest.raises(SingularMatrix):
             _greedy_independent_columns(np.zeros((3, 3)), 1, 1e-10)
+
+
+def pick_then_qr_st_reduce(A, B, r_b, tol):
+    """Reference ST reduction: the greedy pass picks the columns of B, and the
+    picked columns are factorised afterwards by one complete QR."""
+    n = A.shape[0]
+    order = _picked_first(_greedy_independent_columns(B, r_b, tol), n)
+    At, Bt = A[:, order], B[:, order]
+    q, r = np.linalg.qr(Bt[:, :r_b], mode="complete")
+    qh = q.conj().T
+    qa = qh @ At
+    top = np.linalg.solve(r[:r_b], np.concatenate([qh[:r_b] @ Bt[:, r_b:], qa[:r_b]], axis=1))
+    T = top[:, :n - r_b]
+    Ap = -np.concatenate([top[:, n - r_b:], qa[r_b:]], axis=0)
+    A12, A21, A22 = Ap[:r_b, r_b:], Ap[r_b:, :r_b], Ap[r_b:, r_b:]
+    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ np.linalg.solve(A22, A21))
+    return tuple(order), S, T
+
+
+def pick_then_qr_pqrs(c):
+    """Reference PQRS blocks (perm, P, Q, R, S): the greedy pass picks the rows
+    of the reference ST form's S, and their adjoint is factorised afterwards."""
+    st_perm, S_st, T_st = pick_then_qr_st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b, c.tol)
+    m = c.r_a + c.r_b - c.n
+    sigma = _picked_first(_greedy_independent_columns(S_st.conj().T, m, c.tol), c.r_b)
+    Sp, Tp = S_st[np.ix_(sigma, sigma)], T_st[sigma, :]
+    top, bot = Sp[:m, :], Sp[m:, :]
+    q, r = np.linalg.qr(top.conj().T)
+    R = -np.linalg.solve(r, q.conj().T @ bot.conj().T).conj().T
+    perm = tuple(st_perm[i] for i in sigma) + st_perm[c.r_b:]
+    return perm, Tp[:m], Tp[m:] + R @ Tp[:m], R, linalg.hermitian_part(Sp[:m, :m])
+
+
+def random_hermitian(size, gen):
+    g = gen.standard_normal((size, size)) + 1j * gen.standard_normal((size, size))
+    return g + g.conj().T
+
+
+def bad_column(kind, size, gen):
+    """The column that makes column ``slot`` of a leading block dependent:
+    zero at slot 0, a copy of e_0 or 1e-13 times a random column at slot 1."""
+    slot = 0 if kind == "zero" else 1
+    column = {"zero": np.zeros(size), "duplicate": np.eye(size)[0],
+              "tiny": 1e-13 * (gen.standard_normal(size) + 1j * gen.standard_normal(size))}[kind]
+    return slot, column
+
+
+def form_with_bad_leading_column(record, n, r, kind, gen):
+    """ST or reverse ST form of rank r whose matrix (I T; 0 0), in the original
+    numbering, holds T's first column, set to ``bad_column``, at index
+    ``slot`` and columns of I at the other r - 1 leading indices, so the
+    reduction's leading columns are dependent."""
+    slot, column = bad_column(kind, r, gen)
+    T = gen.standard_normal((r, n - r)) + 1j * gen.standard_normal((r, n - r))
+    T[:, 0] = column
+    rest = [j for j in range(n) if j != slot]
+    perm = tuple(rest[:r] + [slot] + rest[r:])  # T's first column lands at index slot
+    return record(n, r, perm, random_hermitian(r, gen), T)
+
+
+def st_form_with_bad_leading_s_column(n, r, kind, gen):
+    """ST form of rank r whose S = E S' E* has rank r - 1: E is the identity of
+    size r - 1 with ``bad_column`` inserted as row ``slot``, so S's leading
+    columns are dependent."""
+    slot, row = bad_column(kind, r - 1, gen)
+    E = np.insert(np.eye(r - 1, dtype=complex), slot, row, axis=0)
+    S = linalg.hermitian_part(E @ random_hermitian(r - 1, gen) @ E.conj().T)
+    T = gen.standard_normal((r, n - r)) + 1j * gen.standard_normal((r, n - r))
+    return STForm(n, r, tuple(range(n)), S, T)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Counts of np.linalg.qr calls and greedy passes, reset by the test."""
+    counts = {"qr": 0, "greedy": 0}
+    qr, greedy = np.linalg.qr, forms._greedy_independent_columns
+
+    def counted_qr(*args, **kwargs):
+        counts["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counted_greedy(*args, **kwargs):
+        counts["greedy"] += 1
+        return greedy(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(forms, "_greedy_independent_columns", counted_greedy)
+    return counts
+
+
+class TestCertifiedPick:
+    """The QR that a reduction takes anyway certifies a pick of its leading
+    columns; the greedy pass runs only when that certificate fails."""
+
+    def test_matches_pick_then_qr_bit_for_bit(self, corpus):
+        for c in list(corpus) + degree_60_couplings():
+            A, B = np.asarray(c.A), np.asarray(c.B)
+            for M, N, r in ((A, B, c.r_b), (B, A, c.r_a)):
+                got, want = _st_reduce(M, N, r, c.tol), pick_then_qr_st_reduce(M, N, r, c.tol)
+                assert got[0] == want[0]
+                assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+            f, (perm, *blocks) = to_pqrs_form(c), pick_then_qr_pqrs(c)
+            assert f.perm == perm
+            for name, want in zip("PQRS", blocks):
+                assert same_bits(getattr(f, name), want), name
+
+    def test_generic_coupling_takes_one_qr_per_reduction(self, corpus, call_counts):
+        for c in list(corpus) + degree_60_couplings():
+            for convert, qrs in ((to_st_form, 1), (to_reverse_st_form, 1), (to_pqrs_form, 2)):
+                call_counts.update(qr=0, greedy=0)
+                convert(c)
+                assert call_counts == {"qr": qrs, "greedy": 0}, (convert.__name__, c.n)
+
+    @pytest.mark.parametrize("kind", ["zero", "duplicate", "tiny"])
+    @pytest.mark.parametrize("n, r", [(3, 2), (60, 36)])
+    def test_dependent_leading_column_of_b_or_a(self, n, r, kind, call_counts):
+        gen = np.random.default_rng(n + len(kind))
+        for record, to_matrices, convert in ((STForm, st_to_matrices, to_st_form),
+                                             (ReverseSTForm, reverse_st_to_matrices,
+                                              to_reverse_st_form)):
+            c = to_matrices(form_with_bad_leading_column(record, n, r, kind, gen))
+            A, B = np.asarray(c.A), np.asarray(c.B)
+            picked_from, other = (B, A) if record is STForm else (A, B)
+            call_counts.update(qr=0, greedy=0)
+            got = convert(c)
+            assert call_counts == {"qr": 2, "greedy": 1}
+            assert list(got.perm[:r]) == svd_greedy_columns(picked_from, r, c.tol)
+            perm, S, T = pick_then_qr_st_reduce(other, picked_from, r, c.tol)
+            assert got.perm == perm and same_bits(got.S, S) and same_bits(got.T, T)
+
+    @pytest.mark.parametrize("kind", ["zero", "duplicate", "tiny"])
+    @pytest.mark.parametrize("n, r", [(3, 3), (60, 36)])
+    def test_dependent_leading_column_of_s(self, n, r, kind, call_counts):
+        gen = np.random.default_rng(n + len(kind))
+        c = st_to_matrices(st_form_with_bad_leading_s_column(n, r, kind, gen))
+        m = c.r_a + c.r_b - c.n
+        assert (c.r_b, m) == (r, r - 1)
+        st = to_st_form(c)
+        call_counts.update(qr=0, greedy=0)
+        f = to_pqrs_form(c)
+        assert call_counts == {"qr": 3, "greedy": 1}
+        picked = [st.perm.index(edge) for edge in f.perm[:m]]
+        assert picked == svd_greedy_columns(np.asarray(st.S).conj().T, m, c.tol)
+        # the fallback factorises S's picked rows in the ST order, not in the
+        # PQRS order as the reference does, so R agrees to rounding only
+        perm, *blocks = pick_then_qr_pqrs(c)
+        assert f.perm == perm
+        for name, want in zip("PQRS", blocks):
+            assert relative_gap(getattr(f, name), want) <= 1e-12, name
 
 
 def lstsq_st_reduce(A, B, r_b, tol):

@@ -1,5 +1,7 @@
 """Tests for the dense complex matrix primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,28 @@ class TestInverse:
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             m += 3.0 * np.eye(n)  # keep comfortably invertible
             assert linalg.max_norm(m @ linalg.inverse(m) - np.eye(n)) < 1e-10
+
+    def test_singular_message(self):
+        for m in (np.zeros((3, 3)), np.diag([1.0, 1e-12])):
+            message = f"matrix of shape {m.shape} is singular within rtol=1e-10"
+            with pytest.raises(SingularMatrix, match=re.escape(message)):
+                linalg.inverse(m)
+
+    def test_rank_test_decides_only_when_the_bound_fails(self, monkeypatch):
+        calls = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda m, tol: calls.append(tol) or rank(m, tol))
+        linalg.inverse(np.eye(8))
+        assert calls == []
+        # |I|_F |I^-1|_F = 8 is not below 1/(2 tol) = 2.5, though cond_2(I) = 1
+        inv = linalg.inverse(np.eye(8), tol=0.2)
+        assert calls == [0.2]
+        assert inv.tobytes() == np.eye(8, dtype=complex).tobytes()
+
+    def test_equals_numpy_inverse_bit_for_bit(self, rng):
+        for n in (1, 2, 5, 30, 150):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            assert linalg.inverse(m).tobytes() == np.linalg.inv(m).tobytes()
 
 
 class TestHermitian:
