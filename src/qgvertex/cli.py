@@ -26,7 +26,7 @@ from .forms import (
     to_reverse_st_form,
     to_st_form,
 )
-from .linalg import max_norm
+from .linalg import unitarity_defect
 from .scattering import bc_residual, smatrix_direct
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def cmd_smatrix(args) -> int:
         "n": c.n,
         "k": args.k,
         "S": documents.matrix_to_json(entries),
-        "unitarity_defect": max_norm(entries @ entries.conj().T - np.eye(c.n)),
+        "unitarity_defect": unitarity_defect(entries),
         "bc_residual": bc_residual(c, s),
     }
     print(documents.dumps(out))

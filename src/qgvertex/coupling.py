@@ -13,7 +13,7 @@ The same coupling is equivalently fixed by a single unitary matrix U via
 
     (U - I) Psi + i (U + I) Psi' = 0,
 
-and U coincides with the scattering matrix at momentum k = 1.
+and U is S(1), which ``to_unitary`` evaluates by ``_smatrix_grid``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
+from .errors import NonFiniteMatrix, NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +50,26 @@ class UnitaryForm:
     U: np.ndarray
 
 
+def _require_finite(m: np.ndarray, name: str) -> None:
+    if not np.isfinite(m).all():
+        raise NonFiniteMatrix(f"{name} has a NaN or infinite entry")
+
+
+def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
+
+    Raises ValueError instead of returning a non-finite S once k B overflows;
+    numpy's overflow warnings are silenced, since that error reports it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ikb = (1j * ks)[:, None, None] * B
+        s = -np.linalg.solve(A + ikb, A - ikb)
+    if not np.isfinite(s).all():
+        raise ValueError(f"S(k) is not finite for k in [{ks.min():g}, {ks.max():g}]: "
+                         "k B overflows")
+    return s
+
+
 def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Check admissibility of (A, B) and return the coupling record.
 
@@ -57,6 +77,7 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     when rank(A|B) < n, and NotSelfAdjoint when A B* fails the Hermitian
     test.  The Hermitian residual is compared against ``tol`` scaled by the
     magnitude of A B*, so rescaling both matrices leaves the verdict alone.
+    A NaN or infinite entry raises NonFiniteMatrix.
     """
     A = linalg.frozen(A)
     B = linalg.frozen(B)
@@ -65,6 +86,8 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     n = A.shape[0]
     if n < 1:
         raise ShapeMismatch("vertex degree must be at least 1")
+    _require_finite(A, "A")
+    _require_finite(B, "B")
     if linalg.rank(np.concatenate([A, B], axis=1), tol) < n:
         raise RankDeficient(f"rank(A|B) < n = {n}: the pair does not fix a vertex coupling")
     ab = A @ B.conj().T
@@ -80,22 +103,19 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
 
 
 def to_unitary(c: VertexCoupling) -> UnitaryForm:
-    """Unitary description of the coupling, U = -(A + iB)^{-1}(A - iB).
-
-    A + iB is invertible for every admissible pair, so a SingularMatrix
-    error here signals a validation bug rather than bad input.
-    """
-    u = -linalg.inverse(c.A + 1j * c.B, c.tol) @ (c.A - 1j * c.B)
-    return UnitaryForm(n=c.n, U=linalg.frozen(u))
+    """Unitary description of the coupling, U = S(1) = -(A + iB)^{-1}(A - iB),
+    which is defined for every admissible pair."""
+    return UnitaryForm(n=c.n, U=linalg.frozen(_smatrix_grid(c.A, c.B, np.array([1.0]))[0]))
 
 
 def from_unitary(u, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
-    """Coupling with A = U - I and B = i(U + I); U must be unitary."""
+    """Coupling with A = U - I and B = i(U + I); U must be finite and unitary."""
     U = u.U if isinstance(u, UnitaryForm) else linalg.as_complex_matrix(u)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ShapeMismatch(f"unitary description needs a square matrix, got {U.shape}")
     n = U.shape[0]
-    defect = linalg.max_norm(U @ U.conj().T - np.eye(n))
+    _require_finite(U, "U")
+    defect = linalg.unitarity_defect(U)
     if defect > max(tol, linalg.DEFAULT_ATOL):
         raise NotUnitary(f"max-norm unitarity defect {defect:.3e} exceeds tolerance")
     return validate(U - np.eye(n), 1j * (U + np.eye(n)), tol)

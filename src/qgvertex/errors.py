@@ -9,6 +9,10 @@ class ShapeMismatch(VertexError, ValueError):
     """Matrix dimensions are inconsistent with the requested operation."""
 
 
+class NonFiniteMatrix(VertexError, ValueError):
+    """A matrix given as input holds a NaN or an infinite entry."""
+
+
 class SingularMatrix(VertexError, ArithmeticError):
     """A matrix that must be invertible is numerically rank-deficient."""
 

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .coupling import _smatrix_grid
 from .errors import InvalidShape, SingularSBlock
 from .forms import PQRSForm, _pqrs_pair
-from .scattering import _limits, _low_k_deficit, _smatrix_grid
+from .scattering import _limits, _low_k_deficit
 
 #: default dominance ratio of probabilities used to read ">>" in a design
 DEFAULT_DOMINANCE = 3.0

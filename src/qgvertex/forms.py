@@ -182,8 +182,8 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     that W^{-1} B_perm = (I T; 0 0) with T = R11^{-1} Q1* B2.  The reduced pair
     -W^{-1} A_perm has the rows -R11^{-1} Q1* A_perm over -Q2* A_perm;
     admissibility forces it into the shape (S 0; -T* I) after eliminating
-    its lower-right block, and S is obtained as the corresponding Schur
-    complement.
+    its lower-right block A22, and S is the Schur complement A11 - A12 A22^{-1} A21;
+    ``linalg.inverse`` raises SingularMatrix when A22 is singular within ``tol``.
     """
     n = A.shape[0]
     picked, q, r = _independent_columns_qr(B, r_b, tol, "complete")
@@ -198,13 +198,8 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     T = top[:, :n - r_b]
     Ap = -np.concatenate([top[:, n - r_b:], qa[r_b:]], axis=0)
 
-    A12 = Ap[:r_b, r_b:]
-    A21 = Ap[r_b:, :r_b]
-    A22 = Ap[r_b:, r_b:]
-    if r_b < n and linalg.rank(A22, tol) < n - r_b:
-        raise SingularMatrix("lower-right block of the reduced pair is singular; "
-                             "the input pair is numerically inadmissible")
-    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ np.linalg.solve(A22, A21))
+    A12, A21, A22 = Ap[:r_b, r_b:], Ap[r_b:, :r_b], Ap[r_b:, r_b:]
+    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ (linalg.inverse(A22, tol) @ A21))
     return perm, S, T
 
 

@@ -41,6 +41,11 @@ def max_norm(m: np.ndarray) -> float:
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
 
 
+def unitarity_defect(u: np.ndarray) -> float:
+    """max-norm of U U* - I."""
+    return max_norm(u @ u.conj().T - np.eye(len(u)))
+
+
 def rank(m: np.ndarray, tol: float = DEFAULT_RTOL) -> int:
     """Number of singular values above ``tol`` times the largest one."""
     if tol <= 0:

@@ -4,7 +4,7 @@ The on-shell scattering matrix of a coupling (A, B) at momentum k > 0 is
 
     S(k) = -(A + ikB)^{-1} (A - ikB),
 
-an n x n unitary matrix.  ``smatrix_direct`` evaluates this definition and
+an n x n unitary matrix with S(1) = U.  ``smatrix_direct`` evaluates it and
 serves as the reference oracle; the ST, reverse-ST and PQRS routes
 compute the same matrix while inverting only blocks of the sizes fixed by
 the ranks (r_b, r_a, and the m = r_a + r_b - n block alone for PQRS), and
@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .coupling import VertexCoupling
+from .coupling import VertexCoupling, _smatrix_grid
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _pqrs_stacks,
-                    _spectral_split, _split_factors, _st_as_pqrs)
+from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _spectral_split,
+                    _split_factors, _st_as_pqrs)
 
 @dataclass(frozen=True, eq=False)
 class SMatrix:
@@ -99,21 +99,6 @@ def _require_momentum(k: float) -> None:
         raise ValueError(f"momentum k must be positive and finite, got {k!r}")
 
 
-def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
-
-    Raises ValueError instead of returning a non-finite S once k B overflows;
-    numpy's overflow warnings are silenced, since that error reports it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ikb = (1j * ks)[:, None, None] * B
-        s = -np.linalg.solve(A + ikb, A - ikb)
-    if not np.isfinite(s).all():
-        raise ValueError(f"S(k) is not finite for k in [{ks.min():g}, {ks.max():g}]: "
-                         "k B overflows")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # The five scattering routes
 # ---------------------------------------------------------------------------
@@ -125,22 +110,24 @@ def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
     return SMatrix(n=c.n, k=k, entries=linalg.frozen(s))
 
 
+def _st_route(f: STForm | ReverseSTForm, k: float, z: complex, sign: float) -> SMatrix:
+    """sign (-I + 2 L (L*L - zS)^{-1} L*), L = (I; T*), in the original numbering:
+    S(k) of the ST form for (z, sign) = (1/ik, 1), of the reverse one for (ik, -1)."""
+    _require_momentum(k)
+    left = np.concatenate([np.eye(len(f.T)), f.T.conj().T])
+    mid = left.conj().T @ left - z * np.asarray(f.S)
+    s = sign * (2.0 * left @ np.linalg.solve(mid, left.conj().T) - np.eye(f.n))
+    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
+
+
 def smatrix_st(f: STForm, k: float) -> SMatrix:
     """S(k) from the ST form; inverts only an r_b x r_b matrix."""
-    _require_momentum(k)
-    left = _pqrs_stacks(_st_as_pqrs(f))[1]  # L = (I; T*)
-    mid = np.eye(f.r_b) + f.T @ f.T.conj().T - np.asarray(f.S) / (1j * k)
-    s = -np.eye(f.n, dtype=complex) + 2.0 * left @ np.linalg.solve(mid, left.conj().T)
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
+    return _st_route(f, k, 1.0 / (1j * k), 1.0)
 
 
 def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
     """S(k) from the reverse ST form; inverts only an r_a x r_a matrix."""
-    _require_momentum(k)
-    left = _pqrs_stacks(_st_as_pqrs(f))[1]  # L = (I; T*)
-    mid = np.eye(f.r_a) + f.T @ f.T.conj().T - 1j * k * np.asarray(f.S)
-    s = np.eye(f.n, dtype=complex) - 2.0 * left @ np.linalg.solve(mid, left.conj().T)
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
+    return _st_route(f, k, 1j * k, -1.0)
 
 
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:

@@ -10,7 +10,8 @@ from qgvertex import (
     to_unitary,
     validate,
 )
-from qgvertex.errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
+from qgvertex.errors import (NonFiniteMatrix, NotSelfAdjoint, NotUnitary, RankDeficient,
+                             ShapeMismatch)
 
 from conftest import smatrix_distance
 
@@ -53,6 +54,14 @@ class TestValidate:
             validate(np.eye(2), np.eye(3))
         with pytest.raises(ShapeMismatch):
             validate(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_non_finite_entry(self, name, value):
+        pair = dict(zip("AB", delta_pair(2.0)))
+        pair[name][1, 0] = value
+        with pytest.raises(NonFiniteMatrix, match=f"^{name} has"):
+            validate(pair["A"], pair["B"])
 
     def test_delta_coupling_ranks(self):
         c = validate(*delta_pair(2.0))
@@ -98,6 +107,13 @@ class TestUnitary:
     def test_not_unitary_rejected(self):
         with pytest.raises(NotUnitary):
             from_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0)])
+    def test_from_unitary_rejects_non_finite_entry(self, value):
+        u = SWAP.astype(complex)
+        u[0, 1] = value
+        with pytest.raises(NonFiniteMatrix, match="^U has"):
+            from_unitary(u)
 
     def test_roundtrip_preserves_scattering(self, rng):
         for _ in range(10):

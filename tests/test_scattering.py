@@ -19,15 +19,17 @@ from qgvertex import (
     to_projector_form,
     to_reverse_st_form,
     to_st_form,
+    to_unitary,
     uniform_block_pqrs,
     validate,
 )
 from qgvertex.errors import SeriesDivergence, SingularSBlock
 from qgvertex.filters import FIG1_PARAMS, FilterParams
-from qgvertex.forms import ProjectorForm, STForm, _split_factors
+from qgvertex.forms import ProjectorForm, ReverseSTForm, STForm, _split_factors
 
 from conftest import unitarity_defect
 from test_coupling import delta_pair
+from test_forms import degree_60_couplings
 
 KIRCHHOFF3_A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
 KIRCHHOFF3_B = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
@@ -96,6 +98,12 @@ class TestDirectRoute:
                 assert unitarity_defect(smatrix_direct(c, k).entries) < 1e-10
 
 
+    def test_unitary_is_s_at_one(self, corpus):
+        for c in list(corpus) + degree_60_couplings():
+            u, s = np.asarray(to_unitary(c).U), np.asarray(smatrix_direct(c, 1.0).entries)
+            assert np.array_equal(u.view(np.uint64), s.view(np.uint64)), c.n
+
+
 class TestFormRoutes:
     def test_st_neumann_identity(self):
         f = to_st_form(neumann(3))
@@ -136,6 +144,18 @@ class TestFormRoutes:
                 for s in (smatrix_st(st, k), smatrix_reverse_st(rst, k),
                           smatrix_pqrs(pqrs, k), smatrix_projector(proj, k)):
                     assert gap(s.entries, reference) < 1e-9
+
+
+    def test_reverse_st_is_st_at_inverse_momentum(self, corpus):
+        # with the same (perm, S, T), I + TT* - ikS is the adjoint of
+        # I + TT* - S/(i/k), so the reverse ST route gives -S_st(1/k)*
+        for c in corpus:
+            for f in (to_st_form(c), to_reverse_st_form(c)):
+                r = len(f.T)
+                st, rst = STForm(f.n, r, f.perm, f.S, f.T), ReverseSTForm(f.n, r, f.perm, f.S, f.T)
+                for k in (0.1, 1.7, 40.0):
+                    s = np.asarray(smatrix_st(st, 1.0 / k).entries)
+                    assert gap(smatrix_reverse_st(rst, k).entries, -s.conj().T) <= 1e-11
 
 
 def eigh_smatrix_projector(p, k):
