@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NonFiniteMatrix, NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
+from .errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,11 +48,6 @@ class UnitaryForm:
 
     n: int
     U: np.ndarray
-
-
-def _require_finite(m: np.ndarray, name: str) -> None:
-    if not np.isfinite(m).all():
-        raise NonFiniteMatrix(f"{name} has a NaN or infinite entry")
 
 
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -86,8 +81,7 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     n = A.shape[0]
     if n < 1:
         raise ShapeMismatch("vertex degree must be at least 1")
-    _require_finite(A, "A")
-    _require_finite(B, "B")
+    linalg.require_finite(A=A, B=B)
     if linalg.rank(np.concatenate([A, B], axis=1), tol) < n:
         raise RankDeficient(f"rank(A|B) < n = {n}: the pair does not fix a vertex coupling")
     ab = A @ B.conj().T
@@ -114,7 +108,7 @@ def from_unitary(u, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ShapeMismatch(f"unitary description needs a square matrix, got {U.shape}")
     n = U.shape[0]
-    _require_finite(U, "U")
+    linalg.require_finite(U=U)
     defect = linalg.unitarity_defect(U)
     if defect > max(tol, linalg.DEFAULT_ATOL):
         raise NotUnitary(f"max-norm unitarity defect {defect:.3e} exceeds tolerance")

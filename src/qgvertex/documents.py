@@ -91,9 +91,10 @@ def _perm_to_json(perm) -> list[int]:
 
 
 def _perm_from_json(values, n: int) -> tuple[int, ...]:
-    if not isinstance(values, list) or sorted(values) != list(range(1, n + 1)):
+    if (not isinstance(values, list) or not set(map(type, values)) <= {int}
+            or sorted(values) != list(range(1, n + 1))):
         raise DocumentError(f"permutation must list 1..{n} exactly once")
-    return tuple(int(v) - 1 for v in values)
+    return tuple(v - 1 for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,13 @@ def _require_int(doc: dict, key: str) -> int:
     return doc[key]
 
 
+def _require_rank(doc: dict, key: str, n: int) -> int:
+    r = _require_int(doc, key)
+    if not 0 <= r <= n:
+        raise DocumentError(f"{key} must lie in 0..{n}, got {r}")
+    return r
+
+
 def parse_document(doc: dict, tol: float = linalg.DEFAULT_RTOL):
     """Parse a document into its record; couplings are validated on the way in."""
     if not isinstance(doc, dict):
@@ -158,13 +166,13 @@ def parse_document(doc: dict, tol: float = linalg.DEFAULT_RTOL):
         return validate(a, b, tol)
     for st_kind, (record, rank_key) in _ST_KINDS.items():
         if kind == st_kind:
-            r = _require_int(doc, rank_key)
+            r = _require_rank(doc, rank_key, n)
             return record(n, r, _perm_from_json(doc.get("permutation"), n),
                           S=linalg.frozen(matrix_from_json(doc.get("S"), (r, r), "S")),
                           T=linalg.frozen(matrix_from_json(doc.get("T"), (r, n - r), "T")))
     if kind == "pqrs":
-        r_a = _require_int(doc, "r_a")
-        r_b = _require_int(doc, "r_b")
+        r_a = _require_rank(doc, "r_a", n)
+        r_b = _require_rank(doc, "r_b", n)
         m, na, nb = r_a + r_b - n, n - r_a, n - r_b
         if m < 0:
             raise DocumentError("r_a + r_b must be at least n")

@@ -55,6 +55,9 @@ class STForm:
     S: np.ndarray  # r_b x r_b, Hermitian
     T: np.ndarray  # r_b x (n - r_b)
 
+    def __post_init__(self):
+        linalg.require_finite(S=self.S, T=self.T)
+
 
 @dataclass(frozen=True, eq=False)
 class ReverseSTForm:
@@ -63,6 +66,9 @@ class ReverseSTForm:
     perm: tuple[int, ...]
     S: np.ndarray  # r_a x r_a, Hermitian
     T: np.ndarray  # r_a x (n - r_a)
+
+    def __post_init__(self):
+        linalg.require_finite(S=self.S, T=self.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +81,9 @@ class PQRSForm:
     Q: np.ndarray  # (n - r_a) x (n - r_b)
     R: np.ndarray  # (n - r_a) x m
     S: np.ndarray  # m x m, Hermitian
+
+    def __post_init__(self):
+        linalg.require_finite(P=self.P, Q=self.Q, R=self.R, S=self.S)
 
     @property
     def block_sizes(self) -> tuple[int, int, int]:
@@ -91,6 +100,10 @@ class ProjectorForm:
     projector_q: np.ndarray  # annihilates Psi'
     projector_c: np.ndarray  # I - projector_p - projector_q
     lam: np.ndarray          # Hermitian, lam = projector_c lam projector_c
+
+    def __post_init__(self):
+        linalg.require_finite(projector_p=self.projector_p, projector_q=self.projector_q,
+                              projector_c=self.projector_c, lam=self.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +453,10 @@ def delta_parameters(n: int, r_a: int, r_b: int) -> int:
     Delta = 2 [r_a r_b - (r_a + r_b - n)^2]; it equals the count of real
     parameters needed to fix the ranges of the two projectors, which the
     subspace-dimension formula 2 r_a (n - r_a) + 2 (n - r_b)(r_a + r_b - n)
-    expresses directly.  Both expressions are evaluated and must agree.
+    expresses directly: the two are the same polynomial in (n, r_a, r_b).
     """
     _check_rank_pair(n, r_a, r_b)
-    delta = 2 * (r_a * r_b - (r_a + r_b - n) ** 2)
-    by_subspaces = 2 * r_a * (n - r_a) + 2 * (n - r_b) * (r_a + r_b - n)
-    if delta != by_subspaces:
-        raise AssertionError(f"parameter-count identity broken: {delta} != {by_subspaces}")
-    return delta
+    return 2 * (r_a * r_b - (r_a + r_b - n) ** 2)
 
 
 def subfamily_count(n: int) -> int:

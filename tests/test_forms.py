@@ -1,5 +1,7 @@
 """Tests for the canonical forms and parameter counting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from qgvertex import (
     to_st_form,
     validate,
 )
-from qgvertex.errors import InvalidRankPair, ShapeMismatch, SingularMatrix
+from qgvertex.errors import InvalidRankPair, NonFiniteMatrix, ShapeMismatch, SingularMatrix
 from qgvertex.forms import (PQRSForm, ReverseSTForm, STForm, _greedy_independent_columns,
                             _picked_first, _st_as_pqrs, _st_reduce)
 
@@ -514,6 +516,21 @@ class TestProjectorForm:
             assert linalg.max_norm(s - smatrix_direct(c, k).entries) <= 5e-10
 
 
+class TestNonFiniteBlocks:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_each_block_rejected_at_construction(self, value):
+        c = random_coupling(5, 3, 4, np.random.default_rng(5))
+        records = [(to_st_form(c), ("S", "T")), (to_reverse_st_form(c), ("S", "T")),
+                   (to_pqrs_form(c), ("P", "Q", "R", "S")),
+                   (to_projector_form(c), ("projector_p", "projector_q", "projector_c", "lam"))]
+        for record, blocks in records:
+            for name in blocks:
+                bad = np.array(getattr(record, name))
+                bad[0, -1] = value
+                with pytest.raises(NonFiniteMatrix, match=f"^{name} has a NaN or infinite entry$"):
+                    replace(record, **{name: bad})
+
+
 class TestParameterCounts:
     def test_full_rank_square(self):
         assert parameter_count(3, 3, 3) == 9
@@ -554,3 +571,5 @@ class TestParameterCounts:
                 assert parameter_count(n, r_a, r_b) + (n - r_a) ** 2 + (n - r_b) ** 2 == n * n
                 expected = 2 * (r_a * r_b - (r_a + r_b - n) ** 2)
                 assert delta_parameters(n, r_a, r_b) == expected
+                by_subspaces = 2 * r_a * (n - r_a) + 2 * (n - r_b) * (r_a + r_b - n)
+                assert delta_parameters(n, r_a, r_b) == by_subspaces

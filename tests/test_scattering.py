@@ -1,10 +1,15 @@
 """Tests for the scattering routes, limits and expansions."""
 
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
 from qgvertex import (
+    admissible_rank_pairs,
+    amplitude_limits,
     bc_residual,
+    classify_branching,
     expand,
     limit_high_k,
     limit_low_k,
@@ -260,6 +265,30 @@ class TestLimits:
             f = to_pqrs_form(c)
             assert gap(limit_high_k(f).entries, smatrix_direct(c, 1e6).entries) < 1e-5
             assert gap(limit_low_k(f).entries, smatrix_direct(c, 1e-6).entries) < 1e-5
+
+    def test_no_rank_svd_after_validate(self, corpus, monkeypatch):
+        """The k -> 0 rank of S is read off the split, with no SVD of S."""
+        designs = [FilterParams(n, r_a, r_b, 1.3, -0.4, 0.7, 0.9 if r_a + r_b > n else 0.0)
+                   for n in range(1, 6) for r_a, r_b in admissible_rank_pairs(n)]
+        pqrs = [to_pqrs_form(c) for c in corpus] + [uniform_block_pqrs(fp) for fp in designs]
+        st = [to_st_form(c) for c in corpus]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+        for f in pqrs:
+            limit_high_k(f)
+            limit_low_k(f, allow_singular=True)
+            expand(f, "high-k", 2)
+            with suppress(SingularSBlock):
+                limit_low_k(f)
+            with suppress(SingularSBlock):
+                expand(f, "low-k", 2)
+        for f in st:
+            expand(f, "high-k", 2)
+        for fp in designs:
+            classify_branching(fp, limits=amplitude_limits(fp))
+            classify_branching(fp)
+        assert calls == []
 
 
 def route_results(c, ks=(0.1, 1.0, 10.0)):
