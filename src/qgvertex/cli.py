@@ -84,8 +84,8 @@ def cmd_smatrix(args) -> int:
 
 
 def _k_grid(k_min: float, k_max: float, points: int, scale: str) -> np.ndarray:
-    if not (0.0 < k_min < k_max):
-        raise VertexError(f"need 0 < k_min < k_max, got {k_min:g}, {k_max:g}")
+    if not (0.0 < k_min < k_max < np.inf):
+        raise VertexError(f"need finite 0 < k_min < k_max, got {k_min:g}, {k_max:g}")
     if points < 2:
         raise VertexError(f"need at least 2 points, got {points}")
     if scale == "log":

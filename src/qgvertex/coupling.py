@@ -53,15 +53,16 @@ class UnitaryForm:
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
 
-    Raises ValueError instead of returning a non-finite S once k B overflows;
-    numpy's overflow warnings are silenced, since that error reports it.
+    Raises ValueError instead of returning a non-finite S, which comes from
+    k B overflowing or from A + ikB being numerically singular; numpy's
+    warnings are silenced, since that error reports them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ikb = (1j * ks)[:, None, None] * B
         s = -np.linalg.solve(A + ikb, A - ikb)
     if not np.isfinite(s).all():
         raise ValueError(f"S(k) is not finite for k in [{ks.min():g}, {ks.max():g}]: "
-                         "k B overflows")
+                         "k B overflows or A + ikB is numerically singular")
     return s
 
 

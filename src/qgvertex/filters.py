@@ -41,8 +41,8 @@ DEFAULT_DOMINANCE = 3.0
 #: tolerance for closed-form vs matrix-limit agreement reports
 CLOSED_FORM_TOL = 1e-6
 
-#: momenta per batched solve and per block of CSV rows; a long sweep then
-#: holds the complex temporaries and row lists of one block only
+#: momenta per batched solve and per row block of a sweep table; a long
+#: sweep then holds the complex temporaries and the float array of one block only
 SWEEP_BLOCK = 1024
 
 
@@ -263,13 +263,14 @@ class SweepTable:
         return cols
 
     def rows(self):
-        """Yield one list of floats per momentum, matching ``header()``."""
+        """Yield the rows as float64 arrays of shape (rows, columns), one per
+        ``SWEEP_BLOCK`` momenta; each row is one momentum, matching ``header()``."""
         for start in range(0, self.ks.size, SWEEP_BLOCK):
             block = slice(start, start + SWEEP_BLOCK)
             prob = self.probabilities[block]
             means = {} if self.block_sizes is None else _block_means(prob, self.block_sizes)
             columns = [self.ks[block], prob.reshape(len(prob), -1), *means.values()]
-            yield from np.column_stack(columns).tolist()
+            yield np.column_stack(columns).astype(float, copy=False)
 
 
 def pair_sweep(A, B, ks: np.ndarray, block_sizes: tuple[int, int, int] | None) -> SweepTable:
@@ -286,6 +287,8 @@ def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:
     ks = np.asarray(k_grid, dtype=float)
     if ks.ndim != 1 or ks.size < 1:
         raise ValueError("k_grid must be a non-empty 1-d array")
+    if not np.isfinite(ks).all():
+        raise ValueError("k_grid must be finite")
     if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
         raise ValueError("k_grid must be strictly positive and ascending")
     A, B = _pqrs_pair(uniform_block_pqrs(fp))

@@ -1,5 +1,6 @@
 """Tests for document round-trips and the command-line interface."""
 
+import io
 import json
 import re
 import warnings
@@ -10,7 +11,9 @@ import pytest
 
 from qgvertex import (
     FIG1_PARAMS,
+    FIG2_PARAMS,
     documents,
+    filters,
     linalg,
     random_coupling,
     to_pqrs_form,
@@ -419,6 +422,69 @@ class TestCliSweep:
         path = write_doc(tmp_path, dirichlet_doc())
         assert main(["sweep", path, "--k-min", "5", "--k-max", "1", "--points", "4"]) == 2
         assert main(["sweep", path, "--k-min", "1", "--k-max", "5", "--points", "1"]) == 2
+
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    def test_infinite_k_max_exits_2_with_one_line(self, tmp_path, capsys, scale):
+        path = write_doc(tmp_path, dirichlet_doc())
+        assert main(["sweep", path, "--k-min", "1", "--k-max", "inf", "--points", "3",
+                     "--scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need finite 0 < k_min < k_max, got 1, inf\n"
+        assert captured.out == ""
+
+    def test_singular_momentum_names_both_causes(self, tmp_path, capsys):
+        # at k = 1e-320, k B is subnormal and A + ikB is as singular as A
+        assert main(["filter-demo", "--preset", "fig1"]) == 0
+        path = write_doc(tmp_path, json.loads(capsys.readouterr().out), "fig1.json")
+        assert main(["sweep", path, "--k-min", "1e-320", "--k-max", "1", "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert "k B overflows or A + ikB is numerically singular" in err
+
+
+def per_value_csv(table) -> str:
+    """The sweep CSV with one ``repr`` call per value, row by row."""
+    lines = [",".join(table.header())]
+    lines += [",".join(map(repr, row)) for row in np.concatenate(list(table.rows())).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def written_csv(table) -> str:
+    out = io.StringIO()
+    documents.write_sweep_csv(table, out)
+    return out.getvalue()
+
+
+class TestSweepCsv:
+    # crosses the row blocks of the table and the slices of the writer
+    KS = np.logspace(-2, 2, 2 * filters.SWEEP_BLOCK + 3)
+
+    @pytest.mark.parametrize("fp", [FIG1_PARAMS, FIG2_PARAMS], ids=["fig1", "fig2"])
+    def test_presets_match_per_value_repr(self, fp):
+        table = filters.probability_sweep(fp, self.KS)
+        rows = np.concatenate(list(table.rows()))
+        assert all(len(set(row)) < len(row) for row in rows.tolist())  # repeats to share
+        assert written_csv(table) == per_value_csv(table)
+
+    def test_generic_coupling_matches_per_value_repr(self, rng):
+        c = random_coupling(5, rng=rng)
+        table = filters.pair_sweep(c.A, c.B, self.KS, None)
+        assert written_csv(table) == per_value_csv(table)
+
+    def test_signed_zeros_subnormals_and_nans_keep_their_text(self):
+        probs = np.array([[[0.0, -0.0], [5e-324, np.nan]],
+                          [[-0.0, 0.0], [-np.nan, -5e-324]],
+                          [[0.25, 0.25], [np.nan, -np.nan]]])
+        table = filters.SweepTable(n=2, ks=np.array([0.5, 1.0, 2.0]), probabilities=probs)
+        text = written_csv(table)
+        assert text == per_value_csv(table)
+        assert text.splitlines()[1:] == ["0.5,0.0,-0.0,5e-324,nan",
+                                         "1.0,-0.0,0.0,nan,-5e-324",
+                                         "2.0,0.25,0.25,nan,nan"]
+
+    def test_integer_table_is_written_as_floats(self):
+        table = filters.SweepTable(n=1, ks=np.array([1, 2]), probabilities=np.array([[[1]], [[0]]]))
+        assert written_csv(table) == "k,S11\n1.0,1.0\n2.0,0.0\n"
 
 
 class TestCliFilterDemo:

@@ -269,6 +269,10 @@ class TestProbabilitySweep:
             probability_sweep(FIG1_PARAMS, [1.0, 0.5])
         with pytest.raises(ValueError):
             probability_sweep(FIG1_PARAMS, [-1.0, 1.0])
+        # the positive-and-ascending test is False for NaN, so it needs its own
+        for grid in ([1.0, np.nan], [np.nan], [1.0, np.inf]):
+            with pytest.raises(ValueError, match=r"^k_grid must be finite$"):
+                probability_sweep(FIG1_PARAMS, grid)
 
     def test_blocked_sweep_matches_per_k_loop(self):
         ks = np.logspace(-2, 2, 2 * SWEEP_BLOCK + 3)
@@ -280,7 +284,7 @@ class TestProbabilitySweep:
             assert np.array_equal(table.probabilities, loop)
 
             header = table.header()
-            rows = list(table.rows())
+            rows = np.concatenate(list(table.rows()))
             assert len(rows) == ks.size
             edges = np.cumsum((0,) + fp.block_sizes)
             for row, prob in zip(rows, loop):
@@ -334,7 +338,7 @@ class TestProbabilitySweep:
     def test_header_matches_rows(self):
         table = probability_sweep(FIG1_PARAMS, np.logspace(-1, 1, 3))
         header = table.header()
-        rows = list(table.rows())
+        rows = np.concatenate(list(table.rows()))
         assert len(rows) == 3
         assert all(len(r) == len(header) for r in rows)
         assert header[0] == "k"
