@@ -88,28 +88,29 @@ def _k_grid(k_min: float, k_max: float, points: int, scale: str) -> np.ndarray:
         raise VertexError(f"need finite 0 < k_min < k_max, got {k_min:g}, {k_max:g}")
     if points < 2:
         raise VertexError(f"need at least 2 points, got {points}")
-    if scale == "log":
-        return np.logspace(np.log10(k_min), np.log10(k_max), points)
-    return np.linspace(k_min, k_max, points)
+    ks = (np.logspace(np.log10(k_min), np.log10(k_max), points) if scale == "log"
+          else np.linspace(k_min, k_max, points))
+    ks[0], ks[-1] = k_min, k_max  # 10**log10(k) can miss k by an ulp
+    return ks
 
 
 def cmd_sweep(args) -> int:
     doc = documents._decode(_read_text(args.path))
     c = documents.as_coupling(documents.parse_document(doc))
     ks = _k_grid(args.k_min, args.k_max, args.points, args.scale)
-    declared = args.blocks if args.blocks else None
-    raw_blocks = doc.get("blocks")  # parse_document accepted a JSON object
-    if declared is None and isinstance(raw_blocks, list):
-        declared = ",".join(str(b) for b in raw_blocks)
-    blocks = None
-    if declared:
+    blocks = doc.get("blocks")  # parse_document accepted a JSON object
+    if args.blocks:
         try:
-            blocks = tuple(int(b) for b in declared.split(","))
+            blocks = tuple(int(b) for b in args.blocks.split(","))
         except ValueError as exc:
-            raise VertexError(f"bad block sizes {declared!r}") from exc
-        if len(blocks) != 3 or sum(blocks) != c.n or any(b < 0 for b in blocks):
-            raise VertexError(f"block sizes must be three values summing to n={c.n}")
-    table = filters.pair_sweep(c.A, c.B, ks, blocks)
+            raise VertexError(f"bad block sizes {args.blocks!r}") from exc
+    elif blocks is not None and (type(blocks) is not list
+                                 or any(type(b) is not int for b in blocks)):  # as _require_int
+        raise VertexError(f"bad block sizes {blocks!r}")
+    if blocks is not None and (len(blocks) != 3 or sum(blocks) != c.n
+                               or any(b < 0 for b in blocks)):
+        raise VertexError(f"block sizes must be three values summing to n={c.n}")
+    table = filters.pair_sweep(c.A, c.B, ks, None if blocks is None else tuple(blocks))
     stream, close = _open_out(args.out)
     try:
         documents.write_sweep_csv(table, stream)
@@ -170,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert a coupling to a canonical form")
     p.add_argument("path")
-    p.add_argument("--to", required=True,
-                   choices=["st", "reverse-st", "pqrs", "unitary", "projector"])
+    p.add_argument("--to", required=True, choices=list(documents.FORM_KINDS))
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("smatrix", help="scattering matrix at one momentum")

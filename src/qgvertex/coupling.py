@@ -49,6 +49,10 @@ class UnitaryForm:
     n: int
     U: np.ndarray
 
+    @staticmethod
+    def layout(n: int) -> dict[str, tuple[int, int]]:
+        return {"U": (n, n)}
+
 
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
@@ -82,7 +86,7 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     n = A.shape[0]
     if n < 1:
         raise ShapeMismatch("vertex degree must be at least 1")
-    linalg.require_finite(A=A, B=B)
+    linalg.require_finite({"A": A, "B": B})
     if linalg.rank(np.concatenate([A, B], axis=1), tol) < n:
         raise RankDeficient(f"rank(A|B) < n = {n}: the pair does not fix a vertex coupling")
     ab = A @ B.conj().T
@@ -109,7 +113,7 @@ def from_unitary(u, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ShapeMismatch(f"unitary description needs a square matrix, got {U.shape}")
     n = U.shape[0]
-    linalg.require_finite(U=U)
+    linalg.require_finite({"U": U})
     defect = linalg.unitarity_defect(U)
     if defect > max(tol, linalg.DEFAULT_ATOL):
         raise NotUnitary(f"max-norm unitarity defect {defect:.3e} exceeds tolerance")

@@ -4,9 +4,10 @@ One self-describing JSON format carries every object: complex numbers are
 two-element [re, im] arrays, matrices are nested row-major lists, and
 permutations are 1-based edge numberings.  Coupling documents have keys
 "n", "A", "B" plus optional metadata ("label", "description", "blocks");
-form documents add a "form" discriminator (st, reverse-st, pqrs, unitary,
-projector).  Floats are emitted through ``repr`` and therefore re-parse to
-identical values.
+form documents add a "form" discriminator, a key of ``FORM_KINDS``: that
+table gives each kind's record, rank fields and block keys, which both
+``form_to_document`` and ``parse_document`` read.  Floats are emitted
+through ``repr`` and therefore re-parse to identical values.
 
 ``dumps`` writes exactly the bytes of ``json.dumps(doc, indent=2)``, whose
 indented encoder runs in pure Python.  Each top-level value of a dict
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .coupling import UnitaryForm, VertexCoupling, from_unitary, validate
-from .errors import DocumentError
+from .errors import DocumentError, InvalidRankPair
 from .filters import SweepTable
 from .forms import (
     PQRSForm,
@@ -52,8 +53,17 @@ from .forms import (
 #: by about 3 MB in some runs at 64 to 256 rows, never at 32
 CSV_SLICE_ROWS = 32
 
-#: form kind -> (record type, name of its rank field) of the two ST shapes
-_ST_KINDS = {"st": (STForm, "r_b"), "reverse-st": (ReverseSTForm, "r_a")}
+#: form kind -> (record type, its rank fields, document key -> record field); a
+#: form document has the keys "form", "n", the rank fields and these, in order
+FORM_KINDS = {
+    "st": (STForm, ("r_b",), {"permutation": "perm", "S": "S", "T": "T"}),
+    "reverse-st": (ReverseSTForm, ("r_a",), {"permutation": "perm", "S": "S", "T": "T"}),
+    "pqrs": (PQRSForm, ("r_a", "r_b"),
+             {"permutation": "perm", "P": "P", "Q": "Q", "R": "R", "S": "S"}),
+    "unitary": (UnitaryForm, (), {"U": "U"}),
+    "projector": (ProjectorForm, (), {"P": "projector_p", "Q": "projector_q",
+                                      "C": "projector_c", "Lambda": "lam"}),
+}
 
 
 def matrix_to_json(m) -> list:
@@ -128,24 +138,11 @@ def form_to_document(obj) -> dict:
     """JSON document for any form record (or a coupling)."""
     if isinstance(obj, VertexCoupling):
         return coupling_to_document(obj)
-    for kind, (record, rank_key) in _ST_KINDS.items():
+    for kind, (record, ranks, fields) in FORM_KINDS.items():
         if isinstance(obj, record):
-            return {"form": kind, "n": obj.n, rank_key: getattr(obj, rank_key),
-                    "permutation": _perm_to_json(obj.perm),
-                    "S": matrix_to_json(obj.S), "T": matrix_to_json(obj.T)}
-    if isinstance(obj, PQRSForm):
-        return {"form": "pqrs", "n": obj.n, "r_a": obj.r_a, "r_b": obj.r_b,
-                "permutation": _perm_to_json(obj.perm),
-                "P": matrix_to_json(obj.P), "Q": matrix_to_json(obj.Q),
-                "R": matrix_to_json(obj.R), "S": matrix_to_json(obj.S)}
-    if isinstance(obj, UnitaryForm):
-        return {"form": "unitary", "n": obj.n, "U": matrix_to_json(obj.U)}
-    if isinstance(obj, ProjectorForm):
-        return {"form": "projector", "n": obj.n,
-                "P": matrix_to_json(obj.projector_p),
-                "Q": matrix_to_json(obj.projector_q),
-                "C": matrix_to_json(obj.projector_c),
-                "Lambda": matrix_to_json(obj.lam)}
+            doc = {"form": kind, "n": obj.n, **{rank: getattr(obj, rank) for rank in ranks}}
+            return doc | {key: (_perm_to_json if f == "perm" else matrix_to_json)(getattr(obj, f))
+                          for key, f in fields.items()}
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -153,13 +150,6 @@ def _require_int(doc: dict, key: str) -> int:
     if key not in doc or not isinstance(doc[key], int) or isinstance(doc[key], bool):
         raise DocumentError(f"missing or non-integer field {key!r}")
     return doc[key]
-
-
-def _require_rank(doc: dict, key: str, n: int) -> int:
-    r = _require_int(doc, key)
-    if not 0 <= r <= n:
-        raise DocumentError(f"{key} must lie in 0..{n}, got {r}")
-    return r
 
 
 def parse_document(doc: dict, tol: float = linalg.DEFAULT_RTOL):
@@ -174,35 +164,18 @@ def parse_document(doc: dict, tol: float = linalg.DEFAULT_RTOL):
         a = matrix_from_json(doc.get("A"), (n, n), "A")
         b = matrix_from_json(doc.get("B"), (n, n), "B")
         return validate(a, b, tol)
-    for st_kind, (record, rank_key) in _ST_KINDS.items():
-        if kind == st_kind:
-            r = _require_rank(doc, rank_key, n)
-            return record(n, r, _perm_from_json(doc.get("permutation"), n),
-                          S=linalg.frozen(matrix_from_json(doc.get("S"), (r, r), "S")),
-                          T=linalg.frozen(matrix_from_json(doc.get("T"), (r, n - r), "T")))
-    if kind == "pqrs":
-        r_a = _require_rank(doc, "r_a", n)
-        r_b = _require_rank(doc, "r_b", n)
-        m, na, nb = r_a + r_b - n, n - r_a, n - r_b
-        if m < 0:
-            raise DocumentError("r_a + r_b must be at least n")
-        return PQRSForm(n=n, r_a=r_a, r_b=r_b,
-                        perm=_perm_from_json(doc.get("permutation"), n),
-                        P=linalg.frozen(matrix_from_json(doc.get("P"), (m, nb), "P")),
-                        Q=linalg.frozen(matrix_from_json(doc.get("Q"), (na, nb), "Q")),
-                        R=linalg.frozen(matrix_from_json(doc.get("R"), (na, m), "R")),
-                        S=linalg.frozen(matrix_from_json(doc.get("S"), (m, m), "S")))
-    if kind == "unitary":
-        return UnitaryForm(n=n, U=linalg.frozen(matrix_from_json(doc.get("U"), (n, n), "U")))
-    if kind == "projector":
-        return ProjectorForm(
-            n=n,
-            projector_p=linalg.frozen(matrix_from_json(doc.get("P"), (n, n), "P")),
-            projector_q=linalg.frozen(matrix_from_json(doc.get("Q"), (n, n), "Q")),
-            projector_c=linalg.frozen(matrix_from_json(doc.get("C"), (n, n), "C")),
-            lam=linalg.frozen(matrix_from_json(doc.get("Lambda"), (n, n), "Lambda")),
-        )
-    raise DocumentError(f"unknown form {kind!r}")
+    if not isinstance(kind, str) or kind not in FORM_KINDS:
+        raise DocumentError(f"unknown form {kind!r}")
+    record, rank_keys, fields = FORM_KINDS[kind]
+    ranks = [_require_int(doc, key) for key in rank_keys]
+    try:
+        shapes = record.layout(n, *ranks)
+    except InvalidRankPair as exc:
+        raise DocumentError(str(exc)) from exc
+    values = {field: _perm_from_json(doc.get(key), n) if field == "perm"
+              else linalg.frozen(matrix_from_json(doc.get(key), shapes[field], key))
+              for key, field in fields.items()}
+    return record(n, *ranks, **values)
 
 
 def as_coupling(obj, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:

@@ -33,8 +33,8 @@ class InvalidRankPair(VertexError, ValueError):
     """A rank pair (r_a, r_b) violates 0 <= r <= n or r_a + r_b >= n."""
 
 
-class InvalidShape(VertexError, ValueError):
-    """Block sizes of a uniform-block design are inconsistent."""
+#: a uniform-block design's block sizes are its rank pair's (``forms.block_sizes``)
+InvalidShape = InvalidRankPair
 
 
 class SingularSBlock(VertexError, ArithmeticError):

@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .coupling import _smatrix_grid
 from .errors import InvalidShape, SingularSBlock
-from .forms import PQRSForm, _pqrs_pair
+from .forms import PQRSForm, _pqrs_pair, block_sizes
 from .scattering import _limits
 
 #: default dominance ratio of probabilities used to read ">>" in a design
@@ -59,12 +59,9 @@ class FilterParams:
     s: float
 
     def __post_init__(self):
-        m = self.r_a + self.r_b - self.n
-        if self.n < 1 or not (0 <= self.r_a <= self.n and 0 <= self.r_b <= self.n) or m < 0:
-            raise InvalidShape(
-                f"block sizes ({m}, {self.n - self.r_a}, {self.n - self.r_b}) "
-                f"are not admissible for n = {self.n}"
-            )
+        if self.n < 1:
+            raise InvalidShape(f"vertex degree must be positive, got {self.n}")
+        m = self.block_sizes[0]
         if not np.isfinite([self.p, self.q, self.r, self.s]).all():
             raise ValueError(f"block constants must be finite, got {self}")
         if m > 0 and self.s == 0.0:
@@ -72,7 +69,7 @@ class FilterParams:
 
     @property
     def block_sizes(self) -> tuple[int, int, int]:
-        return (self.r_a + self.r_b - self.n, self.n - self.r_a, self.n - self.r_b)
+        return block_sizes(self.n, self.r_a, self.r_b)
 
 
 FIG1_PARAMS = FilterParams(n=5, r_a=3, r_b=4, p=2.5, q=1.2, r=0.0, s=3.0)
@@ -85,18 +82,10 @@ NO_BRANCHING = "none"
 
 
 def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
-    """PQRS form with constant blocks and the identity edge numbering."""
-    m, na, nb = fp.block_sizes
-    return PQRSForm(
-        n=fp.n,
-        r_a=fp.r_a,
-        r_b=fp.r_b,
-        perm=tuple(range(fp.n)),
-        P=linalg.frozen(fp.p * np.ones((m, nb), dtype=complex)),
-        Q=linalg.frozen(fp.q * np.ones((na, nb), dtype=complex)),
-        R=linalg.frozen(fp.r * np.ones((na, m), dtype=complex)),
-        S=linalg.frozen(fp.s * np.ones((m, m), dtype=complex)),
-    )
+    """PQRS form with blocks p, q, r, s times all-ones and the identity numbering."""
+    blocks = {name: linalg.frozen(getattr(fp, name.lower()) * np.ones(shape, dtype=complex))
+              for name, shape in PQRSForm.layout(fp.n, fp.r_a, fp.r_b).items()}
+    return PQRSForm(fp.n, fp.r_a, fp.r_b, tuple(range(fp.n)), **blocks)
 
 
 def _block_means(x: np.ndarray, sizes: tuple[int, int, int]) -> dict[str, np.ndarray]:

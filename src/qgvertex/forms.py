@@ -13,8 +13,8 @@ invertible matrix, in one of several unique shapes:
 * reverse ST form, the same shape with the roles of Psi and Psi'
   exchanged and r_a = rank(A) in place of r_b;
 
-* PQRS form, organized by both ranks, with blocks of sizes
-  m = r_a + r_b - n, n - r_a, n - r_b:
+* PQRS form, organized by both ranks, with blocks of sizes (``block_sizes``,
+  the one rank-pair rule) m = r_a + r_b - n >= 0, n - r_a >= 0, n - r_b >= 0:
 
       ( I  0  P )          ( S    -SR*      0 )
       ( R  I  Q ) Psi'  =  ( 0     0        0 ) Psi ,
@@ -32,19 +32,43 @@ invertible matrix, in one of several unique shapes:
 
 Permutations are stored explicitly (``perm[i]`` is the original edge index
 sitting at permuted slot i) and applied on reconstruction, so callers
-always see matrices in their original edge numbering.
+always see matrices in their original edge numbering.  Each record checks
+at construction that its permutation has length n and its blocks are finite
+and of the shapes of its ``layout``, a read-only map cached per n and ranks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
 from .coupling import VertexCoupling, validate
 from .errors import InvalidRankPair, ShapeMismatch, SingularMatrix, SingularSBlock
+
+
+def block_sizes(n: int, r_a: int, r_b: int) -> tuple[int, int, int]:
+    """(m, n - r_a, n - r_b) with m = r_a + r_b - n: the block sizes of the PQRS
+    form with ranks (r_a, r_b).  Raises InvalidRankPair unless the pair is
+    admissible, 0 <= r_a, r_b <= n and r_a + r_b >= n."""
+    m = r_a + r_b - n
+    if not (0 <= r_a <= n and 0 <= r_b <= n and m >= 0):
+        for name, r in (("r_a", r_a), ("r_b", r_b)):
+            if not 0 <= r <= n:
+                raise InvalidRankPair(f"{name} must lie in 0..{n}, got {r}")
+        raise InvalidRankPair("r_a + r_b must be at least n")
+    return (m, n - r_a, n - r_b)
+
+
+def _check_layout(layout: MappingProxyType, n: int, perm, blocks: dict) -> None:
+    """ShapeMismatch unless ``perm`` has length n, then ``require_finite`` with ``layout``."""
+    if len(perm) != n:
+        raise ShapeMismatch(f"permutation has length {len(perm)}, expected {n}")
+    linalg.require_finite(blocks, layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +80,14 @@ class STForm:
     T: np.ndarray  # r_b x (n - r_b)
 
     def __post_init__(self):
-        linalg.require_finite(S=self.S, T=self.T)
+        _check_layout(self.layout(self.n, self.r_b), self.n, self.perm, {"S": self.S, "T": self.T})
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def layout(n: int, r_b: int) -> MappingProxyType:
+        """S and T as the S and P blocks of the PQRS form with r_a = n."""
+        m, _, nb = block_sizes(n, n, r_b)
+        return MappingProxyType({"S": (m, m), "T": (m, nb)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +99,14 @@ class ReverseSTForm:
     T: np.ndarray  # r_a x (n - r_a)
 
     def __post_init__(self):
-        linalg.require_finite(S=self.S, T=self.T)
+        _check_layout(self.layout(self.n, self.r_a), self.n, self.perm, {"S": self.S, "T": self.T})
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def layout(n: int, r_a: int) -> MappingProxyType:
+        """S and T as the S and R* blocks of the PQRS form with r_b = n."""
+        m, na, _ = block_sizes(n, r_a, n)
+        return MappingProxyType({"S": (m, m), "T": (m, na)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +121,18 @@ class PQRSForm:
     S: np.ndarray  # m x m, Hermitian
 
     def __post_init__(self):
-        linalg.require_finite(P=self.P, Q=self.Q, R=self.R, S=self.S)
+        _check_layout(self.layout(self.n, self.r_a, self.r_b), self.n, self.perm,
+                      {"P": self.P, "Q": self.Q, "R": self.R, "S": self.S})
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def layout(n: int, r_a: int, r_b: int) -> MappingProxyType:
+        m, na, nb = block_sizes(n, r_a, r_b)
+        return MappingProxyType({"P": (m, nb), "Q": (na, nb), "R": (na, m), "S": (m, m)})
 
     @property
     def block_sizes(self) -> tuple[int, int, int]:
-        """(m, n - r_a, n - r_b) with m = r_a + r_b - n."""
-        return (self.r_a + self.r_b - self.n, self.n - self.r_a, self.n - self.r_b)
+        return block_sizes(self.n, self.r_a, self.r_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +146,15 @@ class ProjectorForm:
     lam: np.ndarray          # Hermitian, lam = projector_c lam projector_c
 
     def __post_init__(self):
-        linalg.require_finite(projector_p=self.projector_p, projector_q=self.projector_q,
-                              projector_c=self.projector_c, lam=self.lam)
+        linalg.require_finite({"projector_p": self.projector_p, "projector_q": self.projector_q,
+                               "projector_c": self.projector_c, "lam": self.lam},
+                              self.layout(self.n))
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def layout(n: int) -> MappingProxyType:
+        return MappingProxyType(dict.fromkeys(("projector_p", "projector_q", "projector_c", "lam"),
+                                              (n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +289,7 @@ def _st_as_pqrs(f: STForm | ReverseSTForm) -> PQRSForm:
 
     For a reverse ST form this is the PQRS form of the swapped pair (B, A).
     """
-    n = f.n
-    r = f.r_b if isinstance(f, STForm) else f.r_a
+    n, r = f.n, len(f.S)
     return PQRSForm(n=n, r_a=n, r_b=r, perm=f.perm, P=f.T, Q=np.zeros((0, n - r), dtype=complex),
                     R=np.zeros((0, r), dtype=complex), S=f.S)
 
@@ -274,7 +324,7 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     """
     st = to_st_form(c)
     n, r_b = c.n, c.r_b
-    m = c.r_a + c.r_b - n
+    m = block_sizes(n, c.r_a, r_b)[0]
 
     S_st = np.asarray(st.S)
     T_st = np.asarray(st.T)
@@ -307,21 +357,9 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     )
 
 
-def _check_pqrs_shapes(f: PQRSForm) -> tuple[int, int, int]:
-    m, na, nb = f.block_sizes
-    if m < 0:
-        raise InvalidRankPair(f"r_a + r_b - n = {m} is negative")
-    expected = {"P": (m, nb), "Q": (na, nb), "R": (na, m), "S": (m, m)}
-    for name, shape in expected.items():
-        got = getattr(f, name).shape
-        if got != shape:
-            raise ShapeMismatch(f"block {name} has shape {got}, expected {shape}")
-    return m, na, nb
-
-
 def _pqrs_pair(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) assembled from PQRS blocks in the original numbering, unvalidated."""
-    m, na, nb = _check_pqrs_shapes(f)
+    m, na, nb = f.block_sizes
     n = f.n
     Bh = np.zeros((n, n), dtype=complex)
     Bh[:m, :m] = np.eye(m)
@@ -433,18 +471,11 @@ def projector_to_matrices(p: ProjectorForm, tol: float = linalg.DEFAULT_RTOL) ->
 # Parameter counting
 # ---------------------------------------------------------------------------
 
-def _check_rank_pair(n: int, r_a: int, r_b: int) -> None:
-    if not (0 <= r_a <= n and 0 <= r_b <= n):
-        raise InvalidRankPair(f"ranks must lie in 0..{n}, got ({r_a}, {r_b})")
-    if r_a + r_b < n:
-        raise InvalidRankPair(f"(r_a, r_b) = ({r_a}, {r_b}) violates r_a + r_b >= n = {n}")
-
-
 def parameter_count(n: int, r_a: int, r_b: int) -> int:
     """Real parameters of the coupling family with both ranks fixed:
     n^2 - (n - r_a)^2 - (n - r_b)^2."""
-    _check_rank_pair(n, r_a, r_b)
-    return n * n - (n - r_a) ** 2 - (n - r_b) ** 2
+    _, na, nb = block_sizes(n, r_a, r_b)
+    return n * n - na ** 2 - nb ** 2
 
 
 def delta_parameters(n: int, r_a: int, r_b: int) -> int:
@@ -455,8 +486,8 @@ def delta_parameters(n: int, r_a: int, r_b: int) -> int:
     subspace-dimension formula 2 r_a (n - r_a) + 2 (n - r_b)(r_a + r_b - n)
     expresses directly: the two are the same polynomial in (n, r_a, r_b).
     """
-    _check_rank_pair(n, r_a, r_b)
-    return 2 * (r_a * r_b - (r_a + r_b - n) ** 2)
+    m = block_sizes(n, r_a, r_b)[0]
+    return 2 * (r_a * r_b - m ** 2)
 
 
 def subfamily_count(n: int) -> int:

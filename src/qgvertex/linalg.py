@@ -36,10 +36,13 @@ def frozen(values) -> np.ndarray:
     return a
 
 
-def require_finite(**blocks) -> None:
-    """Raise NonFiniteMatrix naming the first of ``blocks`` with a NaN or infinite entry."""
+def require_finite(blocks: dict, shapes: dict | None = None) -> None:
+    """Raise NonFiniteMatrix naming the first of ``blocks`` (name -> matrix) with a
+    NaN or infinite entry, or ShapeMismatch for one whose shape is not in ``shapes``."""
     for name, m in blocks.items():
-        finite = np.isfinite(m)
+        finite = np.isfinite(m)  # has the shape of m, even for nested lists
+        if shapes is not None and finite.shape != shapes[name]:
+            raise ShapeMismatch(f"block {name} has shape {finite.shape}, expected {shapes[name]}")
         if np.count_nonzero(finite) < finite.size:  # a third of the cost of .all() on small blocks
             raise NonFiniteMatrix(f"{name} has a NaN or infinite entry")
 

@@ -13,6 +13,7 @@ import numpy as np
 from . import linalg
 from .coupling import VertexCoupling, validate
 from .errors import InvalidRankPair
+from .forms import block_sizes
 
 # Smallest angular distance of free eigenvalue phases from 0 and pi.
 PHASE_MARGIN = 0.3
@@ -51,13 +52,11 @@ def random_coupling(
     if r_a is None:
         pairs = admissible_rank_pairs(n)
         r_a, r_b = pairs[rng.integers(len(pairs))]
-    if not (0 <= r_a <= n and 0 <= r_b <= n and r_a + r_b >= n):
-        raise InvalidRankPair(f"(r_a, r_b) = ({r_a}, {r_b}) is not admissible for n = {n}")
-    m = r_a + r_b - n
+    m, na, nb = block_sizes(n, r_a, r_b)
     lam = np.concatenate(
         [
-            np.ones(n - r_a, dtype=complex),
-            -np.ones(n - r_b, dtype=complex),
+            np.ones(na, dtype=complex),
+            -np.ones(nb, dtype=complex),
             np.exp(1j * rng.uniform(margin, np.pi - margin, size=m) * rng.choice([-1.0, 1.0], size=m)),
         ]
     )

@@ -23,6 +23,7 @@ from qgvertex import (
     to_unitary,
     validate,
 )
+from qgvertex import cli
 from qgvertex.cli import main
 from qgvertex.errors import DocumentError
 
@@ -440,6 +441,50 @@ class TestCliSweep:
         err = capsys.readouterr().err
         assert "not finite" in err
         assert "k B overflows or A + ikB is numerically singular" in err
+
+
+class TestSweepGridAndBlocks:
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    def test_grid_ends_at_the_requested_momenta(self, tmp_path, capsys, scale):
+        path = write_doc(tmp_path, dirichlet_doc())
+        assert main(["sweep", path, "--k-min", "0.3", "--k-max", "7", "--points", "3",
+                     "--scale", scale]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in (rows[0], rows[-1])] == ["0.3", "7.0"]
+        gen = np.random.default_rng(31)
+        for _ in range(200):
+            k_min, k_max = np.sort(10.0 ** gen.uniform(-3, 3, size=2)).tolist()
+            ks = cli._k_grid(k_min, k_max, int(gen.integers(2, 50)), scale)
+            assert (ks[0], ks[-1]) == (k_min, k_max)
+
+    @pytest.fixture
+    def fig1_doc(self, capsys):
+        assert main(["filter-demo", "--preset", "fig1"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("blocks", [["2", "2", "1"], [2, 2, 1.0], [2, 2, True], "2,2,1"])
+    def test_document_blocks_must_be_ints(self, tmp_path, capsys, fig1_doc, blocks):
+        path = write_doc(tmp_path, {**fig1_doc, "blocks": blocks})
+        assert main(["sweep", path, "--k-min", "1", "--k-max", "2", "--points", "2"]) == 2
+        assert capsys.readouterr().err == f"error: bad block sizes {blocks!r}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,c", "bad block sizes 'a,b,c'"),
+        ("2,2", "block sizes must be three values summing to n=5"),
+        ("2,2,2", "block sizes must be three values summing to n=5"),
+    ])
+    def test_bad_blocks_option(self, tmp_path, capsys, fig1_doc, text, message):
+        path = write_doc(tmp_path, fig1_doc)
+        assert main(["sweep", path, "--k-min", "1", "--k-max", "2", "--points", "2",
+                     "--blocks", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_blocks_option_overrides_the_document(self, tmp_path, capsys, fig1_doc):
+        path = write_doc(tmp_path, fig1_doc)
+        assert main(["sweep", path, "--k-min", "1", "--k-max", "2", "--points", "2",
+                     "--blocks", "1,1,3"]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split(",")
+        assert "b33_intra" in header and "b11_intra" not in header
 
 
 def per_value_csv(table) -> str:

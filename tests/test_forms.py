@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from qgvertex import (
+    FilterParams,
     admissible_rank_pairs,
+    documents,
     delta_parameters,
     forms,
     linalg,
@@ -25,7 +27,8 @@ from qgvertex import (
     to_st_form,
     validate,
 )
-from qgvertex.errors import InvalidRankPair, NonFiniteMatrix, ShapeMismatch, SingularMatrix
+from qgvertex.errors import (DocumentError, InvalidRankPair, InvalidShape, NonFiniteMatrix,
+                             ShapeMismatch, SingularMatrix)
 from qgvertex.forms import (PQRSForm, ReverseSTForm, STForm, _greedy_independent_columns,
                             _picked_first, _st_as_pqrs, _st_reduce)
 
@@ -143,9 +146,8 @@ class TestSTAsPQRS:
             assert same_bits(rst.A, top) and same_bits(rst.B, bottom)
 
     def test_t_not_matching_the_declared_rank_raises(self):
-        f = STForm(n=3, r_b=1, perm=(0, 1, 2), S=np.eye(1), T=np.ones((2, 1)))
-        with pytest.raises(ShapeMismatch, match="block P has shape"):
-            st_to_matrices(f)
+        with pytest.raises(ShapeMismatch, match="block T has shape"):
+            STForm(n=3, r_b=1, perm=(0, 1, 2), S=np.eye(1), T=np.ones((2, 1)))
 
 
 def svd_greedy_columns(M, count, tol):
@@ -529,6 +531,97 @@ class TestNonFiniteBlocks:
                 bad[0, -1] = value
                 with pytest.raises(NonFiniteMatrix, match=f"^{name} has a NaN or infinite entry$"):
                     replace(record, **{name: bad})
+
+
+class TestLayoutAtConstruction:
+    """A record with blocks that do not fit its n and ranks is refused when it
+    is built, before any route can read it."""
+
+    def test_t_of_the_wrong_shape(self):
+        for T in (np.ones((2, 1)), np.ones((1, 1))):
+            message = r"^block T has shape \(\d, 1\), expected \(1, 2\)$"
+            with pytest.raises(ShapeMismatch, match=message):
+                STForm(n=3, r_b=1, perm=(0, 1, 2), S=[[1]], T=T)
+            with pytest.raises(ShapeMismatch, match="^block T has shape"):
+                ReverseSTForm(n=3, r_a=1, perm=(0, 1, 2), S=[[1]], T=T)
+
+    def test_pqrs_blocks_of_other_ranks(self):
+        f = to_pqrs_form(random_coupling(3, 2, 2, np.random.default_rng(3)))
+        assert f.block_sizes == (1, 1, 1)
+        with pytest.raises(ShapeMismatch, match=r"^block P has shape \(1, 1\), expected \(1, 2\)$"):
+            replace(f, r_a=3, r_b=1)
+
+    def test_projector_blocks_of_another_degree(self):
+        p = to_projector_form(random_coupling(3, rng=np.random.default_rng(4)))
+        message = r"^block projector_p has shape \(3, 3\), expected \(1, 1\)$"
+        with pytest.raises(ShapeMismatch, match=message):
+            replace(p, n=1)
+
+    def test_permutation_of_the_wrong_length(self):
+        c = random_coupling(4, 3, 3, np.random.default_rng(6))
+        for f in (to_st_form(c), to_reverse_st_form(c), to_pqrs_form(c)):
+            with pytest.raises(ShapeMismatch, match=r"^permutation has length 3, expected 4$"):
+                replace(f, perm=f.perm[:3])
+
+    def test_inadmissible_ranks_raise_the_rank_error(self):
+        with pytest.raises(InvalidRankPair, match=r"^r_b must lie in 0\.\.3, got 4$"):
+            STForm(n=3, r_b=4, perm=(0, 1, 2), S=np.eye(4), T=np.ones((4, 0)))
+        with pytest.raises(InvalidRankPair, match=r"^r_a must lie in 0\.\.3, got -1$"):
+            ReverseSTForm(n=3, r_a=-1, perm=(0, 1, 2), S=np.eye(0), T=np.ones((0, 4)))
+
+
+def zero_pqrs_blocks(n, r_a, r_b):
+    """Zero P, Q, R and S for ranks (r_a, r_b), with block sizes clipped at 0
+    so that an inadmissible pair fails on its ranks, not on a shape."""
+    m, na, nb = (max(0, size) for size in (r_a + r_b - n, n - r_a, n - r_b))
+    return {"P": np.zeros((m, nb)), "Q": np.zeros((na, nb)), "R": np.zeros((na, m)),
+            "S": np.zeros((m, m))}
+
+
+def pqrs_of_ranks(n, r_a, r_b):
+    return PQRSForm(n=n, r_a=r_a, r_b=r_b, perm=tuple(range(n)), **zero_pqrs_blocks(n, r_a, r_b))
+
+
+def pqrs_document_of_ranks(n, r_a, r_b):
+    blocks = zero_pqrs_blocks(n, r_a, r_b)
+    return {"form": "pqrs", "n": n, "r_a": r_a, "r_b": r_b, "permutation": list(range(1, n + 1)),
+            **{key: documents.matrix_to_json(block) for key, block in blocks.items()}}
+
+
+class TestRankPairRule:
+    """Every entry point that takes a rank pair accepts exactly the pairs of
+    ``admissible_rank_pairs`` and refuses the others with its own error."""
+
+    ENTRY_POINTS = {
+        "parameter_count": (InvalidRankPair, parameter_count),
+        "FilterParams": (InvalidShape, lambda n, r_a, r_b: FilterParams(
+            n=n, r_a=r_a, r_b=r_b, p=0.5, q=0.5, r=0.5, s=1.0)),
+        "random_coupling": (InvalidRankPair, lambda n, r_a, r_b: random_coupling(
+            n, r_a, r_b, np.random.default_rng(n))),
+        "PQRSForm": (InvalidRankPair, pqrs_of_ranks),
+        "parse_document": (DocumentError, lambda n, r_a, r_b: documents.parse_document(
+            pqrs_document_of_ranks(n, r_a, r_b))),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_point_accepts_exactly_the_admissible_pairs(self, entry):
+        error, call = self.ENTRY_POINTS[entry]
+        for n in range(1, 5):
+            admissible = set(admissible_rank_pairs(n))
+            for r_a in range(-1, n + 2):
+                for r_b in range(-1, n + 2):
+                    if (r_a, r_b) in admissible:
+                        call(n, r_a, r_b)
+                    else:
+                        with pytest.raises(error):
+                            call(n, r_a, r_b)
+
+    def test_block_sizes_is_the_rule(self):
+        assert forms.block_sizes(5, 3, 4) == (2, 2, 1)
+        assert forms.block_sizes(2, 2, 0) == (0, 0, 2)
+        with pytest.raises(InvalidRankPair, match=r"^r_a \+ r_b must be at least n$"):
+            forms.block_sizes(3, 1, 1)
+        assert InvalidShape is InvalidRankPair
 
 
 class TestParameterCounts:

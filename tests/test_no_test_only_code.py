@@ -1,5 +1,6 @@
-"""The package keeps no test-only code: every top-level function or class in
-``src/qgvertex`` is public or referenced by name elsewhere in ``src``."""
+"""The package keeps no test-only code: every top-level function, class or
+assigned name in ``src/qgvertex`` is public or referenced by name elsewhere in
+``src``, so that neither a helper nor a table or constant outlives its use."""
 
 import ast
 from pathlib import Path
@@ -19,19 +20,31 @@ def test_entry_points_are_the_console_scripts():
         assert f'"qgvertex.{module}:{name}"' in pyproject
 
 
+def defined_names(node):
+    """Names that a top-level statement binds, other than dunders such as ``__all__``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    names = [leaf.id for target in targets if isinstance(target, ast.AST)
+             for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_every_definition_is_public_or_used():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    definitions = [(module, node.name) for module, tree in trees.items() for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    assert definitions
+    definitions = [(module, name) for module, tree in trees.items() for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                        ast.Assign, ast.AnnAssign))
+                   for name in defined_names(node)]
+    assert ("documents", "CSV_SLICE_ROWS") in definitions
     unused = [(module, name) for module, name in definitions
               if name not in qgvertex.__all__ and name not in referenced
               and (module, name) not in ENTRY_POINTS]
