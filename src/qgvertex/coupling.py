@@ -49,6 +49,9 @@ class UnitaryForm:
     n: int
     U: np.ndarray
 
+    def __post_init__(self):
+        linalg.require_finite({"U": self.U}, self.layout(self.n))
+
     @staticmethod
     def layout(n: int) -> dict[str, tuple[int, int]]:
         return {"U": (n, n)}

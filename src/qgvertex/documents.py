@@ -263,6 +263,11 @@ def write_sweep_csv(table: SweepTable, stream) -> None:
             stream.write("\n".join(map(",".join, cells)) + "\n")
 
 
+def _report_row(label: str, *cells: float | None) -> str:
+    """``label``, then a 12-character column per cell, blank for None."""
+    return f"{label:9}" + " ".join(" " * 12 if c is None else f"{c:>12.8f}" for c in cells)
+
+
 def render_limits_report(fp, limits, classification: str, threshold: float) -> str:
     """Plain-text table of limit amplitudes, closed forms and the verdict."""
     m, na, nb = fp.block_sizes
@@ -274,37 +279,23 @@ def render_limits_report(fp, limits, classification: str, threshold: float) -> s
         "",
         f"{'pair':8} {'high-k':>12} {'closed':>12} {'low-k':>12} {'closed':>12}",
     ]
-    for pair in sorted(limits.high_k):
-        mu, nu = pair
-        ch = limits.closed_form_high.get(pair)
-        cl = limits.closed_form_low.get(pair)
-        lines.append(
-            f"{{{mu}}}{{{nu}}}   "
-            f"{limits.high_k[pair]:>12.8f} {(f'{ch:>12.8f}' if ch is not None else ' ' * 12)} "
-            f"{limits.low_k[pair]:>12.8f} {(f'{cl:>12.8f}' if cl is not None else ' ' * 12)}"
-        )
+    for mu, nu in sorted(limits.high_k):
+        lines.append(_report_row(f"{{{mu}}}{{{nu}}}", limits.high_k[mu, nu],
+                                 limits.closed_form_high.get((mu, nu)), limits.low_k[mu, nu],
+                                 limits.closed_form_low.get((mu, nu))))
     for mu in sorted(limits.high_k_reflection):
-        lines.append(
-            f"{{{mu}}}{{{mu}}}r  "
-            f"{limits.high_k_reflection[mu]:>12.8f} {' ' * 12} "
-            f"{limits.low_k_reflection[mu]:>12.8f}"
-        )
+        lines.append(_report_row(f"{{{mu}}}{{{mu}}}r", limits.high_k_reflection[mu], None,
+                                 limits.low_k_reflection[mu]))
         if mu in limits.high_k_intra:
-            lines.append(
-                f"{{{mu}}}{{{mu}}}t  "
-                f"{limits.high_k_intra[mu]:>12.8f} {' ' * 12} "
-                f"{limits.low_k_intra[mu]:>12.8f}"
-            )
+            lines.append(_report_row(f"{{{mu}}}{{{mu}}}t", limits.high_k_intra[mu], None,
+                                     limits.low_k_intra[mu]))
+    lines.append("")
     if limits.mismatches:
-        lines.append("")
         lines.append("closed-form values disagreeing with the matrix limits:")
-        for miss in limits.mismatches:
-            lines.append(
-                f"  {miss.side} {{{miss.pair[0]}}}{{{miss.pair[1]}}}: "
-                f"closed {miss.closed_form!r} vs matrix {miss.matrix_limit!r}"
-            )
+        lines += [f"  {miss.side} {{{miss.pair[0]}}}{{{miss.pair[1]}}}: "
+                  f"closed {miss.closed_form!r} vs matrix {miss.matrix_limit!r}"
+                  for miss in limits.mismatches]
     else:
-        lines.append("")
         lines.append("all closed-form amplitudes match the matrix limits")
     lines.append(f"branching classification (threshold {threshold:g}): {classification}")
     return "\n".join(lines) + "\n"

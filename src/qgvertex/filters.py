@@ -182,13 +182,10 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
 
     closed_high = {p: v for p, v in closed_candidates_high.items() if p in high_k}
     closed_low = {p: v for p, v in closed_candidates_low.items() if p in low_k}
-    mismatches = [
-        LimitMismatch("high-k", pair, value, high_k[pair])
-        for pair, value in closed_high.items() if abs(value - high_k[pair]) > tol
-    ] + [
-        LimitMismatch("low-k", pair, value, low_k[pair])
-        for pair, value in closed_low.items() if abs(value - low_k[pair]) > tol
-    ]
+    mismatches = [LimitMismatch(side, pair, value, table[pair])
+                  for side, closed, table in (("high-k", closed_high, high_k),
+                                              ("low-k", closed_low, low_k))
+                  for pair, value in closed.items() if abs(value - table[pair]) > tol]
     return AmplitudeLimits(
         l_p=l_p, l_q=l_q, l_r=l_r,
         high_k=high_k, low_k=low_k,

@@ -21,7 +21,10 @@ invertible matrix, in one of several unique shapes:
       ( 0  0  0 )          ( -P*  (RP-Q)*   I )
 
   where S is Hermitian (and invertible whenever the construction below
-  produced it from a coupling).  The ST form is the PQRS form with r_a = n
+  produced it from a coupling).  The matrix multiplying Psi' is B-hat
+  (``_b_hat``); the adjoints of its two nonzero block rows, Z = (R*; I; Q*)
+  and W = (I; 0; P*), are the stacks that ``_split_factors`` factorises.
+  The ST form is the PQRS form with r_a = n
   (m = r_b, Q and R empty) and P = T, and the reverse ST form is that of
   the swapped pair (B, A); both are assembled and split as such;
 
@@ -33,8 +36,9 @@ invertible matrix, in one of several unique shapes:
 Permutations are stored explicitly (``perm[i]`` is the original edge index
 sitting at permuted slot i) and applied on reconstruction, so callers
 always see matrices in their original edge numbering.  Each record checks
-at construction that its permutation has length n and its blocks are finite
-and of the shapes of its ``layout``, a read-only map cached per n and ranks.
+at construction that its permutation holds each of 0..n-1 once and its
+blocks are finite and of the shapes of its ``layout``, a read-only map
+cached per n and ranks.
 """
 
 from __future__ import annotations
@@ -65,10 +69,19 @@ def block_sizes(n: int, r_a: int, r_b: int) -> tuple[int, int, int]:
 
 
 def _check_layout(layout: MappingProxyType, n: int, perm, blocks: dict) -> None:
-    """ShapeMismatch unless ``perm`` has length n, then ``require_finite`` with ``layout``."""
+    """ShapeMismatch unless ``perm`` permutes 0..n-1, then ``require_finite`` with ``layout``."""
     if len(perm) != n:
         raise ShapeMismatch(f"permutation has length {len(perm)}, expected {n}")
+    linalg.inverse_permutation(perm)
     linalg.require_finite(blocks, layout)
+
+
+def _require_record(f, *records: type) -> None:
+    """TypeError naming ``records`` unless ``f`` is one: another kind of record has
+    other fields, or the same fields with another meaning."""
+    if not isinstance(f, records):
+        needed = " or ".join(record.__name__ for record in records)
+        raise TypeError(f"needs a {needed}, got {type(f).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,11 +309,13 @@ def _st_as_pqrs(f: STForm | ReverseSTForm) -> PQRSForm:
 
 def st_to_matrices(f: STForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Assemble (A, B) from an ST form and validate, in original numbering."""
+    _require_record(f, STForm)
     return validate(*_pqrs_pair(_st_as_pqrs(f)), tol)
 
 
 def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Assemble (A, B) from a reverse ST form and validate."""
+    _require_record(f, ReverseSTForm)
     A, B = _pqrs_pair(_st_as_pqrs(f))
     return validate(B, A, tol)
 
@@ -357,17 +372,25 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     )
 
 
-def _pqrs_pair(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) assembled from PQRS blocks in the original numbering, unvalidated."""
-    m, na, nb = f.block_sizes
-    n = f.n
-    Bh = np.zeros((n, n), dtype=complex)
+def _b_hat(f: PQRSForm) -> np.ndarray:
+    """B-hat = (I 0 P; R I Q; 0 0 0), the matrix multiplying Psi' in the PQRS
+    form, in permuted coordinates; TypeError unless ``f`` is a PQRSForm."""
+    _require_record(f, PQRSForm)
+    m, na, _ = f.block_sizes
+    Bh = np.zeros((f.n, f.n), dtype=complex)
     Bh[:m, :m] = np.eye(m)
     Bh[:m, m + na:] = f.P
     Bh[m:m + na, :m] = f.R
     Bh[m:m + na, m:m + na] = np.eye(na)
     Bh[m:m + na, m + na:] = f.Q
-    Rh = np.zeros((n, n), dtype=complex)
+    return Bh
+
+
+def _pqrs_pair(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) assembled from PQRS blocks in the original numbering, unvalidated."""
+    Bh = _b_hat(f)
+    m, na, nb = f.block_sizes
+    Rh = np.zeros((f.n, f.n), dtype=complex)
     Rh[:m, :m] = f.S
     Rh[:m, m:m + na] = -f.S @ f.R.conj().T
     Rh[m + na:, :m] = -f.P.conj().T
@@ -392,55 +415,35 @@ def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCou
 # Projector form
 # ---------------------------------------------------------------------------
 
-def _pqrs_stacks(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
-    """Column stacks Z = (R*; I; Q*) and W = (I; 0; P*) in permuted coordinates.
-
-    Z spans the subspace on which Psi' is annihilated.  The part of W
-    orthogonal to Z spans the momentum-dependent subspace, and what is
-    orthogonal to both is spanned by Y = (-P; RP - Q; I), the subspace on
-    which Psi is annihilated.  Z and W have full column rank thanks to
-    their identity blocks.
-    """
-    m, na, nb = f.block_sizes
-    n = f.n
-    Z = np.zeros((n, na), dtype=complex)
-    Z[:m] = f.R.conj().T
-    Z[m:m + na] = np.eye(na)
-    Z[m + na:] = f.Q.conj().T
-    W = np.zeros((n, m), dtype=complex)
-    W[:m] = np.eye(m)
-    W[m + na:] = f.P.conj().T
-    return Z, W
-
-
 def _split_factors(f: PQRSForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q_z, Q_x, H) from one reduced QR factorisation of (Z | W).
+    """(proj_z, Q_x, H) from one reduced QR factorisation of (Z | W), the
+    adjoints of the two nonzero block rows of ``_b_hat``.
 
-    Its leading columns Q_z are an orthonormal basis of Z.  Since the
-    auxiliary matrix X = W - Z (Z*Z)^{-1} Z* W of the PQRS route is the
-    part of W orthogonal to Z, the trailing columns Q_x and the trailing
+    Its leading columns Q_z are an orthonormal basis of Z, and proj_z = Q_z Q_z*.
+    Since the auxiliary matrix X = W - Z (Z*Z)^{-1} Z* W of the PQRS route is
+    the part of W orthogonal to Z, the trailing columns Q_x and the trailing
     diagonal block R of the triangular factor are the reduced QR
     factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  H is the
     Hermitian m x m matrix R^{-*} S R^{-1}, with which
     X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.
     """
-    Z, W = _pqrs_stacks(f)
-    na = Z.shape[1]
-    q, r = np.linalg.qr(np.concatenate([Z, W], axis=1))
+    Bh = _b_hat(f)
+    m, na, _ = f.block_sizes
+    q, r = np.linalg.qr(np.concatenate([Bh[m:m + na], Bh[:m]]).conj().T)
+    qz, qx = q[:, :na], q[:, na:]
     r_inv = np.linalg.inv(r[na:, na:])
-    return q[:, :na], q[:, na:], linalg.hermitian_part(r_inv.conj().T @ np.asarray(f.S) @ r_inv)
+    return qz @ qz.conj().T, qx, linalg.hermitian_part(r_inv.conj().T @ np.asarray(f.S) @ r_inv)
 
 
 def _spectral_split(f: PQRSForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(proj_z, U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*.
 
-    In permuted coordinates, with (Q_z, Q_x, H) of ``_split_factors``,
-    proj_z = Q_z Q_z* is the orthogonal projector onto Z, (w, V) is the
-    eigensystem of H and U = Q_x V.
+    In permuted coordinates, with (proj_z, Q_x, H) of ``_split_factors``,
+    (w, V) is the eigensystem of H and U = Q_x V.
     """
-    qz, qx, h = _split_factors(f)
+    proj_z, qx, h = _split_factors(f)
     w, v = np.linalg.eigh(h)
-    return qz @ qz.conj().T, qx @ v, w
+    return proj_z, qx @ v, w
 
 
 def to_projector_form(c: VertexCoupling) -> ProjectorForm:
@@ -448,8 +451,9 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
 
     From ``_spectral_split`` of the PQRS form: proj_q = proj_z projects
     onto Z, proj_c = U U* onto range(X), proj_p onto the rest, which is
-    range(Y), and lam = U diag(w) U* = X (X*X)^{-1} S (X*X)^{-1} X*
-    reproduces the scattering matrix through the projector formula.
+    range(Y) with Y = (-P; RP - Q; I), and lam = U diag(w) U* =
+    X (X*X)^{-1} S (X*X)^{-1} X* reproduces the scattering matrix through
+    the projector formula.
     """
     f = to_pqrs_form(c)
     n = f.n
@@ -457,9 +461,7 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     proj_c = u @ u.conj().T
     proj_p = np.eye(n) - proj_q - proj_c
     lam = linalg.hermitian_part((u * w) @ u.conj().T)
-    proj_p, proj_q, proj_c, lam = (linalg.frozen(linalg.unpermute(m, f.perm))
-                                   for m in (proj_p, proj_q, proj_c, lam))
-    return ProjectorForm(n=n, projector_p=proj_p, projector_q=proj_q, projector_c=proj_c, lam=lam)
+    return ProjectorForm(n, *(linalg.unpermute(m, f.perm) for m in (proj_p, proj_q, proj_c, lam)))
 
 
 def projector_to_matrices(p: ProjectorForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:

@@ -23,8 +23,10 @@ with proj_z the orthogonal projector onto Z = (R*; I; Q*), X = QR the
 reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
 of the Hermitian R^{-*} S R^{-1} and U = QV (``forms._spectral_split``).
 An ST form enters as the PQRS form with r_a = n (``forms._st_as_pqrs``):
-Z is empty, so proj_z = 0, and X = W = (I; T*).  The PQRS route uses the
-same QR factors without the eigensystem (``forms._split_factors``).
+Z is empty, so proj_z = 0, and X = W = (I; T*).  The PQRS route uses
+proj_z and Q without the eigensystem (``forms._split_factors``), and
+``_limit_matrix`` writes -I + 2 proj_z + 2(.) for both.  A form record
+of another kind than a function reads raises TypeError.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import numpy as np
 from . import linalg
 from .coupling import VertexCoupling, _smatrix_grid
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _spectral_split,
-                    _split_factors, _st_as_pqrs)
+from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _require_record,
+                    _spectral_split, _split_factors, _st_as_pqrs)
+
 
 @dataclass(frozen=True, eq=False)
 class SMatrix:
@@ -117,36 +120,37 @@ def _st_route(f: STForm | ReverseSTForm, k: float, z: complex, sign: float) -> S
     left = np.concatenate([np.eye(len(f.T)), f.T.conj().T])
     mid = left.conj().T @ left - z * np.asarray(f.S)
     s = sign * (2.0 * left @ np.linalg.solve(mid, left.conj().T) - np.eye(f.n))
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
+    return SMatrix(n=f.n, k=k, entries=linalg.unpermute(s, f.perm))
 
 
 def smatrix_st(f: STForm, k: float) -> SMatrix:
     """S(k) from the ST form; inverts only an r_b x r_b matrix."""
+    _require_record(f, STForm)
     return _st_route(f, k, 1.0 / (1j * k), 1.0)
 
 
 def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
     """S(k) from the reverse ST form; inverts only an r_a x r_a matrix."""
+    _require_record(f, ReverseSTForm)
     return _st_route(f, k, 1j * k, -1.0)
 
 
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     """S(k) = -I + 2 Z (Z*Z)^{-1} Z* + 2 X (X*X - S/ik)^{-1} X* from the PQRS form.
 
-    With the factors (Q_z, Q_x, H) of one QR of (Z | W), where X = Q_x R
-    and H = R^{-*} S R^{-1} (``forms._split_factors``), this is
-    S(k) = -I + 2 Q_z Q_z* + 2 Q_x (I - H/ik)^{-1} Q_x*: only the
+    With the factors (proj_z = Q_z Q_z*, Q_x, H) of one QR of (Z | W), where
+    X = Q_x R and H = R^{-*} S R^{-1} (``forms._split_factors``), this is
+    S(k) = -I + 2 proj_z + 2 Q_x (I - H/ik)^{-1} Q_x*: only the
     m = r_a + r_b - n block I - H/ik is inverted, and neither Z*Z nor X*X
     is formed.  The momentum-dependent term is well defined for every
     Hermitian S at k > 0, including singular S, and is absent for
     scale-invariant couplings (empty S block).
     """
     _require_momentum(k)
-    qz, qx, h = _split_factors(f)
+    proj_z, qx, h = _split_factors(f)
     mid = np.eye(len(h)) - h / (1j * k)
-    s = -np.eye(f.n, dtype=complex) + 2.0 * (qz @ qz.conj().T
-                                             + qx @ np.linalg.solve(mid, qx.conj().T))
-    return SMatrix(n=f.n, k=k, entries=linalg.frozen(linalg.unpermute(s, f.perm)))
+    s = _limit_matrix(proj_z, qx @ np.linalg.solve(mid, qx.conj().T))
+    return SMatrix(n=f.n, k=k, entries=linalg.unpermute(s, f.perm))
 
 
 def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
@@ -179,9 +183,10 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
 # factor in powers of 1/ik gives w^j, in powers of ik it gives -w^{-j}.
 # ---------------------------------------------------------------------------
 
-def _limit_matrix(proj_z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """-I + 2 proj_z + 2 U U*: the limit that keeps the columns ``u`` of U."""
-    return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + u @ u.conj().T)
+def _limit_matrix(proj_z: np.ndarray, x: np.ndarray | float) -> np.ndarray:
+    """-I + 2 proj_z + 2 x: S(k) for the momentum term x of ``smatrix_pqrs``, and
+    the limit that keeps the columns u of U for x = u u*."""
+    return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + x)
 
 
 def _zero_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
@@ -207,8 +212,8 @@ def _limits(f: PQRSForm, *ks: float, tol: float = linalg.DEFAULT_RTOL,
                 "the S block is numerically singular; the closed-form k -> 0 "
                 "limit does not apply (pass allow_singular=True for the exact limit)"
             )
-        entries = linalg.unpermute(_limit_matrix(proj_z, cols), f.perm)
-        limits.append(SMatrix(n=f.n, k=k, entries=linalg.frozen(entries)))
+        entries = linalg.unpermute(_limit_matrix(proj_z, cols @ cols.conj().T), f.perm)
+        limits.append(SMatrix(n=f.n, k=k, entries=entries))
     return tuple(limits)
 
 
@@ -248,6 +253,7 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
         raise ValueError("expansion order must be non-negative")
     if kind not in ("high-k", "low-k"):
         raise ValueError(f"kind must be 'high-k' or 'low-k', got {kind!r}")
+    _require_record(f, PQRSForm, STForm)
     if isinstance(f, STForm):
         if kind == "low-k":
             raise ValueError("the low-k expansion requires the PQRS form")
@@ -256,11 +262,11 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
     if kind == "low-k" and _zero_eigenvalues(w, tol).any():
         raise SingularSBlock("the low-k expansion requires a regular S block")
     if kind == "high-k":
-        sign, ratio, limit = 2.0, w, _limit_matrix(proj_z, u)
+        sign, ratio, limit = 2.0, w, _limit_matrix(proj_z, u @ u.conj().T)
     else:
-        sign, ratio, limit = -2.0, 1.0 / w, _limit_matrix(proj_z, u[:, :0])
+        sign, ratio, limit = -2.0, 1.0 / w, _limit_matrix(proj_z, 0.0)
     coeffs = [limit] + [sign * (u * ratio**j) @ u.conj().T for j in range(1, order + 1)]
-    coeffs = tuple(linalg.frozen(linalg.unpermute(c, f.perm)) for c in coeffs)
+    coeffs = tuple(linalg.unpermute(c, f.perm) for c in coeffs)
     radius = float(np.max(np.abs(ratio))) if ratio.size else 0.0
     return SeriesExpansion(n=f.n, kind=kind, order=order,
                            coefficients=coeffs, spectral_radius=radius)

@@ -10,6 +10,7 @@ from qgvertex import (
     to_unitary,
     validate,
 )
+from qgvertex.coupling import UnitaryForm
 from qgvertex.errors import (NonFiniteMatrix, NotSelfAdjoint, NotUnitary, RankDeficient,
                              ShapeMismatch)
 
@@ -114,6 +115,12 @@ class TestUnitary:
         u[0, 1] = value
         with pytest.raises(NonFiniteMatrix, match="^U has"):
             from_unitary(u)
+
+    def test_unitary_form_checks_its_layout_at_construction(self):
+        with pytest.raises(ShapeMismatch, match=r"^block U has shape \(2, 2\), expected \(3, 3\)$"):
+            from_unitary(UnitaryForm(n=3, U=np.eye(2)))
+        with pytest.raises(NonFiniteMatrix, match="^U has a NaN or infinite entry$"):
+            UnitaryForm(n=2, U=np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_roundtrip_preserves_scattering(self, rng):
         for _ in range(10):

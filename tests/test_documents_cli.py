@@ -26,6 +26,7 @@ from qgvertex import (
 from qgvertex import cli
 from qgvertex.cli import main
 from qgvertex.errors import DocumentError
+from qgvertex.filters import AmplitudeLimits, LimitMismatch
 
 from conftest import couplings_equivalent, smatrix_distance
 from test_coupling import delta_pair
@@ -532,7 +533,85 @@ class TestSweepCsv:
         assert written_csv(table) == "k,S11\n1.0,1.0\n2.0,0.0\n"
 
 
+#: stderr of ``filter-demo --preset fig1`` and ``fig2``, line by line
+FILTER_DEMO_REPORTS = {
+    "fig1": [
+        "uniform-block coupling: n=5 r_A=3 r_B=4 blocks {1}=2 {2}=2 {3}=1",
+        "constants: p=2.5 q=1.2 r=0 s=3",
+        "l_p=2 l_q=2 l_r=4",
+        "",
+        "pair           high-k       closed        low-k       closed",
+        "{1}{2}     0.36630037   0.36630037   0.00000000   0.00000000",
+        "{1}{3}     0.30525031                0.00000000             ",
+        "{2}{1}     0.36630037                0.00000000             ",
+        "{2}{3}     0.14652015   0.14652015   0.61855670   0.61855670",
+        "{3}{1}     0.30525031   0.30525031   0.00000000   0.00000000",
+        "{3}{2}     0.14652015                0.61855670             ",
+        "{1}{1}r    0.23687424                0.00000000",
+        "{1}{1}t    0.76312576                1.00000000",
+        "{2}{2}r    0.82417582                0.25773196",
+        "{2}{2}t    0.17582418                0.74226804",
+        "{3}{3}r    0.87789988                0.48453608",
+        "",
+        "all closed-form amplitudes match the matrix limits",
+        "branching classification (threshold 3): delta-delta-deltaprime",
+    ],
+    "fig2": [
+        "uniform-block coupling: n=5 r_A=3 r_B=4 blocks {1}=2 {2}=2 {3}=1",
+        "constants: p=0 q=1.2 r=2.1 s=0.2",
+        "l_p=2 l_q=2 l_r=4",
+        "",
+        "pair           high-k       closed        low-k       closed",
+        "{1}{2}     0.00000000   0.00000000   0.19516729   0.19516729",
+        "{1}{3}     0.00000000                0.46840149             ",
+        "{2}{1}     0.00000000                0.19516729             ",
+        "{2}{3}     0.61855670   0.61855670   0.11152416   0.11152416",
+        "{3}{1}     0.00000000   0.00000000   0.46840149   0.46840149",
+        "{3}{2}     0.61855670                0.11152416             ",
+        "{1}{1}r    1.00000000                0.81970260",
+        "{1}{1}t    0.00000000                0.18029740",
+        "{2}{2}r    0.25773196                0.04646840",
+        "{2}{2}t    0.74226804                0.95353160",
+        "{3}{3}r    0.48453608                0.73234201",
+        "",
+        "all closed-form amplitudes match the matrix limits",
+        "branching classification (threshold 3): delta-deltaprime-deltaprime",
+    ],
+}
+
+
 class TestCliFilterDemo:
+    @pytest.mark.parametrize("preset", sorted(FILTER_DEMO_REPORTS))
+    def test_preset_report_verbatim(self, preset, capsys):
+        assert main(["filter-demo", "--preset", preset]) == 0
+        assert capsys.readouterr().err == "\n".join(FILTER_DEMO_REPORTS[preset]) + "\n"
+
+    def test_report_lists_each_mismatch(self):
+        fp = filters.FilterParams(n=3, r_a=3, r_b=2, p=1.0, q=0.5, r=2.0, s=1.5)
+        limits = AmplitudeLimits(
+            l_p=2, l_q=0, l_r=0, high_k={(1, 3): 0.5, (3, 1): 0.5},
+            low_k={(1, 3): 0.25, (3, 1): 0.25}, high_k_reflection={1: 0.75, 3: 1.0},
+            low_k_reflection={1: 0.125, 3: 0.0}, high_k_intra={1: 0.0625}, low_k_intra={1: 0.5},
+            closed_form_high={(3, 1): 0.5}, closed_form_low={(3, 1): 0.3},
+            mismatches=(LimitMismatch("low-k", (3, 1), 0.3, 0.25),))
+        assert documents.render_limits_report(fp, limits, "none", 3.0) == "\n".join([
+            "uniform-block coupling: n=3 r_A=3 r_B=2 blocks {1}=2 {2}=0 {3}=1",
+            "constants: p=1 q=0.5 r=2 s=1.5",
+            "l_p=2 l_q=0 l_r=0",
+            "",
+            "pair           high-k       closed        low-k       closed",
+            "{1}{3}     0.50000000                0.25000000             ",
+            "{3}{1}     0.50000000   0.50000000   0.25000000   0.30000000",
+            "{1}{1}r    0.75000000                0.12500000",
+            "{1}{1}t    0.06250000                0.50000000",
+            "{3}{3}r    1.00000000                0.00000000",
+            "",
+            "closed-form values disagreeing with the matrix limits:",
+            "  low-k {3}{1}: closed 0.3 vs matrix 0.25",
+            "branching classification (threshold 3): none",
+            "",
+        ])
+
     def test_fig1_document_and_classification(self, capsys):
         assert main(["filter-demo", "--preset", "fig1"]) == 0
         captured = capsys.readouterr()

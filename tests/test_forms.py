@@ -563,6 +563,12 @@ class TestLayoutAtConstruction:
             with pytest.raises(ShapeMismatch, match=r"^permutation has length 3, expected 4$"):
                 replace(f, perm=f.perm[:3])
 
+    def test_permutation_with_a_repeated_edge(self):
+        c = random_coupling(4, 3, 3, np.random.default_rng(6))
+        for f in (to_st_form(c), to_reverse_st_form(c), to_pqrs_form(c)):
+            with pytest.raises(ShapeMismatch, match=r"^not a permutation of 0\.\.3: \[0, 0, 1, 2\]$"):
+                replace(f, perm=(0, 0, 1, 2))
+
     def test_inadmissible_ranks_raise_the_rank_error(self):
         with pytest.raises(InvalidRankPair, match=r"^r_b must lie in 0\.\.3, got 4$"):
             STForm(n=3, r_b=4, perm=(0, 1, 2), S=np.eye(4), T=np.ones((4, 0)))

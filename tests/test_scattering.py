@@ -14,12 +14,15 @@ from qgvertex import (
     limit_high_k,
     limit_low_k,
     linalg,
+    pqrs_to_matrices,
     random_coupling,
+    reverse_st_to_matrices,
     smatrix_direct,
     smatrix_pqrs,
     smatrix_projector,
     smatrix_reverse_st,
     smatrix_st,
+    st_to_matrices,
     to_pqrs_form,
     to_projector_form,
     to_reverse_st_form,
@@ -150,6 +153,23 @@ class TestFormRoutes:
                           smatrix_pqrs(pqrs, k), smatrix_projector(proj, k)):
                     assert gap(s.entries, reference) < 1e-9
 
+    def test_route_limit_expansion_and_projector_matrices_are_read_only(self):
+        c = random_coupling(5, 3, 4, np.random.default_rng(2))
+        st, rst, pqrs, proj = (to_st_form(c), to_reverse_st_form(c), to_pqrs_form(c),
+                               to_projector_form(c))
+        matrices = [s.entries for s in (smatrix_direct(c, 1.3), smatrix_st(st, 1.3),
+                                        smatrix_reverse_st(rst, 1.3), smatrix_pqrs(pqrs, 1.3),
+                                        smatrix_projector(proj, 1.3), limit_high_k(pqrs),
+                                        limit_low_k(pqrs, allow_singular=True))]
+        for f, kind in ((pqrs, "high-k"), (pqrs, "low-k"), (st, "high-k")):
+            matrices += expand(f, kind, 2).coefficients
+        matrices += [proj.projector_p, proj.projector_q, proj.projector_c, proj.lam]
+        assert len(matrices) == 20
+        for m in matrices:
+            assert m.dtype == complex and not m.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
+
 
     def test_reverse_st_is_st_at_inverse_momentum(self, corpus):
         # with the same (perm, S, T), I + TT* - ikS is the adjoint of
@@ -220,6 +240,31 @@ class TestBuildX:
 
     def test_corpus_projectors_agree(self, corpus):
         assert max(x_projector_gap(to_pqrs_form(c)) for c in corpus) < 1e-12
+
+
+class TestRecordKinds:
+    """A form record of another kind than a function reads raises TypeError
+    naming the kind it needs.  The ST and reverse ST records share their
+    fields, so without the check each of the four ST functions below returns
+    S off by 1.43 at k = 1.3 on this coupling; the others read missing fields."""
+
+    @pytest.mark.parametrize("call, given, needed", [
+        (lambda f: smatrix_st(f, 1.3), "reverse-st", "STForm"),
+        (lambda f: smatrix_reverse_st(f, 1.3), "st", "ReverseSTForm"),
+        (st_to_matrices, "reverse-st", "STForm"),
+        (reverse_st_to_matrices, "st", "ReverseSTForm"),
+        (lambda f: smatrix_pqrs(f, 1.3), "st", "PQRSForm"),
+        (limit_high_k, "st", "PQRSForm"),
+        (limit_low_k, "reverse-st", "PQRSForm"),
+        (pqrs_to_matrices, "st", "PQRSForm"),
+        (lambda f: expand(f, "high-k", 2), "reverse-st", "PQRSForm or STForm"),
+    ], ids=["smatrix_st", "smatrix_reverse_st", "st_to_matrices", "reverse_st_to_matrices",
+            "smatrix_pqrs", "limit_high_k", "limit_low_k", "pqrs_to_matrices", "expand"])
+    def test_record_of_another_kind_raises_type_error(self, call, given, needed):
+        c = random_coupling(4, 3, 2, np.random.default_rng(1))
+        f = {"st": to_st_form, "reverse-st": to_reverse_st_form}[given](c)
+        with pytest.raises(TypeError, match=f"^needs a {needed}, got {type(f).__name__}$"):
+            call(f)
 
 
 class TestLimits:
