@@ -78,8 +78,8 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
 
     Raises ShapeMismatch for non-square or unequal shapes, RankDeficient
     when rank(A|B) < n, and NotSelfAdjoint when A B* fails the Hermitian
-    test.  The Hermitian residual is compared against ``tol`` scaled by the
-    magnitude of A B*, so rescaling both matrices leaves the verdict alone.
+    test: with each row of (A|B) divided by its largest |entry|, then its 2-norm,
+    into (a|b), the defect of a b* is bounded by ``tol``, whatever the scale.
     A NaN or infinite entry raises NonFiniteMatrix.
     """
     A = linalg.frozen(A)
@@ -90,11 +90,12 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     if n < 1:
         raise ShapeMismatch("vertex degree must be at least 1")
     linalg.require_finite({"A": A, "B": B})
-    if linalg.rank(np.concatenate([A, B], axis=1), tol) < n:
+    rows = np.concatenate([A, B], axis=1)
+    if linalg.rank(rows, tol) < n:
         raise RankDeficient(f"rank(A|B) < n = {n}: the pair does not fix a vertex coupling")
-    ab = A @ B.conj().T
-    herm_tol = tol * max(1.0, linalg.max_norm(ab))
-    if not linalg.is_hermitian(ab, herm_tol):
+    rows /= np.abs(rows).max(axis=1, keepdims=True)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    if not linalg.is_hermitian(rows[:, :n] @ rows[:, n:].conj().T, tol):
         raise NotSelfAdjoint("A B* is not Hermitian within tolerance")
     r_a = linalg.rank(A, tol)
     r_b = linalg.rank(B, tol)

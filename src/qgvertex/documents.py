@@ -230,10 +230,10 @@ def dumps(doc: dict) -> str:
 
 
 def _decode(text: str):
-    """JSON value of ``text``; DocumentError when it is not valid JSON."""
+    """JSON value of ``text``; DocumentError when it is not valid JSON or nests too deeply."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
 
 

@@ -33,7 +33,7 @@ from . import linalg
 from .coupling import _smatrix_grid
 from .errors import InvalidShape, SingularSBlock
 from .forms import PQRSForm, _pqrs_pair, block_sizes
-from .scattering import _limits
+from .scattering import limit_high_k, limit_low_k
 
 #: default dominance ratio of probabilities used to read ">>" in a design
 DEFAULT_DOMINANCE = 3.0
@@ -153,7 +153,7 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     """Evaluate both limit tables and check the closed forms against them."""
     m, na, nb = fp.block_sizes
     form = uniform_block_pqrs(fp)
-    high, low = _limits(form, np.inf, 0.0)
+    high, low = limit_high_k(form), limit_low_k(form, allow_singular=True)
     hi, lo = np.abs(np.asarray(high.entries)), np.abs(np.asarray(low.entries))
 
     l_p = nb * m

@@ -23,7 +23,7 @@ invertible matrix, in one of several unique shapes:
   where S is Hermitian (and invertible whenever the construction below
   produced it from a coupling).  The matrix multiplying Psi' is B-hat
   (``_b_hat``); the adjoints of its two nonzero block rows, Z = (R*; I; Q*)
-  and W = (I; 0; P*), are the stacks that ``_split_factors`` factorises.
+  and W = (I; 0; P*), are the stacks that ``PQRSForm.split`` factorises.
   The ST form is the PQRS form with r_a = n
   (m = r_b, Q and R empty) and P = T, and the reverse ST form is that of
   the swapped pair (B, A); both are assembled and split as such;
@@ -146,6 +146,35 @@ class PQRSForm:
     @property
     def block_sizes(self) -> tuple[int, int, int]:
         return block_sizes(self.n, self.r_a, self.r_b)
+
+    @functools.cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(proj_z, Q_x, H) from one reduced QR factorisation of (Z | W), the adjoints
+        of the two nonzero block rows of ``_b_hat``; read-only, computed once per record.
+
+        Its leading columns Q_z are an orthonormal basis of Z, and proj_z = Q_z Q_z*.
+        Since the auxiliary matrix X = W - Z (Z*Z)^{-1} Z* W of the PQRS route is
+        the part of W orthogonal to Z, the trailing columns Q_x and the trailing
+        diagonal block R of the triangular factor are the reduced QR
+        factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  H is the
+        Hermitian m x m matrix R^{-*} S R^{-1}, with which
+        X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.
+        """
+        Bh = _b_hat(self)
+        m, na, _ = self.block_sizes
+        q, r = np.linalg.qr(np.concatenate([Bh[m:m + na], Bh[:m]]).conj().T)
+        qz, qx = q[:, :na], q[:, na:]
+        r_inv = np.linalg.inv(r[na:, na:])
+        h = linalg.hermitian_part(r_inv.conj().T @ np.asarray(self.S) @ r_inv)
+        return linalg.read_only(qz @ qz.conj().T, qx, h)
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U* in permuted
+        coordinates, U = Q_x V for the eigensystem (w, V) of H; read-only, cached."""
+        _, qx, h = self.split
+        w, v = np.linalg.eigh(h)
+        return linalg.read_only(qx @ v, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,41 +444,10 @@ def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCou
 # Projector form
 # ---------------------------------------------------------------------------
 
-def _split_factors(f: PQRSForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(proj_z, Q_x, H) from one reduced QR factorisation of (Z | W), the
-    adjoints of the two nonzero block rows of ``_b_hat``.
-
-    Its leading columns Q_z are an orthonormal basis of Z, and proj_z = Q_z Q_z*.
-    Since the auxiliary matrix X = W - Z (Z*Z)^{-1} Z* W of the PQRS route is
-    the part of W orthogonal to Z, the trailing columns Q_x and the trailing
-    diagonal block R of the triangular factor are the reduced QR
-    factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  H is the
-    Hermitian m x m matrix R^{-*} S R^{-1}, with which
-    X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.
-    """
-    Bh = _b_hat(f)
-    m, na, _ = f.block_sizes
-    q, r = np.linalg.qr(np.concatenate([Bh[m:m + na], Bh[:m]]).conj().T)
-    qz, qx = q[:, :na], q[:, na:]
-    r_inv = np.linalg.inv(r[na:, na:])
-    return qz @ qz.conj().T, qx, linalg.hermitian_part(r_inv.conj().T @ np.asarray(f.S) @ r_inv)
-
-
-def _spectral_split(f: PQRSForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(proj_z, U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*.
-
-    In permuted coordinates, with (proj_z, Q_x, H) of ``_split_factors``,
-    (w, V) is the eigensystem of H and U = Q_x V.
-    """
-    proj_z, qx, h = _split_factors(f)
-    w, v = np.linalg.eigh(h)
-    return proj_z, qx @ v, w
-
-
 def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     """Projector description (proj_p, proj_q, proj_c, lam) of a coupling.
 
-    From ``_spectral_split`` of the PQRS form: proj_q = proj_z projects
+    From the PQRS form's ``split`` and ``spectrum``: proj_q = proj_z projects
     onto Z, proj_c = U U* onto range(X), proj_p onto the rest, which is
     range(Y) with Y = (-P; RP - Q; I), and lam = U diag(w) U* =
     X (X*X)^{-1} S (X*X)^{-1} X* reproduces the scattering matrix through
@@ -457,7 +455,7 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     """
     f = to_pqrs_form(c)
     n = f.n
-    proj_q, u, w = _spectral_split(f)
+    proj_q, (u, w) = f.split[0], f.spectrum
     proj_c = u @ u.conj().T
     proj_p = np.eye(n) - proj_q - proj_c
     lam = linalg.hermitian_part((u * w) @ u.conj().T)

@@ -31,9 +31,14 @@ def as_complex_matrix(values) -> np.ndarray:
 
 def frozen(values) -> np.ndarray:
     """Copy to a read-only complex matrix (records are immutable)."""
-    a = as_complex_matrix(values)
-    a.setflags(write=False)
-    return a
+    return read_only(as_complex_matrix(values))[0]
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays`` themselves, each made read-only in place (derived values a record caches)."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def require_finite(blocks: dict, shapes: dict | None = None) -> None:
@@ -58,9 +63,9 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def rank(m: np.ndarray, tol: float = DEFAULT_RTOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    if tol <= 0:
-        raise ValueError("rank tolerance must be positive")
+    """Number of singular values above ``tol`` times the largest one, 0 < tol < 1."""
+    if not 0.0 < tol < 1.0:  # NaN too; a cut at tol >= 1 would give rank 0 for every matrix
+        raise ValueError(f"rank tolerance must lie strictly between 0 and 1, got {tol!r}")
     m = np.asarray(m)
     if m.size == 0:
         return 0
@@ -125,6 +130,4 @@ def unpermute(m: np.ndarray, perm) -> np.ndarray:
     """Square M with rows and columns moved from slots ``perm`` back to the original
     numbering, as a new read-only matrix: the one exit from permuted coordinates."""
     inv = inverse_permutation(perm)
-    out = m.take(inv, axis=0).take(inv, axis=1)
-    out.setflags(write=False)
-    return out
+    return read_only(m.take(inv, axis=0).take(inv, axis=1))[0]

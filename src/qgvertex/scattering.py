@@ -21,12 +21,13 @@ permuted coordinates of a PQRS form,
 
 with proj_z the orthogonal projector onto Z = (R*; I; Q*), X = QR the
 reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
-of the Hermitian R^{-*} S R^{-1} and U = QV (``forms._spectral_split``).
-An ST form enters as the PQRS form with r_a = n (``forms._st_as_pqrs``):
-Z is empty, so proj_z = 0, and X = W = (I; T*).  The PQRS route uses
-proj_z and Q without the eigensystem (``forms._split_factors``), and
-``_limit_matrix`` writes -I + 2 proj_z + 2(.) for both.  A form record
-of another kind than a function reads raises TypeError.
+of the Hermitian R^{-*} S R^{-1} and U = QV: a PQRS record computes them
+once, as ``PQRSForm.split`` (proj_z, Q and R^{-*} S R^{-1}, all the PQRS
+route reads) and ``PQRSForm.spectrum`` (U, w).  An ST form enters as a new
+PQRS view with r_a = n per call (``forms._st_as_pqrs``): Z is empty, so
+proj_z = 0, and X = W = (I; T*).  ``_limit_matrix`` writes -I + 2 proj_z
++ 2(.) for all.  A form record of another kind than a function reads
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ import numpy as np
 from . import linalg
 from .coupling import VertexCoupling, _smatrix_grid
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import (PQRSForm, ProjectorForm, ReverseSTForm, STForm, _require_record,
-                    _spectral_split, _split_factors, _st_as_pqrs)
+from .forms import PQRSForm, ProjectorForm, ReverseSTForm, STForm, _require_record, _st_as_pqrs
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +113,11 @@ def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
     return SMatrix(n=c.n, k=k, entries=linalg.frozen(s))
 
 
-def _st_route(f: STForm | ReverseSTForm, k: float, z: complex, sign: float) -> SMatrix:
+def _st_route(f: STForm | ReverseSTForm, k: float, sign: float) -> SMatrix:
     """sign (-I + 2 L (L*L - zS)^{-1} L*), L = (I; T*), in the original numbering:
     S(k) of the ST form for (z, sign) = (1/ik, 1), of the reverse one for (ik, -1)."""
     _require_momentum(k)
+    z = 1.0 / (1j * k) if sign > 0 else 1j * k
     left = np.concatenate([np.eye(len(f.T)), f.T.conj().T])
     mid = left.conj().T @ left - z * np.asarray(f.S)
     s = sign * (2.0 * left @ np.linalg.solve(mid, left.conj().T) - np.eye(f.n))
@@ -126,28 +127,29 @@ def _st_route(f: STForm | ReverseSTForm, k: float, z: complex, sign: float) -> S
 def smatrix_st(f: STForm, k: float) -> SMatrix:
     """S(k) from the ST form; inverts only an r_b x r_b matrix."""
     _require_record(f, STForm)
-    return _st_route(f, k, 1.0 / (1j * k), 1.0)
+    return _st_route(f, k, 1.0)
 
 
 def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
     """S(k) from the reverse ST form; inverts only an r_a x r_a matrix."""
     _require_record(f, ReverseSTForm)
-    return _st_route(f, k, 1j * k, -1.0)
+    return _st_route(f, k, -1.0)
 
 
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     """S(k) = -I + 2 Z (Z*Z)^{-1} Z* + 2 X (X*X - S/ik)^{-1} X* from the PQRS form.
 
-    With the factors (proj_z = Q_z Q_z*, Q_x, H) of one QR of (Z | W), where
-    X = Q_x R and H = R^{-*} S R^{-1} (``forms._split_factors``), this is
+    With the record's ``split`` (proj_z = Q_z Q_z*, Q_x, H) from one QR of
+    (Z | W), where X = Q_x R and H = R^{-*} S R^{-1}, this is
     S(k) = -I + 2 proj_z + 2 Q_x (I - H/ik)^{-1} Q_x*: only the
     m = r_a + r_b - n block I - H/ik is inverted, and neither Z*Z nor X*X
     is formed.  The momentum-dependent term is well defined for every
     Hermitian S at k > 0, including singular S, and is absent for
     scale-invariant couplings (empty S block).
     """
+    _require_record(f, PQRSForm)
     _require_momentum(k)
-    proj_z, qx, h = _split_factors(f)
+    proj_z, qx, h = f.split
     mid = np.eye(len(h)) - h / (1j * k)
     s = _limit_matrix(proj_z, qx @ np.linalg.solve(mid, qx.conj().T))
     return SMatrix(n=f.n, k=k, entries=linalg.unpermute(s, f.perm))
@@ -176,7 +178,7 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
 # ---------------------------------------------------------------------------
 # Limits and momentum expansions
 #
-# All of them come from one spectral split of the form (``_spectral_split``):
+# All of them come from the record's one ``split`` and ``spectrum``:
 #     S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*
 # in permuted coordinates.  As k -> infinity every factor 1/(1 - w/ik)
 # tends to 1, as k -> 0 only those with w = 0 stay (at 1); expanding the
@@ -196,30 +198,17 @@ def _zero_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
     return size <= tol * size.max(initial=0.0)
 
 
-def _limits(f: PQRSForm, *ks: float, tol: float = linalg.DEFAULT_RTOL,
-            allow_singular: bool = True) -> tuple[SMatrix, ...]:
-    """Limits of S(k) read off one split, for each k in ``ks`` (math.inf or 0.0):
-    ``_limit_matrix`` in the original numbering, keeping the columns of U
-    whose factor 1/(1 - w/ik) tends to 1, all as k -> infinity and those of
-    ``_zero_eigenvalues`` as k -> 0, which raise SingularSBlock unless
-    ``allow_singular`` is set."""
-    proj_z, u, w = _spectral_split(f)
-    limits = []
-    for k in ks:
-        cols = u if k else u[:, _zero_eigenvalues(w, tol)]
-        if not k and cols.shape[1] and not allow_singular:
-            raise SingularSBlock(
-                "the S block is numerically singular; the closed-form k -> 0 "
-                "limit does not apply (pass allow_singular=True for the exact limit)"
-            )
-        entries = linalg.unpermute(_limit_matrix(proj_z, cols @ cols.conj().T), f.perm)
-        limits.append(SMatrix(n=f.n, k=k, entries=entries))
-    return tuple(limits)
+def _limit(f: PQRSForm, k: float, cols: np.ndarray) -> SMatrix:
+    """The limit at k (math.inf or 0.0) of ``_limit_matrix`` that keeps the columns
+    ``cols`` of U, those whose factor 1/(1 - w/ik) tends to 1, in original numbering."""
+    entries = linalg.unpermute(_limit_matrix(f.split[0], cols @ cols.conj().T), f.perm)
+    return SMatrix(n=f.n, k=k, entries=entries)
 
 
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
-    return _limits(f, math.inf)[0]
+    _require_record(f, PQRSForm)
+    return _limit(f, math.inf, f.spectrum[0])
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False,
@@ -232,7 +221,15 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
     case the exact limit is returned, i.e. the expression above plus twice
     the projector onto the part of range(X) on which S acts as zero.
     """
-    return _limits(f, 0.0, tol=tol, allow_singular=allow_singular)[0]
+    _require_record(f, PQRSForm)
+    u, w = f.spectrum
+    cols = u[:, _zero_eigenvalues(w, tol)]
+    if cols.shape[1] and not allow_singular:
+        raise SingularSBlock(
+            "the S block is numerically singular; the closed-form k -> 0 "
+            "limit does not apply (pass allow_singular=True for the exact limit)"
+        )
+    return _limit(f, 0.0, cols)
 
 
 def expand(f: PQRSForm | STForm, kind: str, order: int,
@@ -258,7 +255,7 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
         if kind == "low-k":
             raise ValueError("the low-k expansion requires the PQRS form")
         f = _st_as_pqrs(f)
-    proj_z, u, w = _spectral_split(f)
+    proj_z, (u, w) = f.split[0], f.spectrum
     if kind == "low-k" and _zero_eigenvalues(w, tol).any():
         raise SingularSBlock("the low-k expansion requires a regular S block")
     if kind == "high-k":

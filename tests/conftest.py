@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qgvertex import admissible_rank_pairs, random_coupling, smatrix_direct
+from qgvertex.forms import PQRSForm
 
 CORPUS_SEED = 20260809
 CORPUS_SIZE = 100
@@ -54,6 +55,15 @@ def bench_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     return workloads
+
+
+@pytest.fixture
+def computed_splits(monkeypatch):
+    """The records whose ``PQRSForm.split`` is computed while the test runs, in order."""
+    records = []
+    compute = PQRSForm.split.func
+    monkeypatch.setattr(PQRSForm.split, "func", lambda f: records.append(f) or compute(f))
+    return records
 
 
 def unitarity_defect(entries) -> float:

@@ -147,6 +147,26 @@ class TestEquivalenceInvariance:
         moved = validate(g @ np.asarray(c.A), g @ np.asarray(c.B))
         assert smatrix_distance(c, moved) < 1e-9
 
+    def test_verdict_and_ranks_survive_every_scalar_scale(self):
+        """The Hermitian test runs on rows scaled to unit norm: A B* neither
+        overflows at 1e160 nor falls below the tolerance at 1e-6."""
+        c = random_coupling(4, 3, 2, np.random.default_rng(1))
+        for exponent in range(-200, 201, 10):
+            scaled = validate(10.0 ** exponent * np.asarray(c.A), 10.0 ** exponent * np.asarray(c.B))
+            assert (scaled.r_a, scaled.r_b) == (3, 2), exponent
+
+    def test_inadmissible_pair_refused_at_every_scale(self):
+        gen = np.random.default_rng(3)
+        A, B = (gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)) for _ in range(2))
+        for exponent in range(-200, 201, 10):
+            with pytest.raises(NotSelfAdjoint):
+                validate(10.0 ** exponent * A, 10.0 ** exponent * B)
+
+    def test_tolerance_outside_the_unit_interval_is_refused(self):
+        for tol in (0.0, 1.0, 2.0, np.nan):
+            with pytest.raises(ValueError, match="rank tolerance"):
+                validate(*delta_pair(1.0), tol=tol)
+
     def test_a_plus_ikb_invertible(self, rng):
         for _ in range(10):
             c = random_coupling(int(rng.integers(1, 6)), rng=rng)

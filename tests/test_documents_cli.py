@@ -175,6 +175,8 @@ class TestDocuments:
             documents.as_coupling({})
         with pytest.raises(DocumentError, match=r"^not valid JSON: Expecting"):
             documents.loads("{not json")
+        with pytest.raises(DocumentError, match=r"^not valid JSON: maximum recursion depth"):
+            documents.loads("[" * 100000 + "]" * 100000)
 
     def test_matrix_from_json_shapes(self):
         assert documents.matrix_from_json([], (0, 3)).shape == (0, 3)
@@ -419,6 +421,13 @@ class TestCliSweep:
         for path in (broken, not_object):
             assert main(["sweep", str(path), "--k-min", "1", "--k-max", "2", "--points", "2"]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_deeply_nested_document_exits_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert main(["validate", str(deep)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not valid JSON"), err
 
     def test_bad_range_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, dirichlet_doc())

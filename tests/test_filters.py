@@ -6,7 +6,6 @@ import pytest
 from qgvertex import (
     amplitude_limits,
     classify_branching,
-    forms,
     limit_high_k,
     limit_low_k,
     pqrs_to_matrices,
@@ -206,34 +205,23 @@ class TestOneSplit:
                         assert getattr(limits, "high_k" + table)[key] == float(high)
                         assert getattr(limits, "low_k" + table)[key] == float(low)
 
-    def test_each_limit_builds_only_its_matrix(self, monkeypatch):
-        built, splits = [], []
-        limit_matrix, split = scattering._limit_matrix, scattering._spectral_split
+    def test_each_limit_builds_only_its_matrix(self, monkeypatch, computed_splits):
+        built = []
+        limit_matrix = scattering._limit_matrix
         monkeypatch.setattr(scattering, "_limit_matrix",
                             lambda *args: built.append(args) or limit_matrix(*args))
-        monkeypatch.setattr(scattering, "_spectral_split", lambda f: splits.append(f) or split(f))
-        form = uniform_block_pqrs(FIG1_PARAMS)
-        for call, matrices in ((lambda: limit_high_k(form), 1),
-                               (lambda: limit_low_k(form, allow_singular=True), 1),
-                               (lambda: amplitude_limits(FIG1_PARAMS), 2)):
+        for call, matrices in ((lambda form: limit_high_k(form), 1),
+                               (lambda form: limit_low_k(form, allow_singular=True), 1),
+                               (lambda form: amplitude_limits(FIG1_PARAMS), 2)):
             built.clear()
-            splits.clear()
-            call()
-            assert (len(built), len(splits)) == (matrices, 1)
+            computed_splits.clear()
+            call(uniform_block_pqrs(FIG1_PARAMS))
+            assert (len(built), len(computed_splits)) == (matrices, 1)
 
-    def test_filter_demo_splits_once(self, monkeypatch, capsys):
-        calls = []
-        split = forms._spectral_split
-
-        def counted(f):
-            calls.append(f)
-            return split(f)
-
-        monkeypatch.setattr(forms, "_spectral_split", counted)
-        monkeypatch.setattr(scattering, "_spectral_split", counted)
+    def test_filter_demo_splits_once(self, capsys, computed_splits):
         assert main(["filter-demo", "--preset", "fig1"]) == 0
         assert "delta-delta-deltaprime" in capsys.readouterr().err
-        assert len(calls) == 1
+        assert len(computed_splits) == 1
 
 
 class TestProbabilitySweep:

@@ -646,6 +646,42 @@ class TestParameterCounts:
         with pytest.raises(InvalidRankPair):
             parameter_count(3, 4, 3)
 
+    def test_blocks_are_independent_parameters(self):
+        """The central-difference Jacobian of (P, Q, R, S) -> U = S(1), S Hermitian and
+        the numbering the identity, has rank ``parameter_count`` for every rank pair
+        with n <= 5: no direction of the blocks leaves the coupling unchanged."""
+        gen = np.random.default_rng(9)
+        h = 1e-5
+        for n in range(1, 6):
+            for r_a, r_b in admissible_rank_pairs(n):
+                layout = PQRSForm.layout(n, r_a, r_b)
+                blocks = {name: gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+                          for name, shape in layout.items()}
+                blocks["S"] = linalg.hermitian_part(blocks["S"])
+
+                def unitary(step):
+                    moved = {name: blocks[name] + step.get(name, 0.0) for name in layout}
+                    f = PQRSForm(n, r_a, r_b, tuple(range(n)), **moved)
+                    return np.asarray(smatrix_pqrs(f, 1.0).entries)
+
+                columns = []
+                for name, shape in layout.items():
+                    for i, j in np.ndindex(*shape):
+                        hermitian = name == "S"
+                        if hermitian and i > j:
+                            continue  # S_ji is the conjugate of S_ij
+                        for unit in (1.0,) if hermitian and i == j else (1.0, 1j):
+                            e = np.zeros(shape, dtype=complex)
+                            e[i, j] = unit * h
+                            if hermitian:
+                                e[j, i] = np.conj(unit) * h
+                            d = (unitary({name: e}) - unitary({name: -e})) / (2.0 * h)
+                            columns.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))
+                count = parameter_count(n, r_a, r_b)
+                assert len(columns) == count
+                jacobian = np.array(columns).T.reshape(2 * n * n, count)
+                assert linalg.rank(jacobian, 1e-6) == count, (n, r_a, r_b)
+
     def test_delta_examples(self):
         assert delta_parameters(3, 3, 3) == 0
         assert delta_parameters(3, 2, 2) == 6

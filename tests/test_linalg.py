@@ -31,6 +31,10 @@ class TestRank:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             linalg.rank(np.eye(2), tol=0.0)
+        # a cut at tol >= 1 gives rank 0 for every matrix, and NaN compares false
+        for tol in (-1.0, 1.0, 2.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="rank tolerance must lie strictly between"):
+                linalg.rank(np.eye(2), tol=tol)
 
     def test_invariant_under_permutation_and_conditioning(self, rng):
         for _ in range(10):

@@ -33,7 +33,7 @@ from qgvertex import (
 )
 from qgvertex.errors import SeriesDivergence, SingularSBlock
 from qgvertex.filters import FIG1_PARAMS, FilterParams
-from qgvertex.forms import ProjectorForm, ReverseSTForm, STForm, _split_factors
+from qgvertex.forms import ProjectorForm, ReverseSTForm, STForm
 
 from conftest import unitarity_defect
 from test_coupling import delta_pair
@@ -67,7 +67,7 @@ def build_x(f):
 
 def x_projector_gap(f) -> float:
     """Gap between Q_x Q_x* of the split's QR and X (X*X)^{-1} X* of ``build_x``."""
-    _, qx, _ = _split_factors(f)
+    _, qx, _ = f.split
     x = build_x(f)
     return gap(qx @ qx.conj().T, x @ np.linalg.solve(x.conj().T @ x, x.conj().T))
 
@@ -94,10 +94,14 @@ class TestDirectRoute:
         assert gap(smatrix_st(st, 1.0).entries, expected) < 1e-12
 
     def test_momentum_must_be_positive(self):
-        c = dirichlet(2)
-        for bad in (0.0, -1.0, np.inf):
-            with pytest.raises(ValueError):
-                smatrix_direct(c, bad)
+        c = random_coupling(4, 3, 2, np.random.default_rng(1))
+        records = {smatrix_direct: c, smatrix_st: to_st_form(c),
+                   smatrix_reverse_st: to_reverse_st_form(c), smatrix_pqrs: to_pqrs_form(c),
+                   smatrix_projector: to_projector_form(c)}
+        for route, record in records.items():
+            for bad in (0.0, -0.0, -1.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match="momentum k must be positive"):
+                    route(record, bad)
 
     def test_unitary_for_random_couplings(self, rng):
         for _ in range(10):
@@ -240,6 +244,32 @@ class TestBuildX:
 
     def test_corpus_projectors_agree(self, corpus):
         assert max(x_projector_gap(to_pqrs_form(c)) for c in corpus) < 1e-12
+
+
+class TestOneSplitPerRecord:
+    """A PQRS record computes its split once, and every consumer reads it."""
+
+    def test_route_limits_and_series_share_the_split(self, computed_splits):
+        f = to_pqrs_form(random_coupling(5, 3, 4, np.random.default_rng(2)))
+        for k in (0.1, 1.0, 10.0):
+            smatrix_pqrs(f, k)
+        limit_high_k(f)
+        limit_low_k(f)
+        expand(f, "high-k", 2)
+        expand(f, "low-k", 2)
+        assert computed_splits == [f]
+        st = to_st_form(random_coupling(5, 3, 4, np.random.default_rng(2)))
+        expand(st, "high-k", 2)
+        expand(st, "high-k", 2)
+        assert len(computed_splits) == 3  # an ST form is split as a new PQRS view per call
+
+    def test_split_and_spectrum_are_cached_read_only(self):
+        f = to_pqrs_form(random_coupling(5, 3, 4, np.random.default_rng(2)))
+        assert f.split is f.split and f.spectrum is f.spectrum
+        for a in f.split + f.spectrum:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
 
 
 class TestRecordKinds:
