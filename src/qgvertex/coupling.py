@@ -30,8 +30,8 @@ from .errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
 class VertexCoupling:
     """Validated boundary-condition pair with cached ranks.
 
-    Instances are produced by ``validate`` and are immutable; the ranks are
-    computed once, with one tolerance, and reused by all conversions.
+    Instances are produced by ``validate`` and are immutable; the ranks (with one tolerance),
+    ST and PQRS forms (``forms._once_per_record``) are computed once and reused by all conversions.
     """
 
     n: int

@@ -25,6 +25,7 @@ silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from . import linalg
 from .coupling import _smatrix_grid
 from .errors import InvalidShape, SingularSBlock
-from .forms import PQRSForm, _pqrs_pair, block_sizes
+from .forms import PQRSForm, _once_per_record, _pqrs_pair, block_sizes
 from .scattering import limit_high_k, limit_low_k
 
 #: default dominance ratio of probabilities used to read ">>" in a design
@@ -81,8 +82,9 @@ DELTA_DELTAPRIME_DELTAPRIME = "delta-deltaprime-deltaprime"
 NO_BRANCHING = "none"
 
 
+@_once_per_record
 def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
-    """PQRS form with blocks p, q, r, s times all-ones and the identity numbering."""
+    """PQRS form of blocks p, q, r, s times all-ones, identity numbering; built once per design."""
     blocks = {name: linalg.frozen(getattr(fp, name.lower()) * np.ones(shape, dtype=complex))
               for name, shape in PQRSForm.layout(fp.n, fp.r_a, fp.r_b).items()}
     return PQRSForm(fp.n, fp.r_a, fp.r_b, tuple(range(fp.n)), **blocks)
@@ -159,9 +161,15 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     l_p = nb * m
     l_q = nb * na
     l_r = na * m
-    g = fp.q - m * fp.r * fp.p
-    denom_hi = 1.0 + l_p * fp.p**2 + l_q * g**2
-    denom_lo = 1.0 + l_r * fp.r**2 + l_q * fp.q**2
+    try:  # a float power raises OverflowError, where a product turns inf
+        g = fp.q - m * fp.r * fp.p
+        denom_hi = 1.0 + l_p * fp.p**2 + l_q * g**2
+        denom_lo = 1.0 + l_r * fp.r**2 + l_q * fp.q**2
+    except OverflowError:
+        denom_hi = denom_lo = math.inf
+    if not (math.isfinite(denom_hi) and math.isfinite(denom_lo)):
+        raise ValueError(f"block constants of {fp} too large: the closed-form "
+                         "limit amplitudes overflow")
     closed_candidates_high = {
         (1, 2): 2.0 * nb * abs(fp.p) * abs(g) / denom_hi,
         (2, 3): 2.0 * abs(g) / denom_hi,

@@ -38,7 +38,8 @@ sitting at permuted slot i) and applied on reconstruction, so callers
 always see matrices in their original edge numbering.  Each record checks
 at construction that its permutation holds each of 0..n-1 once and its
 blocks are finite and of the shapes of its ``layout``, a read-only map
-cached per n and ranks.
+cached per n and ranks.  Conversions build on the ST and PQRS forms, so a
+coupling record, being immutable, computes each of them once.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ def _require_record(f, *records: type) -> None:
     if not isinstance(f, records):
         needed = " or ".join(record.__name__ for record in records)
         raise TypeError(f"needs a {needed}, got {type(f).__name__}")
+
+
+def _once_per_record(convert):
+    """``convert`` run once per immutable record, kept in its ``__dict__`` as a cached_property."""
+    key = f"{convert.__module__}.{convert.__qualname__}"  # dotted: no attribute shadows it
+
+    @functools.wraps(convert)
+    def once(record):
+        cache = vars(record)
+        return cache[key] if key in cache else cache.setdefault(key, convert(record))
+    return once
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +170,19 @@ class PQRSForm:
         diagonal block R of the triangular factor are the reduced QR
         factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  H is the
         Hermitian m x m matrix R^{-*} S R^{-1}, with which
-        X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.
+        X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.  SingularMatrix when X
+        is rank-deficient within the default tolerance, as it is for blocks P
+        so large that W's columns agree to rounding.
         """
         Bh = _b_hat(self)
         m, na, _ = self.block_sizes
         q, r = np.linalg.qr(np.concatenate([Bh[m:m + na], Bh[:m]]).conj().T)
         qz, qx = q[:, :na], q[:, na:]
-        r_inv = np.linalg.inv(r[na:, na:])
+        try:
+            r_inv = linalg.inverse(r[na:, na:])
+        except SingularMatrix as exc:
+            raise SingularMatrix("the PQRS split needs X of full rank m, the part of W "
+                                 "orthogonal to Z, and it is numerically rank-deficient") from exc
         h = linalg.hermitian_part(r_inv.conj().T @ np.asarray(self.S) @ r_inv)
         return linalg.read_only(qz @ qz.conj().T, qx, h)
 
@@ -309,8 +327,9 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     return perm, S, T
 
 
+@_once_per_record
 def to_st_form(c: VertexCoupling) -> STForm:
-    """Unique ST form of a coupling, organized by r_b = rank(B)."""
+    """Unique ST form of a coupling, organized by r_b = rank(B); once per coupling."""
     perm, S, T = _st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b, c.tol)
     return STForm(n=c.n, r_b=c.r_b, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
@@ -353,8 +372,9 @@ def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -
 # PQRS form
 # ---------------------------------------------------------------------------
 
+@_once_per_record
 def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
-    """Unique PQRS form of a coupling.
+    """Unique PQRS form of a coupling, once per coupling: its one ``split`` serves all.
 
     Built from the ST form: the m = r_a + r_b - n lexicographically
     earliest independent rows of S are permuted to the top (a secondary

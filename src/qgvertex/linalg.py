@@ -62,10 +62,17 @@ def unitarity_defect(u: np.ndarray) -> float:
     return max_norm(u @ u.conj().T - np.eye(len(u)))
 
 
+def require_tolerance(tol: float) -> None:
+    """ValueError unless 0 < tol < 1, the rule of every relative rank cut: the test
+    is False for NaN too, a cut at tol <= 0 counts rounding noise as rank and one
+    at tol >= 1 would give rank 0 for every matrix."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"rank tolerance must lie strictly between 0 and 1, got {tol!r}")
+
+
 def rank(m: np.ndarray, tol: float = DEFAULT_RTOL) -> int:
     """Number of singular values above ``tol`` times the largest one, 0 < tol < 1."""
-    if not 0.0 < tol < 1.0:  # NaN too; a cut at tol >= 1 would give rank 0 for every matrix
-        raise ValueError(f"rank tolerance must lie strictly between 0 and 1, got {tol!r}")
+    require_tolerance(tol)
     m = np.asarray(m)
     if m.size == 0:
         return 0
@@ -94,7 +101,8 @@ def inverse(m: np.ndarray, tol: float = DEFAULT_RTOL) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     else:
-        with np.errstate(over="ignore"):  # an overflow to inf fails the certificate
+        # an overflow to inf, or inf times an underflow to 0 (NaN), fails the certificate
+        with np.errstate(over="ignore", invalid="ignore"):
             certified = tol > 0 and 2.0 * tol * np.linalg.norm(m) * np.linalg.norm(inv) < 1.0
         if certified:
             return inv

@@ -192,8 +192,9 @@ def _limit_matrix(proj_z: np.ndarray, x: np.ndarray | float) -> np.ndarray:
 
 
 def _zero_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
-    """Mask |w| <= tol max|w|.  H is congruent to S, so by Sylvester's law of
-    inertia it marks m - rank(S) columns of U: those on which S acts as zero."""
+    """Mask |w| <= tol max|w|, 0 < tol < 1.  H is congruent to S, so by Sylvester's
+    law of inertia it marks m - rank(S) columns of U: those on which S acts as zero."""
+    linalg.require_tolerance(tol)
     size = np.abs(w)
     return size <= tol * size.max(initial=0.0)
 

@@ -1,5 +1,7 @@
 """Tests for uniform-block designs and branching classification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,14 @@ from qgvertex import (
     uniform_block_pqrs,
 )
 from qgvertex.cli import main
-from qgvertex.errors import InvalidShape, SingularSBlock
+from qgvertex.errors import InvalidShape, SingularMatrix, SingularSBlock
 from qgvertex.filters import (
     DELTA_DELTA_DELTAPRIME,
     DELTA_DELTAPRIME_DELTAPRIME,
     FIG1_PARAMS,
     FIG2_PARAMS,
     NO_BRANCHING,
+    PRESETS,
     SWEEP_BLOCK,
     FilterParams,
     SweepTable,
@@ -57,6 +60,22 @@ class TestFilterParams:
             values = {"p": 2.5, "q": 1.2, "r": 0.0, "s": 3.0, field: bad}
             with pytest.raises(ValueError):
                 FilterParams(n=5, r_a=3, r_b=4, **values)
+
+    @pytest.mark.parametrize("fp, error, match", [
+        # W = (I; 0; P*) has columns that agree to rounding; these used to raise a
+        # bare LinAlgError, or OverflowError from p**2 where the split went through
+        (FilterParams(5, 3, 4, p=1e150, q=1.0, r=1.0, s=1.0), SingularMatrix, "numerically rank-deficient"),
+        (FilterParams(5, 3, 4, p=1e160, q=1.0, r=1.0, s=1.0), SingularMatrix, "numerically rank-deficient"),
+        (FilterParams(5, 3, 4, p=1e200, q=1.0, r=1.0, s=1.0), SingularMatrix, "numerically rank-deficient"),
+        # the split is fine, but q**2 overflows (it used to raise OverflowError)
+        (FilterParams(5, 3, 4, p=1.0, q=1e200, r=1.0, s=1.0), ValueError, "closed-form limit amplitudes overflow"),
+        # no power overflows, but l_q q**2 turns inf (it used to give closed forms 0)
+        (FilterParams(5, 3, 4, p=1.0, q=1.3e154, r=1.0, s=1.0), ValueError, "closed-form limit amplitudes overflow"),
+    ])
+    def test_constants_near_float_overflow_raise_typed_errors(self, fp, error, match):
+        for call in (amplitude_limits, classify_branching):
+            with pytest.raises(error, match=match):
+                call(fp)
 
 
 class TestUniformBlocks:
@@ -210,18 +229,42 @@ class TestOneSplit:
         limit_matrix = scattering._limit_matrix
         monkeypatch.setattr(scattering, "_limit_matrix",
                             lambda *args: built.append(args) or limit_matrix(*args))
-        for call, matrices in ((lambda form: limit_high_k(form), 1),
-                               (lambda form: limit_low_k(form, allow_singular=True), 1),
-                               (lambda form: amplitude_limits(FIG1_PARAMS), 2)):
+        for call, matrices in ((lambda fp: limit_high_k(uniform_block_pqrs(fp)), 1),
+                               (lambda fp: limit_low_k(uniform_block_pqrs(fp), allow_singular=True), 1),
+                               (amplitude_limits, 2)):
             built.clear()
             computed_splits.clear()
-            call(uniform_block_pqrs(FIG1_PARAMS))
+            call(replace(FIG1_PARAMS))  # FIG1_PARAMS keeps its split form once computed
             assert (len(built), len(computed_splits)) == (matrices, 1)
 
-    def test_filter_demo_splits_once(self, capsys, computed_splits):
+    def test_filter_demo_splits_once(self, capsys, monkeypatch, computed_splits):
+        monkeypatch.setitem(PRESETS, "fig1", replace(FIG1_PARAMS))
         assert main(["filter-demo", "--preset", "fig1"]) == 0
         assert "delta-delta-deltaprime" in capsys.readouterr().err
         assert len(computed_splits) == 1
+
+
+class TestOncePerDesign:
+    """A design record is immutable, so it builds its PQRS form once, and the
+    form's one split serves every limit of the design."""
+
+    def test_design_builds_and_splits_its_form_once(self, computed_splits):
+        fp = replace(FIG1_PARAMS)
+        form = uniform_block_pqrs(fp)
+        assert classify_branching(fp) == DELTA_DELTA_DELTAPRIME
+        amplitude_limits(fp)
+        probability_sweep(fp, np.logspace(-1, 1, 5))
+        with pytest.raises(SingularSBlock):
+            limit_low_k(uniform_block_pqrs(fp))
+        assert uniform_block_pqrs(fp) is form and computed_splits == [form]
+
+    def test_replaced_design_builds_its_own_form(self):
+        form = uniform_block_pqrs(FIG1_PARAMS)
+        fresh = uniform_block_pqrs(replace(FIG1_PARAMS))
+        assert fresh is not form
+        for name in "PQRS":
+            assert np.array_equal(getattr(fresh, name), getattr(form, name))
+        assert uniform_block_pqrs(replace(FIG1_PARAMS, s=0.5)).S[0, 0] == 0.5
 
 
 class TestProbabilitySweep:

@@ -300,8 +300,9 @@ class TestCertifiedPick:
     def test_generic_coupling_takes_one_qr_per_reduction(self, corpus, call_counts):
         for c in list(corpus) + degree_60_couplings():
             for convert, qrs in ((to_st_form, 1), (to_reverse_st_form, 1), (to_pqrs_form, 2)):
+                fresh = replace(c)  # a coupling keeps its ST and PQRS forms once computed
                 call_counts.update(qr=0, greedy=0)
-                convert(c)
+                convert(fresh)
                 assert call_counts == {"qr": qrs, "greedy": 0}, (convert.__name__, c.n)
 
     @pytest.mark.parametrize("kind", ["zero", "duplicate", "tiny"])
@@ -330,8 +331,8 @@ class TestCertifiedPick:
         assert (c.r_b, m) == (r, r - 1)
         st = to_st_form(c)
         call_counts.update(qr=0, greedy=0)
-        f = to_pqrs_form(c)
-        assert call_counts == {"qr": 3, "greedy": 1}
+        f = to_pqrs_form(c)  # builds on the coupling's ST form computed above
+        assert call_counts == {"qr": 2, "greedy": 1}
         picked = [st.perm.index(edge) for edge in f.perm[:m]]
         assert picked == svd_greedy_columns(np.asarray(st.S).conj().T, m, c.tol)
         # the fallback factorises S's picked rows in the ST order, not in the
@@ -340,6 +341,47 @@ class TestCertifiedPick:
         assert f.perm == perm
         for name, want in zip("PQRS", blocks):
             assert relative_gap(getattr(f, name), want) <= 1e-12, name
+
+
+class TestOncePerCoupling:
+    """A coupling record is immutable, so it derives its ST and PQRS forms once;
+    the reverse ST and projector forms, which nothing else reads, per call."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """The tolerance of each ``_st_reduce`` call while the test runs, in order."""
+        tols = []
+        reduce = forms._st_reduce
+        monkeypatch.setattr(forms, "_st_reduce",
+                            lambda A, B, r, tol: tols.append(tol) or reduce(A, B, r, tol))
+        return tols
+
+    def test_conversions_reduce_and_split_once(self, reductions, computed_splits):
+        c = random_coupling(5, 3, 4, np.random.default_rng(3))
+        st, f = to_st_form(c), to_pqrs_form(c)
+        to_projector_form(c)
+        smatrix_pqrs(to_pqrs_form(c), 1.7)
+        assert to_st_form(c) is st and to_pqrs_form(c) is f
+        assert (len(reductions), computed_splits) == (1, [f])
+
+    def test_cached_forms_match_a_fresh_validate(self, corpus):
+        for c in corpus:
+            to_projector_form(c)  # fills the cache through the chain first
+            cached = (to_st_form(c), to_pqrs_form(c), to_projector_form(c))
+            fresh = validate(c.A, c.B, c.tol)
+            for got, want in zip(cached, (to_st_form(fresh), to_pqrs_form(fresh),
+                                          to_projector_form(fresh))):
+                assert getattr(got, "perm", None) == getattr(want, "perm", None)
+                for name, value in vars(want).items():
+                    if isinstance(value, np.ndarray):
+                        assert same_bits(getattr(got, name), value), name
+
+    def test_replaced_coupling_recomputes_its_forms(self, reductions):
+        c = random_coupling(5, 3, 4, np.random.default_rng(3))
+        st, f = to_st_form(c), to_pqrs_form(c)
+        other = replace(c, tol=1e-8)
+        assert to_st_form(other) is not st and to_pqrs_form(other) is not f
+        assert reductions == [c.tol, 1e-8]
 
 
 def lstsq_st_reduce(A, B, r_b, tol):

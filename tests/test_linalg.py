@@ -92,6 +92,12 @@ class TestInverse:
         assert calls == [0.2]
         assert inv.tobytes() == np.eye(8, dtype=complex).tobytes()
 
+    def test_huge_entries_fall_back_to_the_rank_test_silently(self):
+        # |M|_F overflows to inf and |M^-1|_F underflows to 0: their product is NaN,
+        # which used to escape as "invalid value" RuntimeWarning
+        m = 1e200 * np.eye(2, dtype=complex)
+        assert linalg.inverse(m).tobytes() == np.linalg.inv(m).tobytes()
+
     def test_equals_numpy_inverse_bit_for_bit(self, rng):
         for n in (1, 2, 5, 30, 150):
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -326,6 +326,15 @@ class TestLimits:
         with pytest.raises(SingularSBlock):
             limit_low_k(f)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0])
+    def test_tolerance_outside_unit_interval_raises(self, tol):
+        """S = 3F is singular: a cut at such a tol used to return the regular-S
+        limit and a low-k series of spectral radius 3.6e16 instead of raising."""
+        f = uniform_block_pqrs(FIG1_PARAMS)
+        for call in (lambda: limit_low_k(f, tol=tol), lambda: expand(f, "low-k", 3, tol=tol)):
+            with pytest.raises(ValueError, match="tolerance must lie strictly between 0 and 1"):
+                call()
+
     def test_singular_s_block_exact_limit(self):
         from qgvertex import pqrs_to_matrices
 
