@@ -1,6 +1,7 @@
 """Tests for the scattering routes, limits and expansions."""
 
 from contextlib import suppress
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,8 +329,9 @@ class TestLimits:
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0])
     def test_tolerance_outside_unit_interval_raises(self, tol):
-        """S = 3F is singular: a cut at such a tol used to return the regular-S
-        limit and a low-k series of spectral radius 3.6e16 instead of raising."""
+        """S = 3F is singular. At tol nan, -1 and 0 the cut used to return the
+        regular-S limit and a low-k series of spectral radius 3.6e16; at tol 1
+        it raised SingularSBlock instead of the ValueError."""
         f = uniform_block_pqrs(FIG1_PARAMS)
         for call in (lambda: limit_low_k(f, tol=tol), lambda: expand(f, "low-k", 3, tol=tol)):
             with pytest.raises(ValueError, match="tolerance must lie strictly between 0 and 1"):
@@ -354,8 +356,9 @@ class TestLimits:
         """The k -> 0 rank of S is read off the split, with no SVD of S."""
         designs = [FilterParams(n, r_a, r_b, 1.3, -0.4, 0.7, 0.9 if r_a + r_b > n else 0.0)
                    for n in range(1, 6) for r_a, r_b in admissible_rank_pairs(n)]
-        pqrs = [to_pqrs_form(c) for c in corpus] + [uniform_block_pqrs(fp) for fp in designs]
-        st = [to_st_form(c) for c in corpus]
+        fresh = [replace(c) for c in corpus]  # the shared corpus records may be split already
+        pqrs = [to_pqrs_form(c) for c in fresh] + [uniform_block_pqrs(fp) for fp in designs]
+        st = [to_st_form(c) for c in fresh]
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
