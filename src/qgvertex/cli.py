@@ -107,10 +107,7 @@ def cmd_sweep(args) -> int:
     elif blocks is not None and (type(blocks) is not list
                                  or any(type(b) is not int for b in blocks)):  # as _require_int
         raise VertexError(f"bad block sizes {blocks!r}")
-    if blocks is not None and (len(blocks) != 3 or sum(blocks) != c.n
-                               or any(b < 0 for b in blocks)):
-        raise VertexError(f"block sizes must be three values summing to n={c.n}")
-    table = filters.pair_sweep(c.A, c.B, ks, None if blocks is None else tuple(blocks))
+    table = filters.pair_sweep(c.A, c.B, ks, blocks)
     stream, close = _open_out(args.out)
     try:
         documents.write_sweep_csv(table, stream)

@@ -22,12 +22,25 @@ dict, or has a key that is not a str, goes to ``json.dumps`` whole.
 ``write_sweep_csv`` writes one ``repr`` per value, too, but calls it once
 per distinct bit pattern in each slice of rows: the constant blocks of a
 uniform-block design repeat a third to a half of each row's values exactly.
+Formatting is nearly all of its time, so it splits the table's row blocks
+into one contiguous share per usable CPU.  The caller writes the first
+share; a forked worker writes each other share to an unnamed temporary
+file, and the caller copies those files to the stream in order, so the
+bytes do not depend on the number of shares.  A worker that fails raises
+``OSError``, and no worker outlives the call.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
+import shutil
+import signal
+import tempfile
+import warnings
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -35,7 +48,7 @@ import numpy as np
 from . import linalg
 from .coupling import UnitaryForm, VertexCoupling, from_unitary, validate
 from .errors import DocumentError, InvalidRankPair
-from .filters import SweepTable
+from .filters import SWEEP_BLOCK, SweepTable
 from .forms import (
     PQRSForm,
     ProjectorForm,
@@ -52,6 +65,12 @@ from .forms import (
 #: raised the peak RSS of a 20000-point CLI sweep: by 6-8 MB at 1024 rows, and
 #: by about 3 MB in some runs at 64 to 256 rows, never at 32
 CSV_SLICE_ROWS = 32
+
+#: characters per read when the caller copies a worker's share of a sweep CSV
+CSV_COPY_CHARS = 1 << 18
+
+#: start of the warning Python >= 3.12 gives on ``os.fork`` in a multi-threaded process
+FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 
 #: form kind -> (record type, its rank fields, document key -> record field); a
 #: form document has the keys "form", "n", the rank fields and these, in order
@@ -245,15 +264,16 @@ def loads(text: str, tol: float = linalg.DEFAULT_RTOL):
 # CSV / reports
 # ---------------------------------------------------------------------------
 
-def write_sweep_csv(table: SweepTable, stream) -> None:
-    """Write a sweep table as CSV; floats use shortest round-trip repr.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Uniform blocks repeat values bit for bit within a row, so each slice of
-    ``CSV_SLICE_ROWS`` rows calls ``repr`` once per distinct bit pattern and
-    goes to ``stream`` in one write.  Keying on bits keeps 0.0 apart from
-    -0.0, so the text is that of ``repr`` on every value.
-    """
-    stream.write(",".join(table.header()) + "\n")
+
+def _write_rows(table: SweepTable, stream) -> None:
+    """The CSV lines of ``table``'s rows, one ``repr`` per distinct value of each slice."""
     for block in table.rows():
         for start in range(0, len(block), CSV_SLICE_ROWS):
             x = block[start:start + CSV_SLICE_ROWS]
@@ -261,6 +281,81 @@ def write_sweep_csv(table: SweepTable, stream) -> None:
             text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
             cells = text[inv.reshape(x.shape)].tolist()  # inv is flat before numpy 2
             stream.write("\n".join(map(",".join, cells)) + "\n")
+
+
+def _fork_writer(share: SweepTable, out) -> int:
+    """Fork a worker that writes ``share``'s rows to ``out``; returns its pid.
+
+    The worker leaves through ``os._exit`` on every path, status 0 once ``out``
+    is flushed and 1 otherwise, so it never flushes a buffer it inherited nor
+    returns into the caller's code.  With the cyclic collector off, it
+    finalises no inherited garbage either (a lost file object would flush).
+    """
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on fork in a process with other threads (an
+        # OpenBLAS pool, say).  Their locks cannot hang the worker: it calls
+        # no BLAS, imports nothing and takes no lock but those fork resets.
+        warnings.filterwarnings("ignore", FORK_WARNING, DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        gc.disable()
+        _write_rows(share, out)
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def write_sweep_csv(table: SweepTable, stream) -> None:
+    """Write a sweep table as CSV; floats use shortest round-trip repr.
+
+    Uniform blocks repeat values bit for bit within a row, so each slice of
+    ``CSV_SLICE_ROWS`` rows calls ``repr`` once per distinct bit pattern and
+    goes to its output in one write.  Keying on bits keeps 0.0 apart from
+    -0.0, so the text is that of ``repr`` on every value.
+
+    The table's row blocks (``SWEEP_BLOCK`` rows each) are split into
+    contiguous shares, one per usable CPU (``os.sched_getaffinity``, else
+    ``os.cpu_count``) and no more than there are blocks.  The caller writes
+    the header and the first share to ``stream``; each other share is written
+    by a forked worker to an unnamed temporary file, which the caller then
+    copies to ``stream`` in share order, ``CSV_COPY_CHARS`` at a time, so the
+    text is the same for any number of shares.  A table of one block forks
+    nothing.  A worker that fails raises ``OSError``.  Whether the writer
+    returns or raises, every worker has exited and been reaped: on an error
+    the caller kills those it has not reaped yet.
+    """
+    stream.write(",".join(table.header()) + "\n")
+    blocks = -(-len(table.ks) // SWEEP_BLOCK)
+    count = min(_usable_cpus(), blocks)
+    if count <= 1:
+        _write_rows(table, stream)
+        return
+    edges = [SWEEP_BLOCK * (blocks * i // count) for i in range(count + 1)]
+    shares = [replace(table, ks=table.ks[lo:hi], probabilities=table.probabilities[lo:hi])
+              for lo, hi in zip(edges, edges[1:])]
+    files, pids = [], []  # pids: the workers not reaped yet, in share order
+    try:
+        for share in shares[1:]:
+            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pids.append(_fork_writer(share, files[-1]))
+        _write_rows(shares[0], stream)
+        for out in files:
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pid = pids.pop(0)
+            if status:
+                raise OSError(f"sweep CSV worker {pid} exited with status {status}")
+            out.seek(0)
+            shutil.copyfileobj(out, stream, CSV_COPY_CHARS)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for out in files:
+            out.close()
 
 
 def _report_row(label: str, *cells: float | None) -> str:

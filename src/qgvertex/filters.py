@@ -26,13 +26,14 @@ silently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .coupling import _smatrix_grid
-from .errors import InvalidShape, SingularSBlock
+from .errors import InvalidShape, ShapeMismatch, SingularSBlock
 from .forms import PQRSForm, _once_per_record, _pqrs_pair, block_sizes
 from .scattering import limit_high_k, limit_low_k
 
@@ -267,23 +268,38 @@ class SweepTable:
             yield np.column_stack(columns).astype(float, copy=False)
 
 
-def pair_sweep(A, B, ks: np.ndarray, block_sizes: tuple[int, int, int] | None) -> SweepTable:
-    """|S_ij(k)|^2 of the pair (A, B) over the ascending positive grid ``ks``."""
-    probs = np.empty((ks.size,) + A.shape)
-    for start in range(0, ks.size, SWEEP_BLOCK):
-        s = _smatrix_grid(A, B, ks[start:start + SWEEP_BLOCK])
-        probs[start:start + SWEEP_BLOCK] = np.abs(s) ** 2
-    return SweepTable(n=A.shape[0], ks=ks, probabilities=probs, block_sizes=block_sizes)
+def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable:
+    """|S_ij(k)|^2 of the pair (A, B) over the ascending positive grid ``ks``.
 
-
-def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:
-    """Evaluate |S(k)|^2 of the uniform-block coupling over ``k_grid``."""
-    ks = np.asarray(k_grid, dtype=float)
+    ``block_sizes``, when given, are three non-negative integers summing to
+    n; the table then carries their block-pair aggregates.
+    """
+    ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size < 1:
         raise ValueError("k_grid must be a non-empty 1-d array")
     if not np.isfinite(ks).all():
         raise ValueError("k_grid must be finite")
     if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
         raise ValueError("k_grid must be strictly positive and ascending")
-    A, B = _pqrs_pair(uniform_block_pqrs(fp))
-    return pair_sweep(A, B, ks, fp.block_sizes)
+    n = A.shape[0]
+    if block_sizes is not None:
+        block_sizes = tuple(map(operator.index, block_sizes))
+        if len(block_sizes) != 3 or sum(block_sizes) != n or any(b < 0 for b in block_sizes):
+            raise ShapeMismatch(f"block sizes must be three values summing to n={n}")
+    probs = np.empty((ks.size,) + A.shape)
+    for start in range(0, ks.size, SWEEP_BLOCK):
+        s = _smatrix_grid(A, B, ks[start:start + SWEEP_BLOCK])
+        probs[start:start + SWEEP_BLOCK] = np.abs(s) ** 2
+    return SweepTable(n=n, ks=ks, probabilities=probs, block_sizes=block_sizes)
+
+
+def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:
+    """Evaluate |S(k)|^2 of the uniform-block coupling over ``k_grid``.
+
+    A design whose PQRS form has no spectral split (``PQRSForm.split``) is not
+    an admissible coupling, and its typed error is raised before any S(k).
+    """
+    form = uniform_block_pqrs(fp)
+    form.split  # computed once per design; raises for a design that validate refuses
+    A, B = _pqrs_pair(form)
+    return pair_sweep(A, B, k_grid, fp.block_sizes)

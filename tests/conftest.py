@@ -1,6 +1,8 @@
-"""Shared fixtures: seeded RNGs, the random-coupling corpus and the benchmark's workloads."""
+"""Shared fixtures: seeded RNGs, the random-coupling corpus, the benchmark's workloads
+and a check that no test leaves a child process behind."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -12,6 +14,17 @@ from qgvertex.forms import PQRSForm
 
 CORPUS_SEED = 20260809
 CORPUS_SIZE = 100
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("the test left a child process " + ("running" if pid == 0 else f"{pid} unreaped"))
 
 
 @pytest.fixture

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -540,6 +543,133 @@ class TestSweepCsv:
     def test_integer_table_is_written_as_floats(self):
         table = filters.SweepTable(n=1, ks=np.array([1, 2]), probabilities=np.array([[[1]], [[0]]]))
         assert written_csv(table) == "k,S11\n1.0,1.0\n2.0,0.0\n"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that ``os.fork`` returns to the caller while the test runs, in order."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)  # a worker appends its 0 to its own copy of the list
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def fig2_table(blocks):
+    """The fig2 sweep over ``blocks`` row blocks, the last one 5 rows short."""
+    return filters.probability_sweep(FIG2_PARAMS, np.logspace(-2, 2, blocks * filters.SWEEP_BLOCK - 5))
+
+
+class TestSweepCsvShares:
+    """Row blocks go to one share per usable CPU; each share but the first
+    is written by a forked worker, and the text never depends on the split."""
+
+    @pytest.mark.parametrize("points, workers", [(filters.SWEEP_BLOCK, 0),
+                                                 (filters.SWEEP_BLOCK + 1, 1)])
+    def test_one_share_per_block_up_to_the_cpus(self, monkeypatch, forks, points, workers):
+        usable_cpus(monkeypatch, 2)
+        table = filters.probability_sweep(FIG1_PARAMS, np.logspace(-2, 2, points))
+        assert written_csv(table) == per_value_csv(table)
+        assert len(forks) == workers
+
+    @pytest.mark.parametrize("cpus, blocks, workers", [(3, 7, 2), (8, 3, 2), (1, 3, 0)])
+    def test_shares_are_capped_by_cpus_and_blocks(self, monkeypatch, forks, cpus, blocks, workers):
+        usable_cpus(monkeypatch, cpus)
+        table = fig2_table(blocks)
+        assert written_csv(table) == per_value_csv(table)
+        assert len(forks) == workers
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert documents._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert documents._usable_cpus() == 1
+
+    @pytest.fixture
+    def failing_worker(self, monkeypatch):
+        """Each worker raises where it would write its share; the caller writes as before."""
+        caller, write_rows = os.getpid(), documents._write_rows
+
+        def write(table, stream):
+            if os.getpid() != caller:
+                raise RuntimeError("worker failed")
+            write_rows(table, stream)
+        monkeypatch.setattr(documents, "_write_rows", write)
+
+    def test_worker_failure_raises_oserror(self, monkeypatch, forks, failing_worker):
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(OSError, match=r"^sweep CSV worker \d+ exited with status 1$"):
+            written_csv(fig2_table(3))
+        assert len(forks) == 1
+
+    def test_worker_failure_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                  failing_worker):
+        usable_cpus(monkeypatch, 2)
+        assert main(["filter-demo", "--preset", "fig1"]) == 0
+        path = write_doc(tmp_path, json.loads(capsys.readouterr().out))
+        assert main(["sweep", path, "--k-min", "0.1", "--k-max", "10", "--points",
+                     str(2 * filters.SWEEP_BLOCK), "--out", str(tmp_path / "sweep.csv")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: sweep CSV worker \d+ exited with status 1\n", err), err
+
+    def test_stream_failure_kills_and_reaps_the_worker(self, monkeypatch, forks):
+        usable_cpus(monkeypatch, 2)
+        caller, write_rows = os.getpid(), documents._write_rows
+
+        def write(table, stream):
+            if os.getpid() != caller:
+                time.sleep(60)  # only a kill ends the worker in time
+            write_rows(table, stream)
+        monkeypatch.setattr(documents, "_write_rows", write)
+
+        class FullStream(io.StringIO):
+            def write(self, text):
+                if self.tell() > 1000:
+                    raise OSError("no space left")
+                return super().write(text)
+
+        start = time.perf_counter()
+        with pytest.raises(OSError, match="^no space left$"):
+            documents.write_sweep_csv(fig2_table(2), FullStream())
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_fork_in_a_multithreaded_process_warns_nothing(self, monkeypatch):
+        # Python >= 3.12 warns in the caller when it forks beside other
+        # threads; the writer forks anyway, as its workers take no lock
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.", DeprecationWarning,
+                              stacklevel=2)
+            return pid
+        monkeypatch.setattr(os, "fork", warning_fork)
+        usable_cpus(monkeypatch, 2)
+        table = fig2_table(2)
+        release = threading.Event()
+        beside = threading.Thread(target=release.wait)
+        beside.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                text = written_csv(table)
+        finally:
+            release.set()
+            beside.join()
+        assert text == per_value_csv(table)
 
 
 #: stderr of ``filter-demo --preset fig1`` and ``fig2``, line by line

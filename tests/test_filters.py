@@ -18,7 +18,7 @@ from qgvertex import (
     uniform_block_pqrs,
 )
 from qgvertex.cli import main
-from qgvertex.errors import InvalidShape, SingularMatrix, SingularSBlock
+from qgvertex.errors import InvalidShape, ShapeMismatch, SingularMatrix, SingularSBlock
 from qgvertex.filters import (
     DELTA_DELTA_DELTAPRIME,
     DELTA_DELTAPRIME_DELTAPRIME,
@@ -30,6 +30,7 @@ from qgvertex.filters import (
     FilterParams,
     SweepTable,
     _block_means,
+    pair_sweep,
 )
 
 from conftest import unitarity_defect
@@ -304,6 +305,35 @@ class TestProbabilitySweep:
         for grid in ([1.0, np.nan], [np.nan], [1.0, np.inf]):
             with pytest.raises(ValueError, match=r"^k_grid must be finite$"):
                 probability_sweep(FIG1_PARAMS, grid)
+
+    def test_design_that_validate_refuses_raises(self):
+        # its rows of |S(k)|^2 summed to up to 2.7e168 at p = 1e100
+        ks = np.logspace(-2, 2, 50)
+        for p in (1e10, 1e100):
+            with pytest.raises(SingularMatrix):
+                probability_sweep(FilterParams(5, 3, 4, p=p, q=1, r=1, s=1), ks)
+        table = probability_sweep(FilterParams(5, 3, 4, p=1e8, q=1, r=1, s=1), ks)
+        assert np.max(np.abs(table.probabilities.sum(axis=-1) - 1.0)) < 1e-9
+
+    def test_pair_sweep_checks_its_grid(self):
+        c = pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS))
+        with pytest.raises(ValueError, match="^k_grid must be strictly positive and ascending$"):
+            pair_sweep(c.A, c.B, [2.0, 1.0, -1.0], None)
+        with pytest.raises(ValueError, match="^k_grid must be a non-empty 1-d array$"):
+            pair_sweep(c.A, c.B, [[1.0, 2.0]], None)
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 3), (2, 2, 1, 0), (3, 3, -1)])
+    def test_pair_sweep_block_sizes_must_cover_the_vertex(self, sizes):
+        c = pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS))
+        with pytest.raises(ShapeMismatch, match=r"^block sizes must be three values summing to n=5$"):
+            pair_sweep(c.A, c.B, np.array([1.0, 2.0]), sizes)
+
+    def test_pair_sweep_block_sizes_are_integers(self):
+        c = pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS))
+        sizes = pair_sweep(c.A, c.B, np.array([1.0, 2.0]), [np.int64(2), 2, 1]).block_sizes
+        assert sizes == (2, 2, 1) and set(map(type, sizes)) == {int}
+        with pytest.raises(TypeError):
+            pair_sweep(c.A, c.B, np.array([1.0, 2.0]), (1.5, 1.5, 2))
 
     def test_blocked_sweep_matches_per_k_loop(self):
         ks = np.logspace(-2, 2, 2 * SWEEP_BLOCK + 3)
