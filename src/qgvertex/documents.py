@@ -323,14 +323,14 @@ def write_sweep_csv(table: SweepTable, stream) -> None:
     the header and the first share to ``stream``; each other share is written
     by a forked worker to an unnamed temporary file, which the caller then
     copies to ``stream`` in share order, ``CSV_COPY_CHARS`` at a time, so the
-    text is the same for any number of shares.  A table of one block forks
-    nothing.  A worker that fails raises ``OSError``.  Whether the writer
+    text is the same for any number of shares.  A table of one block, or a
+    platform without ``os.fork``, forks nothing.  A worker that fails raises ``OSError``.  Whether the writer
     returns or raises, every worker has exited and been reaped: on an error
     the caller kills those it has not reaped yet.
     """
     stream.write(",".join(table.header()) + "\n")
     blocks = -(-len(table.ks) // SWEEP_BLOCK)
-    count = min(_usable_cpus(), blocks)
+    count = min(_usable_cpus(), blocks) if hasattr(os, "fork") else 1
     if count <= 1:
         _write_rows(table, stream)
         return

@@ -586,6 +586,12 @@ class TestSweepCsvShares:
         assert written_csv(table) == per_value_csv(table)
         assert len(forks) == workers
 
+    def test_one_share_without_fork(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        table = fig2_table(3)
+        assert written_csv(table) == per_value_csv(table)
+
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
