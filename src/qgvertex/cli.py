@@ -9,23 +9,15 @@ coupling, invalid ranks, bad momentum range).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 import numpy as np
 
 from . import documents, filters
-from .coupling import to_unitary
 from .errors import DocumentError, VertexError
-from .forms import (
-    parameter_count,
-    delta_parameters,
-    pqrs_to_matrices,
-    subfamily_count,
-    to_pqrs_form,
-    to_projector_form,
-    to_reverse_st_form,
-    to_st_form,
-)
+from .forms import parameter_count, delta_parameters, pqrs_to_matrices, subfamily_count
 from .linalg import unitarity_defect
 from .scattering import bc_residual, smatrix_direct
 
@@ -41,35 +33,47 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _open_out(path: str):
+def _read_coupling(path: str):
+    """(validated coupling, decoded JSON) of the document at ``path``, of any form kind."""
+    doc = documents._decode(_read_text(path))
+    return documents.as_coupling(documents.parse_document(doc)), doc
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """Text stream for ``path`` (standard output for ``-``).  A file is written under a
+    sibling name and renamed onto ``path`` when the body returns; on any error the
+    sibling is removed, so ``path`` is absent or keeps its earlier content."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    part = f"{path}.{os.getpid()}.part"
+    stream = open(part, "x", encoding="utf-8", newline="")
+    try:
+        with stream:
+            yield stream
+        os.replace(part, path)
+    except BaseException:
+        os.remove(part)
+        raise
 
 
 def cmd_validate(args) -> int:
-    c = documents.as_coupling(documents.loads(_read_text(args.path)))
+    c, _ = _read_coupling(args.path)
     params = parameter_count(c.n, c.r_a, c.r_b)
     print(f"valid n={c.n} r_A={c.r_a} r_B={c.r_b} parameters={params}")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    c = documents.as_coupling(documents.loads(_read_text(args.path)))
-    converters = {
-        "st": to_st_form,
-        "reverse-st": to_reverse_st_form,
-        "pqrs": to_pqrs_form,
-        "unitary": to_unitary,
-        "projector": to_projector_form,
-    }
-    obj = converters[args.to](c)
+    c, _ = _read_coupling(args.path)
+    obj = documents.FORM_KINDS[args.to].from_coupling(c)
     print(documents.dumps(documents.form_to_document(obj)))
     return EXIT_OK
 
 
 def cmd_smatrix(args) -> int:
-    c = documents.as_coupling(documents.loads(_read_text(args.path)))
+    c, _ = _read_coupling(args.path)
     s = smatrix_direct(c, args.k)
     entries = np.asarray(s.entries)
     out = {
@@ -95,8 +99,7 @@ def _k_grid(k_min: float, k_max: float, points: int, scale: str) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    doc = documents._decode(_read_text(args.path))
-    c = documents.as_coupling(documents.parse_document(doc))
+    c, doc = _read_coupling(args.path)
     ks = _k_grid(args.k_min, args.k_max, args.points, args.scale)
     blocks = doc.get("blocks")  # parse_document accepted a JSON object
     if args.blocks:
@@ -108,12 +111,8 @@ def cmd_sweep(args) -> int:
                                  or any(type(b) is not int for b in blocks)):  # as _require_int
         raise VertexError(f"bad block sizes {blocks!r}")
     table = filters.pair_sweep(c.A, c.B, ks, blocks)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         documents.write_sweep_csv(table, stream)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -141,7 +140,7 @@ def cmd_filter_demo(args) -> int:
     )
     print(documents.dumps(doc))
     limits = filters.amplitude_limits(fp)
-    verdict = filters.classify_branching(fp, args.threshold, limits)
+    verdict = filters.classify_branching(fp, args.threshold)
     sys.stderr.write(documents.render_limits_report(fp, limits, verdict, args.threshold))
     return EXIT_OK
 

@@ -5,8 +5,8 @@ two-element [re, im] arrays, matrices are nested row-major lists, and
 permutations are 1-based edge numberings.  Coupling documents have keys
 "n", "A", "B" plus optional metadata ("label", "description", "blocks");
 form documents add a "form" discriminator, a key of ``FORM_KINDS``: that
-table gives each kind's record, rank fields and block keys, which both
-``form_to_document`` and ``parse_document`` read.  Floats are emitted
+table, the one list of form kinds, gives each kind's record, rank fields and
+block keys, and its conversions from and to a coupling.  Floats are emitted
 through ``repr`` and therefore re-parse to identical values.
 
 ``dumps`` writes exactly the bytes of ``json.dumps(doc, indent=2)``, whose
@@ -26,8 +26,8 @@ Formatting is nearly all of its time, so it splits the table's row blocks
 into one contiguous share per usable CPU.  The caller writes the first
 share; a forked worker writes each other share to an unnamed temporary
 file, and the caller copies those files to the stream in order, so the
-bytes do not depend on the number of shares.  A worker that fails raises
-``OSError``, and no worker outlives the call.
+bytes do not depend on the number of shares, and one share forks nothing.
+A worker that fails raises ``OSError``, and no worker outlives the call.
 """
 
 from __future__ import annotations
@@ -40,25 +40,17 @@ import shutil
 import signal
 import tempfile
 import warnings
+from collections.abc import Callable
 from dataclasses import replace
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
-from .coupling import UnitaryForm, VertexCoupling, from_unitary, validate
+from . import forms, linalg
+from .coupling import UnitaryForm, VertexCoupling, from_unitary, to_unitary, validate
 from .errors import DocumentError, InvalidRankPair
 from .filters import SWEEP_BLOCK, SweepTable
-from .forms import (
-    PQRSForm,
-    ProjectorForm,
-    ReverseSTForm,
-    STForm,
-    pqrs_to_matrices,
-    projector_to_matrices,
-    reverse_st_to_matrices,
-    st_to_matrices,
-)
 
 #: rows per slice of a sweep CSV: one ``np.unique`` and one write each.  The
 #: repeats sit within rows, so larger slices save few ``repr`` calls, but they
@@ -72,16 +64,32 @@ CSV_COPY_CHARS = 1 << 18
 #: start of the warning Python >= 3.12 gives on ``os.fork`` in a multi-threaded process
 FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 
-#: form kind -> (record type, its rank fields, document key -> record field); a
-#: form document has the keys "form", "n", the rank fields and these, in order
+class FormKind(NamedTuple):
+    """A form kind: its record, rank fields, document key -> record field (a form
+    document has the keys "form", "n", the rank fields and these, in order), and
+    its conversions from a coupling and back to one."""
+
+    record: type
+    ranks: tuple[str, ...]
+    fields: dict[str, str]
+    from_coupling: Callable
+    to_coupling: Callable
+
+
+#: form kind -> its ``FormKind``: the one list of the kinds
 FORM_KINDS = {
-    "st": (STForm, ("r_b",), {"permutation": "perm", "S": "S", "T": "T"}),
-    "reverse-st": (ReverseSTForm, ("r_a",), {"permutation": "perm", "S": "S", "T": "T"}),
-    "pqrs": (PQRSForm, ("r_a", "r_b"),
-             {"permutation": "perm", "P": "P", "Q": "Q", "R": "R", "S": "S"}),
-    "unitary": (UnitaryForm, (), {"U": "U"}),
-    "projector": (ProjectorForm, (), {"P": "projector_p", "Q": "projector_q",
-                                      "C": "projector_c", "Lambda": "lam"}),
+    "st": FormKind(forms.STForm, ("r_b",), {"permutation": "perm", "S": "S", "T": "T"},
+                   forms.to_st_form, forms.st_to_matrices),
+    "reverse-st": FormKind(forms.ReverseSTForm, ("r_a",),
+                           {"permutation": "perm", "S": "S", "T": "T"},
+                           forms.to_reverse_st_form, forms.reverse_st_to_matrices),
+    "pqrs": FormKind(forms.PQRSForm, ("r_a", "r_b"),
+                     {"permutation": "perm", "P": "P", "Q": "Q", "R": "R", "S": "S"},
+                     forms.to_pqrs_form, forms.pqrs_to_matrices),
+    "unitary": FormKind(UnitaryForm, (), {"U": "U"}, to_unitary, from_unitary),
+    "projector": FormKind(forms.ProjectorForm, (), {"P": "projector_p", "Q": "projector_q",
+                                                    "C": "projector_c", "Lambda": "lam"},
+                          forms.to_projector_form, forms.projector_to_matrices),
 }
 
 
@@ -157,11 +165,11 @@ def form_to_document(obj) -> dict:
     """JSON document for any form record (or a coupling)."""
     if isinstance(obj, VertexCoupling):
         return coupling_to_document(obj)
-    for kind, (record, ranks, fields) in FORM_KINDS.items():
-        if isinstance(obj, record):
-            doc = {"form": kind, "n": obj.n, **{rank: getattr(obj, rank) for rank in ranks}}
+    for kind, spec in FORM_KINDS.items():
+        if isinstance(obj, spec.record):
+            doc = {"form": kind, "n": obj.n, **{rank: getattr(obj, rank) for rank in spec.ranks}}
             return doc | {key: (_perm_to_json if f == "perm" else matrix_to_json)(getattr(obj, f))
-                          for key, f in fields.items()}
+                          for key, f in spec.fields.items()}
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -171,7 +179,7 @@ def _require_int(doc: dict, key: str) -> int:
     return doc[key]
 
 
-def parse_document(doc: dict, tol: float = linalg.DEFAULT_RTOL):
+def parse_document(doc: dict):
     """Parse a document into its record; couplings are validated on the way in."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -182,35 +190,28 @@ def parse_document(doc: dict, tol: float = linalg.DEFAULT_RTOL):
     if kind == "coupling":
         a = matrix_from_json(doc.get("A"), (n, n), "A")
         b = matrix_from_json(doc.get("B"), (n, n), "B")
-        return validate(a, b, tol)
+        return validate(a, b)
     if not isinstance(kind, str) or kind not in FORM_KINDS:
         raise DocumentError(f"unknown form {kind!r}")
-    record, rank_keys, fields = FORM_KINDS[kind]
-    ranks = [_require_int(doc, key) for key in rank_keys]
+    spec = FORM_KINDS[kind]
+    ranks = [_require_int(doc, key) for key in spec.ranks]
     try:
-        shapes = record.layout(n, *ranks)
+        shapes = spec.record.layout(n, *ranks)
     except InvalidRankPair as exc:
         raise DocumentError(str(exc)) from exc
     values = {field: _perm_from_json(doc.get(key), n) if field == "perm"
               else linalg.frozen(matrix_from_json(doc.get(key), shapes[field], key))
-              for key, field in fields.items()}
-    return record(n, *ranks, **values)
+              for key, field in spec.fields.items()}
+    return spec.record(n, *ranks, **values)
 
 
-def as_coupling(obj, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
+def as_coupling(obj) -> VertexCoupling:
     """Coerce any parsed record to a validated coupling."""
     if isinstance(obj, VertexCoupling):
         return obj
-    if isinstance(obj, STForm):
-        return st_to_matrices(obj, tol)
-    if isinstance(obj, ReverseSTForm):
-        return reverse_st_to_matrices(obj, tol)
-    if isinstance(obj, PQRSForm):
-        return pqrs_to_matrices(obj, tol)
-    if isinstance(obj, UnitaryForm):
-        return from_unitary(obj, tol)
-    if isinstance(obj, ProjectorForm):
-        return projector_to_matrices(obj, tol)
+    for spec in FORM_KINDS.values():
+        if isinstance(obj, spec.record):
+            return spec.to_coupling(obj)
     raise DocumentError(f"cannot interpret {type(obj).__name__} as a coupling")
 
 
@@ -256,8 +257,8 @@ def _decode(text: str):
         raise DocumentError(f"not valid JSON: {exc}") from exc
 
 
-def loads(text: str, tol: float = linalg.DEFAULT_RTOL):
-    return parse_document(_decode(text), tol)
+def loads(text: str):
+    return parse_document(_decode(text))
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +320,19 @@ def write_sweep_csv(table: SweepTable, stream) -> None:
 
     The table's row blocks (``SWEEP_BLOCK`` rows each) are split into
     contiguous shares, one per usable CPU (``os.sched_getaffinity``, else
-    ``os.cpu_count``) and no more than there are blocks.  The caller writes
-    the header and the first share to ``stream``; each other share is written
-    by a forked worker to an unnamed temporary file, which the caller then
-    copies to ``stream`` in share order, ``CSV_COPY_CHARS`` at a time, so the
-    text is the same for any number of shares.  A table of one block, or a
-    platform without ``os.fork``, forks nothing.  A worker that fails raises ``OSError``.  Whether the writer
-    returns or raises, every worker has exited and been reaped: on an error
-    the caller kills those it has not reaped yet.
+    ``os.cpu_count``) and no more than there are blocks; a platform without
+    ``os.fork`` gets one share.  The caller writes the header and the first
+    share to ``stream``; each other share is written by a forked worker to an
+    unnamed temporary file, which the caller then copies to ``stream`` in
+    share order, ``CSV_COPY_CHARS`` at a time, so the text is the same for any
+    number of shares.  This one path serves every CPU count: with one share
+    it forks nothing.  A worker that fails raises ``OSError``.  Whether the
+    writer returns or raises, every worker has exited and been reaped: on an
+    error the caller kills those it has not reaped yet.
     """
     stream.write(",".join(table.header()) + "\n")
-    blocks = -(-len(table.ks) // SWEEP_BLOCK)
+    blocks = -(-len(table.ks) // SWEEP_BLOCK) or 1  # an empty table is one empty share
     count = min(_usable_cpus(), blocks) if hasattr(os, "fork") else 1
-    if count <= 1:
-        _write_rows(table, stream)
-        return
     edges = [SWEEP_BLOCK * (blocks * i // count) for i in range(count + 1)]
     shares = [replace(table, ks=table.ks[lo:hi], probabilities=table.probabilities[lo:hi])
               for lo, hi in zip(edges, edges[1:])]

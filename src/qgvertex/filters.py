@@ -152,8 +152,8 @@ class AmplitudeLimits:
     mismatches: tuple[LimitMismatch, ...]
 
 
-def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> AmplitudeLimits:
-    """Evaluate both limit tables and check the closed forms against them."""
+def amplitude_limits(fp: FilterParams) -> AmplitudeLimits:
+    """Evaluate both limit tables and check the closed forms against them to ``CLOSED_FORM_TOL``."""
     m, na, nb = fp.block_sizes
     form = uniform_block_pqrs(fp)
     high, low = limit_high_k(form), limit_low_k(form, allow_singular=True)
@@ -194,7 +194,7 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     mismatches = [LimitMismatch(side, pair, value, table[pair])
                   for side, closed, table in (("high-k", closed_high, high_k),
                                               ("low-k", closed_low, low_k))
-                  for pair, value in closed.items() if abs(value - table[pair]) > tol]
+                  for pair, value in closed.items() if abs(value - table[pair]) > CLOSED_FORM_TOL]
     return AmplitudeLimits(
         l_p=l_p, l_q=l_q, l_r=l_r,
         high_k=high_k, low_k=low_k,
@@ -205,22 +205,20 @@ def amplitude_limits(fp: FilterParams, tol: float = CLOSED_FORM_TOL) -> Amplitud
     )
 
 
-def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE,
-                       limits: AmplitudeLimits | None = None) -> str:
-    """Branching label from the dominance pattern of the limit amplitudes.
+def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -> str:
+    """Branching label from the dominance pattern of ``amplitude_limits(fp)``.
 
     ``threshold`` is the required ratio of probabilities (squared
     amplitudes) for reading one channel as dominating another.  Couplings
-    whose three blocks are not all nonempty carry no tripartite label.
-    ``limits``, when given, must be ``amplitude_limits(fp)``; it saves
-    computing them again.
+    whose three blocks are not all nonempty carry no tripartite label.  The
+    limits come from the design's one cached split (``uniform_block_pqrs``),
+    so classifying after ``amplitude_limits`` factorises nothing again.
     """
     if threshold <= 1.0:
         raise ValueError("dominance threshold must exceed 1")
     if any(size == 0 for size in fp.block_sizes):
         return NO_BRANCHING
-    if limits is None:
-        limits = amplitude_limits(fp)
+    limits = amplitude_limits(fp)
     hi12, hi23, hi31 = (limits.high_k[p] ** 2 for p in ((1, 2), (2, 3), (3, 1)))
     lo12, lo23, lo31 = (limits.low_k[p] ** 2 for p in ((1, 2), (2, 3), (3, 1)))
     floor = 1e-24  # a dominant channel must carry actual probability

@@ -96,6 +96,15 @@ def _once_per_record(convert):
     return once
 
 
+@functools.lru_cache(maxsize=1024)
+def _st_layout(n: int, r_a: int, r_b: int) -> MappingProxyType:
+    """S (r x r) and T (r x (n - r)) of an ST form (r_a = n, r = r_b) or a reverse ST
+    form (r_b = n, r = r_a): the S block and the nonempty one of P and R* of the
+    PQRS form with ranks (r_a, r_b)."""
+    m, na, nb = block_sizes(n, r_a, r_b)
+    return MappingProxyType({"S": (m, m), "T": (m, na + nb)})
+
+
 @dataclass(frozen=True, eq=False)
 class STForm:
     n: int
@@ -107,12 +116,7 @@ class STForm:
     def __post_init__(self):
         _check_layout(self.layout(self.n, self.r_b), self.n, self.perm, {"S": self.S, "T": self.T})
 
-    @staticmethod
-    @functools.lru_cache(maxsize=1024)
-    def layout(n: int, r_b: int) -> MappingProxyType:
-        """S and T as the S and P blocks of the PQRS form with r_a = n."""
-        m, _, nb = block_sizes(n, n, r_b)
-        return MappingProxyType({"S": (m, m), "T": (m, nb)})
+    layout = staticmethod(lambda n, r_b: _st_layout(n, n, r_b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +130,7 @@ class ReverseSTForm:
     def __post_init__(self):
         _check_layout(self.layout(self.n, self.r_a), self.n, self.perm, {"S": self.S, "T": self.T})
 
-    @staticmethod
-    @functools.lru_cache(maxsize=1024)
-    def layout(n: int, r_a: int) -> MappingProxyType:
-        """S and T as the S and R* blocks of the PQRS form with r_b = n."""
-        m, na, _ = block_sizes(n, r_a, n)
-        return MappingProxyType({"S": (m, m), "T": (m, na)})
+    layout = staticmethod(lambda n, r_a: _st_layout(n, r_a, n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ and a check that no test leaves a child process behind."""
 
 import importlib.util
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -16,10 +17,28 @@ CORPUS_SEED = 20260809
 CORPUS_SIZE = 100
 
 
+def child_pids() -> list[int]:
+    """Pids of the children of every thread of this process, running or not yet
+    reaped; read from /proc on Linux, and empty where it lists no children."""
+    return [int(pid) for path in Path("/proc/self/task").glob("*/children")
+            for pid in path.read_text().split()]
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running or unreaped."""
+    """Fail a test that leaves a child process running or unreaped.
+
+    Each child found is killed and reaped first, so that the failure stays
+    with the test that leaked it.  Where /proc lists no children, a running
+    child cannot be found by pid: it is reported but left running.
+    """
     yield
+    left = child_pids()
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)  # a zombie ignores it, and waitpid reaps it
+        os.waitpid(pid, 0)
+    if left:
+        pytest.fail(f"the test left child processes {left}; they were killed and reaped")
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child at all

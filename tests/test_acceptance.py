@@ -173,7 +173,7 @@ def test_closed_form_amplitudes():
     sides = []
     for fp, expected in ((FIG1_PARAMS, DELTA_DELTA_DELTAPRIME),
                          (FIG2_PARAMS, DELTA_DELTAPRIME_DELTAPRIME)):
-        limits = amplitude_limits(fp, tol=1e-6)
+        limits = amplitude_limits(fp)
         for miss in limits.mismatches:
             print(f"  closed-form mismatch {miss.side} {miss.pair}: "
                   f"closed {miss.closed_form!r} vs matrix {miss.matrix_limit!r}")

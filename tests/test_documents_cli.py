@@ -274,8 +274,7 @@ class TestEmitter:
         path = write_doc(tmp_path, documents.coupling_to_document(random_coupling(5, 3, 4, rng)))
         monkeypatch.setattr(documents, "dumps", recording)
         commands = [["smatrix", path, "--k", "2.0"], ["filter-demo", "--preset", "fig1"]]
-        commands += [["convert", path, "--to", t]
-                     for t in ("st", "reverse-st", "pqrs", "unitary", "projector")]
+        commands += [["convert", path, "--to", kind] for kind in documents.FORM_KINDS]
         for argv in commands:
             assert main(argv) == 0
             assert capsys.readouterr().out == json.dumps(written[-1], indent=2) + "\n"
@@ -343,9 +342,10 @@ class TestCliConvert:
     def test_converted_documents_reparse(self, tmp_path, capsys, rng):
         c = random_coupling(4, rng=rng)
         path = write_doc(tmp_path, documents.coupling_to_document(c))
-        for target in ("st", "reverse-st", "pqrs", "unitary", "projector"):
-            assert main(["convert", path, "--to", target]) == 0
+        for kind in documents.FORM_KINDS:
+            assert main(["convert", path, "--to", kind]) == 0
             parsed = documents.parse_document(json.loads(capsys.readouterr().out))
+            assert isinstance(parsed, documents.FORM_KINDS[kind].record)
             assert smatrix_distance(documents.as_coupling(parsed), c) < 1e-9
 
 
@@ -372,6 +372,7 @@ class TestCliSweep:
         code = main(["sweep", path, "--k-min", "0.1", "--k-max", "10", "--points", "5",
                      "--out", str(out_path)])
         assert code == 0
+        assert list(tmp_path.glob("sweep.csv*")) == [out_path]  # the sibling was renamed onto it
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].startswith("k,S11,S12")
         assert len(lines) == 6
@@ -616,15 +617,32 @@ class TestSweepCsvShares:
             written_csv(fig2_table(3))
         assert len(forks) == 1
 
+    @staticmethod
+    def sweep_fig1_to(out, capsys):
+        """Exit code of ``sweep --out out`` on a fig1 grid of two row blocks, after
+        checking that its error report is the one line of a failed worker."""
+        assert main(["filter-demo", "--preset", "fig1"]) == 0
+        path = write_doc(out.parent, json.loads(capsys.readouterr().out))
+        code = main(["sweep", path, "--k-min", "0.1", "--k-max", "10", "--points",
+                     str(2 * filters.SWEEP_BLOCK), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: sweep CSV worker \d+ exited with status 1\n", err), err
+        return code
+
     def test_worker_failure_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                   failing_worker):
         usable_cpus(monkeypatch, 2)
-        assert main(["filter-demo", "--preset", "fig1"]) == 0
-        path = write_doc(tmp_path, json.loads(capsys.readouterr().out))
-        assert main(["sweep", path, "--k-min", "0.1", "--k-max", "10", "--points",
-                     str(2 * filters.SWEEP_BLOCK), "--out", str(tmp_path / "sweep.csv")]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"error: sweep CSV worker \d+ exited with status 1\n", err), err
+        assert self.sweep_fig1_to(tmp_path / "sweep.csv", capsys) == 1
+        assert list(tmp_path.glob("sweep.csv*")) == []  # no short table, no sibling left
+
+    def test_worker_failure_keeps_the_earlier_out_file(self, tmp_path, capsys, monkeypatch,
+                                                       failing_worker):
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "sweep.csv"
+        out.write_text("earlier\n", encoding="utf-8")
+        assert self.sweep_fig1_to(out, capsys) == 1
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+        assert list(tmp_path.glob("sweep.csv*")) == [out]
 
     def test_stream_failure_kills_and_reaps_the_worker(self, monkeypatch, forks):
         usable_cpus(monkeypatch, 2)

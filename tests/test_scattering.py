@@ -373,7 +373,7 @@ class TestLimits:
         for f in st:
             expand(f, "high-k", 2)
         for fp in designs:
-            classify_branching(fp, limits=amplitude_limits(fp))
+            amplitude_limits(fp)  # classify_branching skips it for a design with an empty block
             classify_branching(fp)
         assert calls == []
 
