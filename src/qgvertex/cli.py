@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 import numpy as np
@@ -26,31 +27,41 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_coupling(path: str):
-    """(validated coupling, decoded JSON) of the document at ``path``, of any form kind."""
-    doc = documents._decode(_read_text(path))
+    """(validated coupling, decoded JSON) of the document at ``path``, of any form kind;
+    ``-`` reads standard input."""
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+        doc = documents._decode(fh.read())
     return documents.as_coupling(documents.parse_document(doc)), doc
 
 
 @contextlib.contextmanager
 def _output(path: str):
-    """Text stream for ``path`` (standard output for ``-``).  A file is written under a
-    sibling name and renamed onto ``path`` when the body returns; on any error the
-    sibling is removed, so ``path`` is absent or keeps its earlier content."""
+    """Text stream for ``path`` (standard output for ``-``).  An absent ``path``, or a
+    regular file with one link and this process's owner and group, is written under a
+    sibling name with the file's mode and renamed onto ``path`` when the body returns;
+    on any error the sibling is removed, so ``path`` is absent or keeps its earlier
+    content.  Anything else (``/dev/null``, a pipe, a symlink) is written in place, as
+    a rename would replace it, and an error can leave part of the output there."""
     if path == "-":
         yield sys.stdout
+        return
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    ours = (getattr(os, "geteuid", int)(), getattr(os, "getegid", int)())  # Windows: 0, 0
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                               and (st.st_uid, st.st_gid) == ours):
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
         return
     part = f"{path}.{os.getpid()}.part"
     stream = open(part, "x", encoding="utf-8", newline="")
     try:
         with stream:
+            if st is not None:
+                os.chmod(part, stat.S_IMODE(st.st_mode))
             yield stream
         os.replace(part, path)
     except BaseException:

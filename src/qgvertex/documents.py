@@ -19,15 +19,9 @@ by two spaces.  That fallback covers ints, bools, numpy scalars (whose
 matrices, zero-width rows and nested objects.  A document that is not a
 dict, or has a key that is not a str, goes to ``json.dumps`` whole.
 
-``write_sweep_csv`` writes one ``repr`` per value, too, but calls it once
-per distinct bit pattern in each slice of rows: the constant blocks of a
-uniform-block design repeat a third to a half of each row's values exactly.
-Formatting is nearly all of its time, so it splits the table's row blocks
-into one contiguous share per usable CPU.  The caller writes the first
-share; a forked worker writes each other share to an unnamed temporary
-file, and the caller copies those files to the stream in order, so the
-bytes do not depend on the number of shares, and one share forks nothing.
-A worker that fails raises ``OSError``, and no worker outlives the call.
+``write_sweep_csv`` writes one ``repr`` per distinct value of each slice of
+rows, and splits the rows into one share per usable CPU, each written by a
+forked worker but the first; the bytes do not depend on the number of shares.
 """
 
 from __future__ import annotations

@@ -159,9 +159,7 @@ def amplitude_limits(fp: FilterParams) -> AmplitudeLimits:
     high, low = limit_high_k(form), limit_low_k(form, allow_singular=True)
     hi, lo = np.abs(np.asarray(high.entries)), np.abs(np.asarray(low.entries))
 
-    l_p = nb * m
-    l_q = nb * na
-    l_r = na * m
+    l_p, l_q, l_r = nb * m, nb * na, na * m
     try:  # a float power raises OverflowError, where a product turns inf
         g = fp.q - m * fp.r * fp.p
         denom_hi = 1.0 + l_p * fp.p**2 + l_q * g**2

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import stat
 import threading
 import time
 import warnings
@@ -380,6 +381,58 @@ class TestCliSweep:
         for line in lines[2:]:
             row = np.array([float(v) for v in line.split(",")[1:]])
             assert np.max(np.abs(row - first)) < 1e-12
+
+    @staticmethod
+    def dirichlet_sweep(tmp_path, capsys, out):
+        """(stdout CSV, exit code of ``--out out``) of one small Dirichlet sweep."""
+        path = write_doc(tmp_path, dirichlet_doc())
+        argv = ["sweep", path, "--k-min", "1", "--k-max", "2", "--points", "3", "--out"]
+        assert main(argv + ["-"]) == 0
+        return capsys.readouterr().out, main(argv + [str(out)])
+
+    def test_out_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "sweep.fifo"
+        os.mkfifo(fifo)
+        # a reader that never blocks: the CSV fits the pipe buffer, and a read
+        # ends at once if no writer ever opened the FIFO
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            expected, code = self.dirichlet_sweep(tmp_path, capsys, fifo)
+            received = os.read(fd, 1 << 16).decode()
+        finally:
+            os.close(fd)
+        assert code == 0
+        assert received == expected
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.glob("sweep.fifo*")) == [fifo]
+
+    def test_out_symlink_writes_its_target(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier\n", encoding="utf-8")
+        link.symlink_to(target)
+        expected, code = self.dirichlet_sweep(tmp_path, capsys, link)
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == expected
+
+    def test_out_hard_link_keeps_both_names(self, tmp_path, capsys):
+        out, other = tmp_path / "sweep.csv", tmp_path / "other.csv"
+        out.write_text("earlier\n", encoding="utf-8")
+        os.link(out, other)
+        expected, code = self.dirichlet_sweep(tmp_path, capsys, out)
+        assert code == 0
+        assert os.path.samefile(out, other)
+        assert other.read_text(encoding="utf-8") == expected
+
+    def test_out_regular_file_keeps_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        out.write_text("earlier\n", encoding="utf-8")
+        out.chmod(0o640)
+        expected, code = self.dirichlet_sweep(tmp_path, capsys, out)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text(encoding="utf-8") == expected
+        assert list(tmp_path.glob("sweep.csv*")) == [out]
 
     def test_two_points_two_rows(self, tmp_path, capsys):
         path = write_doc(tmp_path, dirichlet_doc())
