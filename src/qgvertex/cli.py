@@ -57,7 +57,11 @@ def _output(path: str):
             yield stream
         return
     part = f"{path}.{os.getpid()}.part"
-    stream = open(part, "x", encoding="utf-8", newline="")
+    try:
+        stream = open(part, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        exc.filename = path  # the error names ``path``, not the sibling
+        raise
     try:
         with stream:
             if st is not None:

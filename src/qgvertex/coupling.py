@@ -57,6 +57,14 @@ class UnitaryForm:
         return {"U": (n, n)}
 
 
+def _require_record(f, *records: type) -> None:
+    """TypeError naming ``records`` unless ``f`` is one: another kind of record has
+    other fields, or the same fields with another meaning."""
+    if not isinstance(f, records):
+        needed = " or ".join(record.__name__ for record in records)
+        raise TypeError(f"needs a {needed}, got {type(f).__name__}")
+
+
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
 
@@ -108,17 +116,19 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
 def to_unitary(c: VertexCoupling) -> UnitaryForm:
     """Unitary description of the coupling, U = S(1) = -(A + iB)^{-1}(A - iB),
     which is defined for every admissible pair."""
+    _require_record(c, VertexCoupling)
     return UnitaryForm(n=c.n, U=linalg.frozen(_smatrix_grid(c.A, c.B, np.array([1.0]))[0]))
 
 
-def from_unitary(u, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
-    """Coupling with A = U - I and B = i(U + I); U must be finite and unitary."""
+def from_unitary(u) -> VertexCoupling:
+    """Coupling with A = U - I and B = i(U + I); U must be finite, with a unitarity
+    defect (max-norm of U U* - I) of at most ``linalg.DEFAULT_ATOL``."""
     U = u.U if isinstance(u, UnitaryForm) else linalg.as_complex_matrix(u)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ShapeMismatch(f"unitary description needs a square matrix, got {U.shape}")
     n = U.shape[0]
     linalg.require_finite({"U": U})
     defect = linalg.unitarity_defect(U)
-    if defect > max(tol, linalg.DEFAULT_ATOL):
+    if defect > linalg.DEFAULT_ATOL:
         raise NotUnitary(f"max-norm unitarity defect {defect:.3e} exceeds tolerance")
-    return validate(U - np.eye(n), 1j * (U + np.eye(n)), tol)
+    return validate(U - np.eye(n), 1j * (U + np.eye(n)))

@@ -93,8 +93,9 @@ def matrix_to_json(m) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def matrix_from_json(rows, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
-    """Parse nested [re, im] rows; ``shape`` disambiguates zero-dim blocks.
+def matrix_from_json(rows, shape: tuple[int, int], name: str) -> np.ndarray:
+    """Parse nested [re, im] rows into a matrix of ``shape``, which also fixes the
+    zero-dim blocks; errors name the matrix ``name``.
 
     Each entry must be a list of exactly two finite numbers (JSON ints or
     floats, not booleans or strings).
@@ -116,15 +117,10 @@ def matrix_from_json(rows, shape: tuple[int, int] | None = None, name: str = "ma
     widths = set(map(len, rows))
     if len(widths) > 1:
         raise DocumentError(f"{name}: rows have unequal lengths")
-    width = widths.pop() if widths else 0
-    if shape is not None:
-        r, c = shape
-        if len(rows) != r or (rows and width != c):
-            raise DocumentError(f"{name}: expected shape {shape}, got {len(rows)} rows")
-        return parts.view(complex).reshape(r, c)
-    if not rows:
-        raise DocumentError(f"{name}: cannot infer the shape of an empty matrix")
-    return parts.view(complex).reshape(len(rows), width)
+    r, c = shape
+    if len(rows) != r or (rows and widths.pop() != c):
+        raise DocumentError(f"{name}: expected shape {shape}, got {len(rows)} rows")
+    return parts.view(complex).reshape(r, c)
 
 
 def _perm_to_json(perm) -> list[int]:

@@ -37,9 +37,9 @@ Permutations are stored explicitly (``perm[i]`` is the original edge index
 sitting at permuted slot i) and applied on reconstruction, so callers
 always see matrices in their original edge numbering.  Each record checks
 at construction that its permutation holds each of 0..n-1 once and its
-blocks are finite and of the shapes of its ``layout``, a read-only map
-cached per n and ranks.  Conversions build on the ST and PQRS forms, so a
-coupling record, being immutable, computes each of them once.
+blocks are finite and of the shapes of its ``layout``, a dict of block name
+-> shape.  Conversions build on the ST and PQRS forms, so a coupling record,
+being immutable, computes each of them once.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
-from .coupling import VertexCoupling, validate
+from .coupling import VertexCoupling, _require_record, validate
 from .errors import InvalidRankPair, ShapeMismatch, SingularMatrix, SingularSBlock
 
 
@@ -69,20 +68,12 @@ def block_sizes(n: int, r_a: int, r_b: int) -> tuple[int, int, int]:
     return (m, n - r_a, n - r_b)
 
 
-def _check_layout(layout: MappingProxyType, n: int, perm, blocks: dict) -> None:
+def _check_layout(layout: dict, n: int, perm, blocks: dict) -> None:
     """ShapeMismatch unless ``perm`` permutes 0..n-1, then ``require_finite`` with ``layout``."""
     if len(perm) != n:
         raise ShapeMismatch(f"permutation has length {len(perm)}, expected {n}")
     linalg.inverse_permutation(perm)
     linalg.require_finite(blocks, layout)
-
-
-def _require_record(f, *records: type) -> None:
-    """TypeError naming ``records`` unless ``f`` is one: another kind of record has
-    other fields, or the same fields with another meaning."""
-    if not isinstance(f, records):
-        needed = " or ".join(record.__name__ for record in records)
-        raise TypeError(f"needs a {needed}, got {type(f).__name__}")
 
 
 def _once_per_record(convert):
@@ -96,13 +87,12 @@ def _once_per_record(convert):
     return once
 
 
-@functools.lru_cache(maxsize=1024)
-def _st_layout(n: int, r_a: int, r_b: int) -> MappingProxyType:
+def _st_layout(n: int, r_a: int, r_b: int) -> dict:
     """S (r x r) and T (r x (n - r)) of an ST form (r_a = n, r = r_b) or a reverse ST
     form (r_b = n, r = r_a): the S block and the nonempty one of P and R* of the
     PQRS form with ranks (r_a, r_b)."""
     m, na, nb = block_sizes(n, r_a, r_b)
-    return MappingProxyType({"S": (m, m), "T": (m, na + nb)})
+    return {"S": (m, m), "T": (m, na + nb)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +139,9 @@ class PQRSForm:
                       {"P": self.P, "Q": self.Q, "R": self.R, "S": self.S})
 
     @staticmethod
-    @functools.lru_cache(maxsize=1024)
-    def layout(n: int, r_a: int, r_b: int) -> MappingProxyType:
+    def layout(n: int, r_a: int, r_b: int) -> dict:
         m, na, nb = block_sizes(n, r_a, r_b)
-        return MappingProxyType({"P": (m, nb), "Q": (na, nb), "R": (na, m), "S": (m, m)})
+        return {"P": (m, nb), "Q": (na, nb), "R": (na, m), "S": (m, m)}
 
     @property
     def block_sizes(self) -> tuple[int, int, int]:
@@ -210,10 +199,8 @@ class ProjectorForm:
                               self.layout(self.n))
 
     @staticmethod
-    @functools.lru_cache(maxsize=1024)
-    def layout(n: int) -> MappingProxyType:
-        return MappingProxyType(dict.fromkeys(("projector_p", "projector_q", "projector_c", "lam"),
-                                              (n, n)))
+    def layout(n: int) -> dict:
+        return dict.fromkeys(("projector_p", "projector_q", "projector_c", "lam"), (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +316,7 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
 @_once_per_record
 def to_st_form(c: VertexCoupling) -> STForm:
     """Unique ST form of a coupling, organized by r_b = rank(B); once per coupling."""
+    _require_record(c, VertexCoupling)
     perm, S, T = _st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b, c.tol)
     return STForm(n=c.n, r_b=c.r_b, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
@@ -339,6 +327,7 @@ def to_reverse_st_form(c: VertexCoupling) -> ReverseSTForm:
     The reduction is the ST reduction applied to the swapped pair (B, A),
     which is admissible exactly when (A, B) is.
     """
+    _require_record(c, VertexCoupling)
     perm, S, T = _st_reduce(np.asarray(c.B), np.asarray(c.A), c.r_a, c.tol)
     return ReverseSTForm(n=c.n, r_a=c.r_a, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
@@ -448,7 +437,7 @@ def _pqrs_pair(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
     return 0.0 - Rh[:, inv], Bh[:, inv]  # 0 - x: zeros stay +0.0, printed as 0.0
 
 
-def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
+def pqrs_to_matrices(f: PQRSForm) -> VertexCoupling:
     """Assemble (A, B) from PQRS blocks, undo the permutation, validate.
 
     S only needs to be Hermitian here; with a singular S the assembled
@@ -456,7 +445,7 @@ def pqrs_to_matrices(f: PQRSForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCou
     declared r_a, so the declared ranks match the validated ones only for
     regular S.
     """
-    return validate(*_pqrs_pair(f), tol)
+    return validate(*_pqrs_pair(f))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +472,7 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
 
 def projector_to_matrices(p: ProjectorForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     """Coupling pair (proj_p - lam, proj_q + proj_c) realizing the projector form."""
+    _require_record(p, ProjectorForm)
     return validate(p.projector_p - p.lam, p.projector_q + p.projector_c, tol)
 
 

@@ -12,9 +12,9 @@ import numpy as np
 
 from .errors import NonFiniteMatrix, ShapeMismatch, SingularMatrix
 
-# Default relative cutoff on singular values for rank decisions.  Rank
-# determines which canonical-form branch is taken downstream, so every
-# routine takes the tolerance as a parameter instead of hard-coding it.
+# Default relative cutoff on singular values for rank decisions.  A coupling
+# record keeps the tolerance it was validated with, and the conversions use
+# it; the k -> 0 rank of S is read at this cutoff.
 DEFAULT_RTOL = 1e-10
 
 # Default absolute cutoff for Hermitian / unitary residual checks.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .coupling import VertexCoupling, validate
 from .errors import InvalidRankPair
 from .forms import block_sizes
@@ -37,7 +36,6 @@ def random_coupling(
     r_a: int | None = None,
     r_b: int | None = None,
     rng: np.random.Generator | None = None,
-    tol: float = linalg.DEFAULT_RTOL,
     margin: float = PHASE_MARGIN,
 ) -> VertexCoupling:
     """Random admissible coupling, optionally with prescribed ranks.
@@ -67,4 +65,4 @@ def random_coupling(
     # degenerate matrix would count as full rank)
     a = v @ np.diag(lam - 1.0) @ v.conj().T
     b = v @ np.diag(1j * (lam + 1.0)) @ v.conj().T
-    return validate(a, b, tol)
+    return validate(a, b)

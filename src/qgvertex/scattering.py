@@ -23,11 +23,9 @@ with proj_z the orthogonal projector onto Z = (R*; I; Q*), X = QR the
 reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
 of the Hermitian R^{-*} S R^{-1} and U = QV: a PQRS record computes them
 once, as ``PQRSForm.split`` (proj_z, Q and R^{-*} S R^{-1}, all the PQRS
-route reads) and ``PQRSForm.spectrum`` (U, w).  An ST form enters as a new
-PQRS view with r_a = n per call (``forms._st_as_pqrs``): Z is empty, so
-proj_z = 0, and X = W = (I; T*).  ``_limit_matrix`` writes -I + 2 proj_z
-+ 2(.) for all.  A form record of another kind than a function reads
-raises TypeError.
+route reads) and ``PQRSForm.spectrum`` (U, w); the limits and series take a
+PQRS form only.  ``_limit_matrix`` writes -I + 2 proj_z + 2(.) for all.  A
+record of another kind than a function reads raises TypeError.
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .coupling import VertexCoupling, _smatrix_grid
+from .coupling import VertexCoupling, _require_record, _smatrix_grid
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import PQRSForm, ProjectorForm, ReverseSTForm, STForm, _require_record, _st_as_pqrs
+from .forms import PQRSForm, ProjectorForm, ReverseSTForm, STForm
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +67,6 @@ class SeriesExpansion:
     order: int
     coefficients: tuple[np.ndarray, ...]
     spectral_radius: float
-
-    @property
-    def limit(self) -> np.ndarray:
-        return self.coefficients[0]
 
     def converges_at(self, k: float) -> bool:
         if self.kind == "high-k":
@@ -108,6 +102,7 @@ def _require_momentum(k: float) -> None:
 
 def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
     """S(k) from the defining pair; inverts the full n x n matrix A + ikB."""
+    _require_record(c, VertexCoupling)
     _require_momentum(k)
     s = _smatrix_grid(c.A, c.B, np.array([k], dtype=float))[0]
     return SMatrix(n=c.n, k=k, entries=linalg.frozen(s))
@@ -166,6 +161,7 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
         S(k) = -proj_p + proj_q
                - (lam_c - ik proj_c + I - proj_c)^{-1} (lam_c + ik proj_c).
     """
+    _require_record(p, ProjectorForm)
     _require_momentum(k)
     proj_c = np.asarray(p.projector_c)
     lam_c = proj_c @ np.asarray(p.lam) @ proj_c
@@ -191,12 +187,11 @@ def _limit_matrix(proj_z: np.ndarray, x: np.ndarray | float) -> np.ndarray:
     return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + x)
 
 
-def _zero_eigenvalues(w: np.ndarray, tol: float) -> np.ndarray:
-    """Mask |w| <= tol max|w|, 0 < tol < 1.  H is congruent to S, so by Sylvester's
+def _zero_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Mask |w| <= ``linalg.DEFAULT_RTOL`` max|w|.  H is congruent to S, so by Sylvester's
     law of inertia it marks m - rank(S) columns of U: those on which S acts as zero."""
-    linalg.require_tolerance(tol)
     size = np.abs(w)
-    return size <= tol * size.max(initial=0.0)
+    return size <= linalg.DEFAULT_RTOL * size.max(initial=0.0)
 
 
 def _limit(f: PQRSForm, k: float, cols: np.ndarray) -> SMatrix:
@@ -212,19 +207,19 @@ def limit_high_k(f: PQRSForm) -> SMatrix:
     return _limit(f, math.inf, f.spectrum[0])
 
 
-def limit_low_k(f: PQRSForm, allow_singular: bool = False,
-                tol: float = linalg.DEFAULT_RTOL) -> SMatrix:
+def limit_low_k(f: PQRSForm, allow_singular: bool = False) -> SMatrix:
     """k -> 0 limit of S(k).
 
     For an empty or regular S block this is -I + 2 Z (Z*Z)^{-1} Z*.  When
-    S is present but singular that expression is not the limit any more: a
+    S is present but singular (an eigenvalue w of H with |w| at most
+    ``linalg.DEFAULT_RTOL`` max|w|) that expression is not the limit any more: a
     SingularSBlock is raised unless ``allow_singular`` is set, in which
     case the exact limit is returned, i.e. the expression above plus twice
     the projector onto the part of range(X) on which S acts as zero.
     """
     _require_record(f, PQRSForm)
     u, w = f.spectrum
-    cols = u[:, _zero_eigenvalues(w, tol)]
+    cols = u[:, _zero_eigenvalues(w)]
     if cols.shape[1] and not allow_singular:
         raise SingularSBlock(
             "the S block is numerically singular; the closed-form k -> 0 "
@@ -233,16 +228,15 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False,
     return _limit(f, 0.0, cols)
 
 
-def expand(f: PQRSForm | STForm, kind: str, order: int,
-           tol: float = linalg.DEFAULT_RTOL) -> SeriesExpansion:
+def expand(f: PQRSForm, kind: str, order: int) -> SeriesExpansion:
     """Truncated geometric expansion of S(k) around k = infinity or k = 0.
 
-    With S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U* (proj_z = 0 for
-    the ST form, which is split as its PQRS view):
+    With S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U* from the PQRS
+    form's ``split`` and ``spectrum``:
     high-k:  C_0 = -I + 2 proj_z + 2 U U* and C_j = 2 U diag(w^j) U*;
              the series converges for k > max |w|.
     low-k:   C_0 = -I + 2 proj_z and C_j = -2 U diag(w^-j) U*; this
-             needs a regular S, is only available for the PQRS form and
+             needs a regular S, as ``limit_low_k`` decides it, and
              converges for k < min |w|.
 
     Coefficients are returned in the original edge numbering.
@@ -251,13 +245,9 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
         raise ValueError("expansion order must be non-negative")
     if kind not in ("high-k", "low-k"):
         raise ValueError(f"kind must be 'high-k' or 'low-k', got {kind!r}")
-    _require_record(f, PQRSForm, STForm)
-    if isinstance(f, STForm):
-        if kind == "low-k":
-            raise ValueError("the low-k expansion requires the PQRS form")
-        f = _st_as_pqrs(f)
+    _require_record(f, PQRSForm)
     proj_z, (u, w) = f.split[0], f.spectrum
-    if kind == "low-k" and _zero_eigenvalues(w, tol).any():
+    if kind == "low-k" and _zero_eigenvalues(w).any():
         raise SingularSBlock("the low-k expansion requires a regular S block")
     if kind == "high-k":
         sign, ratio, limit = 2.0, w, _limit_matrix(proj_z, u @ u.conj().T)
@@ -276,6 +266,7 @@ def expand(f: PQRSForm | STForm, kind: str, order: int,
 
 def bc_residual(c: VertexCoupling, s: SMatrix) -> float:
     """max-norm of A (I + S) + ik B (S - I); ~0 when S solves the coupling."""
+    _require_record(c, VertexCoupling)
     _require_momentum(s.k)
     entries = np.asarray(s.entries)
     eye = np.eye(c.n)

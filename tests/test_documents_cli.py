@@ -171,8 +171,6 @@ class TestDocuments:
                 documents.parse_document(doc)
 
     def test_other_document_errors(self):
-        with pytest.raises(DocumentError, match=r"^matrix: cannot infer the shape of an empty matrix$"):
-            documents.matrix_from_json([])
         with pytest.raises(DocumentError, match=r"^cannot serialize object of type dict$"):
             documents.form_to_document({})
         with pytest.raises(DocumentError, match=r"^cannot interpret dict as a coupling$"):
@@ -183,10 +181,9 @@ class TestDocuments:
             documents.loads("[" * 100000 + "]" * 100000)
 
     def test_matrix_from_json_shapes(self):
-        assert documents.matrix_from_json([], (0, 3)).shape == (0, 3)
-        assert documents.matrix_from_json([[], []], (2, 0)).shape == (2, 0)
-        assert documents.matrix_from_json([[], []]).shape == (2, 0)
-        m = documents.matrix_from_json([[[1, -0.0], [2.5, 3]]], (1, 2))
+        assert documents.matrix_from_json([], (0, 3), "M").shape == (0, 3)
+        assert documents.matrix_from_json([[], []], (2, 0), "M").shape == (2, 0)
+        m = documents.matrix_from_json([[[1, -0.0], [2.5, 3]]], (1, 2), "M")
         assert m.dtype == complex and m.shape == (1, 2)
         assert np.array_equal(m, [[1 - 0j, 2.5 + 3j]])
         assert np.signbit(m[0, 0].imag)
@@ -331,7 +328,7 @@ class TestCliConvert:
         assert main(["convert", path, "--to", "unitary"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["form"] == "unitary"
-        assert np.allclose(documents.matrix_from_json(doc["U"]), np.eye(2))
+        assert np.allclose(documents.matrix_from_json(doc["U"], (2, 2), "U"), np.eye(2))
 
     def test_dirichlet_to_st_degenerates(self, tmp_path, capsys):
         path = write_doc(tmp_path, dirichlet_doc())
@@ -355,7 +352,7 @@ class TestCliSmatrix:
         path = write_doc(tmp_path, dirichlet_doc())
         assert main(["smatrix", path, "--k", "2.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert np.allclose(documents.matrix_from_json(doc["S"]), -np.eye(2))
+        assert np.allclose(documents.matrix_from_json(doc["S"], (2, 2), "S"), -np.eye(2))
         assert doc["unitarity_defect"] < 1e-12
         assert doc["bc_residual"] < 1e-12
 
@@ -389,6 +386,14 @@ class TestCliSweep:
         argv = ["sweep", path, "--k-min", "1", "--k-max", "2", "--points", "3", "--out"]
         assert main(argv + ["-"]) == 0
         return capsys.readouterr().out, main(argv + [str(out)])
+
+    def test_out_in_a_missing_directory_names_out(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "sweep.csv"
+        _, code = self.dirichlet_sweep(tmp_path, capsys, out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "coupling.json"]
 
     def test_out_fifo_is_written_in_place(self, tmp_path, capsys):
         fifo = tmp_path / "sweep.fifo"

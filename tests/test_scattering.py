@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from qgvertex import (
+    SMatrix,
     admissible_rank_pairs,
     amplitude_limits,
     bc_residual,
     classify_branching,
+    documents,
     expand,
     limit_high_k,
     limit_low_k,
     linalg,
     pqrs_to_matrices,
+    projector_to_matrices,
     random_coupling,
     reverse_st_to_matrices,
     smatrix_direct,
@@ -166,10 +169,10 @@ class TestFormRoutes:
                                         smatrix_reverse_st(rst, 1.3), smatrix_pqrs(pqrs, 1.3),
                                         smatrix_projector(proj, 1.3), limit_high_k(pqrs),
                                         limit_low_k(pqrs, allow_singular=True))]
-        for f, kind in ((pqrs, "high-k"), (pqrs, "low-k"), (st, "high-k")):
-            matrices += expand(f, kind, 2).coefficients
+        for kind in ("high-k", "low-k"):
+            matrices += expand(pqrs, kind, 2).coefficients
         matrices += [proj.projector_p, proj.projector_q, proj.projector_c, proj.lam]
-        assert len(matrices) == 20
+        assert len(matrices) == 17
         for m in matrices:
             assert m.dtype == complex and not m.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -259,10 +262,6 @@ class TestOneSplitPerRecord:
         expand(f, "high-k", 2)
         expand(f, "low-k", 2)
         assert computed_splits == [f]
-        st = to_st_form(random_coupling(5, 3, 4, np.random.default_rng(2)))
-        expand(st, "high-k", 2)
-        expand(st, "high-k", 2)
-        assert len(computed_splits) == 3  # an ST form is split as a new PQRS view per call
 
     def test_split_and_spectrum_are_cached_read_only(self):
         f = to_pqrs_form(random_coupling(5, 3, 4, np.random.default_rng(2)))
@@ -274,10 +273,11 @@ class TestOneSplitPerRecord:
 
 
 class TestRecordKinds:
-    """A form record of another kind than a function reads raises TypeError
-    naming the kind it needs.  The ST and reverse ST records share their
-    fields, so without the check each of the four ST functions below returns
-    S off by 1.43 at k = 1.3 on this coupling; the others read missing fields."""
+    """A record of another kind than a function reads raises TypeError naming
+    the kind it needs.  The ST and reverse ST records share their fields, so
+    without the check each of the four ST functions below returns S off by
+    1.43 at k = 1.3 on this coupling, and the others raise AttributeError on
+    a missing field."""
 
     @pytest.mark.parametrize("call, given, needed", [
         (lambda f: smatrix_st(f, 1.3), "reverse-st", "STForm"),
@@ -288,12 +288,24 @@ class TestRecordKinds:
         (limit_high_k, "st", "PQRSForm"),
         (limit_low_k, "reverse-st", "PQRSForm"),
         (pqrs_to_matrices, "st", "PQRSForm"),
-        (lambda f: expand(f, "high-k", 2), "reverse-st", "PQRSForm or STForm"),
+        (lambda f: expand(f, "high-k", 2), "st", "PQRSForm"),
+        (to_st_form, "pqrs", "VertexCoupling"),
+        (to_reverse_st_form, "projector", "VertexCoupling"),
+        (to_pqrs_form, "unitary", "VertexCoupling"),
+        (to_projector_form, "st", "VertexCoupling"),
+        (to_unitary, "reverse-st", "VertexCoupling"),
+        (lambda f: smatrix_direct(f, 1.3), "unitary", "VertexCoupling"),
+        (lambda f: bc_residual(f, SMatrix(4, 1.3, np.eye(4))), "pqrs", "VertexCoupling"),
+        (lambda f: smatrix_projector(f, 1.3), "pqrs", "ProjectorForm"),
+        (projector_to_matrices, "unitary", "ProjectorForm"),
     ], ids=["smatrix_st", "smatrix_reverse_st", "st_to_matrices", "reverse_st_to_matrices",
-            "smatrix_pqrs", "limit_high_k", "limit_low_k", "pqrs_to_matrices", "expand"])
+            "smatrix_pqrs", "limit_high_k", "limit_low_k", "pqrs_to_matrices", "expand",
+            "to_st_form", "to_reverse_st_form", "to_pqrs_form", "to_projector_form",
+            "to_unitary", "smatrix_direct", "bc_residual", "smatrix_projector",
+            "projector_to_matrices"])
     def test_record_of_another_kind_raises_type_error(self, call, given, needed):
         c = random_coupling(4, 3, 2, np.random.default_rng(1))
-        f = {"st": to_st_form, "reverse-st": to_reverse_st_form}[given](c)
+        f = documents.FORM_KINDS[given].from_coupling(c)
         with pytest.raises(TypeError, match=f"^needs a {needed}, got {type(f).__name__}$"):
             call(f)
 
@@ -327,16 +339,6 @@ class TestLimits:
         with pytest.raises(SingularSBlock):
             limit_low_k(f)
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0])
-    def test_tolerance_outside_unit_interval_raises(self, tol):
-        """S = 3F is singular. At tol nan, -1 and 0 the cut used to return the
-        regular-S limit and a low-k series of spectral radius 3.6e16; at tol 1
-        it raised SingularSBlock instead of the ValueError."""
-        f = uniform_block_pqrs(FIG1_PARAMS)
-        for call in (lambda: limit_low_k(f, tol=tol), lambda: expand(f, "low-k", 3, tol=tol)):
-            with pytest.raises(ValueError, match="tolerance must lie strictly between 0 and 1"):
-                call()
-
     def test_singular_s_block_exact_limit(self):
         from qgvertex import pqrs_to_matrices
 
@@ -358,7 +360,6 @@ class TestLimits:
                    for n in range(1, 6) for r_a, r_b in admissible_rank_pairs(n)]
         fresh = [replace(c) for c in corpus]  # the shared corpus records may be split already
         pqrs = [to_pqrs_form(c) for c in fresh] + [uniform_block_pqrs(fp) for fp in designs]
-        st = [to_st_form(c) for c in fresh]
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
@@ -370,8 +371,6 @@ class TestLimits:
                 limit_low_k(f)
             with suppress(SingularSBlock):
                 expand(f, "low-k", 2)
-        for f in st:
-            expand(f, "high-k", 2)
         for fp in designs:
             amplitude_limits(fp)  # classify_branching skips it for a design with an empty block
             classify_branching(fp)
@@ -405,27 +404,23 @@ class TestEdgeRelabelling:
 def reference_expansion(f, kind, order):
     """Coefficients and spectral radius from the closed forms
 
-        high-k:  C_j = 2 X [(X*X)^{-1} S]^j (X*X)^{-1} X*, or L = (I; T*) for X
+        high-k:  C_j = 2 X [(X*X)^{-1} S]^j (X*X)^{-1} X*
         low-k:   C_j = -2 X (S^{-1} X*X)^{j-1} S^{-1} X*
 
-    with C_0 = I - 2 Y (Y*Y)^{-1} Y* (high-k, PQRS), -I + 2 L (L*L)^{-1} L*
-    (high-k, ST) or -I + 2 Z (Z*Z)^{-1} Z* (low-k), in the original numbering.
+    with C_0 = I - 2 Y (Y*Y)^{-1} Y* (high-k) or -I + 2 Z (Z*Z)^{-1} Z*
+    (low-k), in the original numbering.
     """
     eye = np.eye(f.n)
     S = np.asarray(f.S)
-    if isinstance(f, STForm):
-        left = np.vstack([np.eye(f.r_b), np.asarray(f.T).conj().T])
-        limit = -eye + 2.0 * left @ np.linalg.solve(left.conj().T @ left, left.conj().T)
+    m, na, nb = f.block_sizes
+    P, Q, R = (np.asarray(b) for b in (f.P, f.Q, f.R))
+    Y = np.vstack([-P, R @ P - Q, np.eye(nb)])
+    Z = np.vstack([R.conj().T, np.eye(na), Q.conj().T])
+    left = build_x(f)
+    if kind == "high-k":
+        limit = eye - 2.0 * Y @ np.linalg.solve(Y.conj().T @ Y, Y.conj().T)
     else:
-        m, na, nb = f.block_sizes
-        P, Q, R = (np.asarray(b) for b in (f.P, f.Q, f.R))
-        Y = np.vstack([-P, R @ P - Q, np.eye(nb)])
-        Z = np.vstack([R.conj().T, np.eye(na), Q.conj().T])
-        left = build_x(f)
-        if kind == "high-k":
-            limit = eye - 2.0 * Y @ np.linalg.solve(Y.conj().T @ Y, Y.conj().T)
-        else:
-            limit = -eye + 2.0 * Z @ np.linalg.solve(Z.conj().T @ Z, Z.conj().T)
+        limit = -eye + 2.0 * Z @ np.linalg.solve(Z.conj().T @ Z, Z.conj().T)
     gram = left.conj().T @ left
     if kind == "high-k":
         step = np.linalg.solve(gram, S)
@@ -445,9 +440,8 @@ def reference_expansion(f, kind, order):
 class TestExpansion:
     def test_matches_closed_forms_on_corpus(self, corpus):
         for c in corpus:
-            cases = [(to_st_form(c), "high-k")]
-            cases += [(to_pqrs_form(c), kind) for kind in ("high-k", "low-k")]
-            for f, kind in cases:
+            f = to_pqrs_form(c)
+            for kind in ("high-k", "low-k"):
                 series = expand(f, kind, 3)
                 coeffs, radius = reference_expansion(f, kind, 3)
                 for got, want in zip(series.coefficients, coeffs):
@@ -490,16 +484,6 @@ class TestExpansion:
         f = uniform_block_pqrs(FIG1_PARAMS)
         with pytest.raises(SingularSBlock):
             expand(f, "low-k", 1)
-
-    def test_st_form_high_k_matches_pqrs(self):
-        c = validate(*delta_pair(2.0))
-        s1 = expand(to_st_form(c), "high-k", 2)
-        s2 = expand(to_pqrs_form(c), "high-k", 2)
-        assert gap(s1.evaluate(50.0), s2.evaluate(50.0)) < 1e-12
-
-    def test_st_form_has_no_low_k(self):
-        with pytest.raises(ValueError):
-            expand(to_st_form(validate(*delta_pair(2.0))), "low-k", 1)
 
     def test_divergence_warning(self):
         # spectral radius for the delta coupling with alpha=2 equals 1
