@@ -28,10 +28,10 @@ from .errors import NotSelfAdjoint, NotUnitary, RankDeficient, ShapeMismatch
 
 @dataclass(frozen=True, eq=False)
 class VertexCoupling:
-    """Validated boundary-condition pair with cached ranks.
+    """Validated boundary-condition pair with its ranks, cut at ``linalg.DEFAULT_RTOL``.
 
-    Instances are produced by ``validate`` and are immutable; the ranks (with one tolerance),
-    ST and PQRS forms (``forms._once_per_record``) are computed once and reused by all conversions.
+    Instances are produced by ``validate`` and are immutable; the ranks, ST and PQRS forms
+    (``forms._once_per_record``) are computed once and reused by all conversions.
     """
 
     n: int
@@ -39,7 +39,6 @@ class VertexCoupling:
     B: np.ndarray
     r_a: int
     r_b: int
-    tol: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +87,8 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     when rank(A|B) < n, and NotSelfAdjoint when A B* fails the Hermitian
     test: with each row of (A|B) divided by its largest |entry|, then its 2-norm,
     into (a|b), the defect of a b* is bounded by ``tol``, whatever the scale.
-    A NaN or infinite entry raises NonFiniteMatrix.
+    A NaN or infinite entry raises NonFiniteMatrix.  ``tol`` is the slack of
+    these two tests only: the ranks r_a and r_b are cut at ``linalg.DEFAULT_RTOL``.
     """
     A = linalg.frozen(A)
     B = linalg.frozen(B)
@@ -105,12 +105,12 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     if not linalg.is_hermitian(rows[:, :n] @ rows[:, n:].conj().T, tol):
         raise NotSelfAdjoint("A B* is not Hermitian within tolerance")
-    r_a = linalg.rank(A, tol)
-    r_b = linalg.rank(B, tol)
+    r_a = linalg.rank(A)
+    r_b = linalg.rank(B)
     if r_a + r_b < n:
         # consequence of the two admissibility conditions; asserted defensively
         raise RankDeficient(f"computed ranks r_a={r_a}, r_b={r_b} violate r_a + r_b >= n = {n}")
-    return VertexCoupling(n=n, A=A, B=B, r_a=r_a, r_b=r_b, tol=tol)
+    return VertexCoupling(n=n, A=A, B=B, r_a=r_a, r_b=r_b)
 
 
 def to_unitary(c: VertexCoupling) -> UnitaryForm:
@@ -120,14 +120,11 @@ def to_unitary(c: VertexCoupling) -> UnitaryForm:
     return UnitaryForm(n=c.n, U=linalg.frozen(_smatrix_grid(c.A, c.B, np.array([1.0]))[0]))
 
 
-def from_unitary(u) -> VertexCoupling:
-    """Coupling with A = U - I and B = i(U + I); U must be finite, with a unitarity
+def from_unitary(u: UnitaryForm) -> VertexCoupling:
+    """Coupling with A = U - I and B = i(U + I); U must have a unitarity
     defect (max-norm of U U* - I) of at most ``linalg.DEFAULT_ATOL``."""
-    U = u.U if isinstance(u, UnitaryForm) else linalg.as_complex_matrix(u)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ShapeMismatch(f"unitary description needs a square matrix, got {U.shape}")
-    n = U.shape[0]
-    linalg.require_finite({"U": U})
+    _require_record(u, UnitaryForm)
+    U, n = u.U, u.n
     defect = linalg.unitarity_defect(U)
     if defect > linalg.DEFAULT_ATOL:
         raise NotUnitary(f"max-norm unitarity defect {defect:.3e} exceeds tolerance")

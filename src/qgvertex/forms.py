@@ -207,20 +207,20 @@ class ProjectorForm:
 # ST reduction
 # ---------------------------------------------------------------------------
 
-def _greedy_independent_columns(M: np.ndarray, count: int, tol: float) -> list[int]:
+def _greedy_independent_columns(M: np.ndarray, count: int) -> list[int]:
     """Lexicographically smallest set of ``count`` independent columns of M.
 
     One left-to-right Gram-Schmidt pass: each candidate column is projected
     twice against an orthonormal basis of the columns picked so far
     (classical Gram-Schmidt with reorthogonalisation, CGS2) and is accepted
-    when its residual norm exceeds ``tol`` times the Frobenius norm of the
-    picked columns plus the candidate; that residual certifies each
-    decision.  An SVD rank test of the same columns picks the same set on
-    random couplings, but it can reject a clearly independent column when
-    an earlier picked column is tiny, because the condition number of the
-    set then exceeds 1/tol; this test accepts it.  This pass defines the
-    pick; ``_independent_columns_qr`` runs it only when a QR factorisation
-    cannot certify the leading columns.
+    when its residual norm exceeds ``linalg.DEFAULT_RTOL`` times the
+    Frobenius norm of the picked columns plus the candidate; that residual
+    certifies each decision.  An SVD rank test of the same columns picks the
+    same set on random couplings, but it can reject a clearly independent
+    column when an earlier picked column is tiny, because the condition
+    number of the set then exceeds 1/DEFAULT_RTOL; this test accepts it.
+    This pass defines the pick; ``_independent_columns_qr`` runs it only
+    when a QR factorisation cannot certify the leading columns.
     """
     M = np.asarray(M, dtype=complex)
     sq_norms = (M.real ** 2 + M.imag ** 2).sum(axis=0).tolist()
@@ -237,7 +237,7 @@ def _greedy_independent_columns(M: np.ndarray, count: int, tol: float) -> list[i
             v = v - (qh @ v) @ q
             v = v - (qh @ v) @ q
         residual = math.sqrt(np.vdot(v, v).real)
-        if residual > tol * math.sqrt(picked_sq + sq_norms[j]):
+        if residual > linalg.DEFAULT_RTOL * math.sqrt(picked_sq + sq_norms[j]):
             basis[found] = v / residual
             basis_h[found] = basis[found].conj()
             picked.append(j)
@@ -249,27 +249,28 @@ def _greedy_independent_columns(M: np.ndarray, count: int, tol: float) -> list[i
     return picked
 
 
-def _independent_columns_qr(M: np.ndarray, count: int, tol: float,
+def _independent_columns_qr(M: np.ndarray, count: int,
                             mode: str) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The pick of ``_greedy_independent_columns`` and the QR factorisation
     (``np.linalg.qr`` in ``mode``) of the picked columns, in pick order.
 
     The leading ``count`` columns are factorised first.  |R_jj| is the
     residual of column j against the columns before it, the quantity the
-    greedy pass compares with tol times the Frobenius norm of M[:, :j+1].
-    When every |R_jj| exceeds twice that threshold, the pass would accept
-    each leading column, so the pick is range(count) and this QR is
-    returned as is; the factor 2 covers the rounding by which the two
+    greedy pass compares with DEFAULT_RTOL times the Frobenius norm of
+    M[:, :j+1].  When every |R_jj| exceeds twice that threshold, the pass
+    would accept each leading column, so the pick is range(count) and this
+    QR is returned as is; the factor 2 covers the rounding by which the two
     computed residuals differ.  Otherwise the greedy pass decides the pick
     and the picked columns are factorised.
     """
     M = np.asarray(M, dtype=complex)
     lead = M[:, :count]
     q, r = np.linalg.qr(lead, mode=mode)
-    thresholds = 2.0 * tol * np.sqrt(np.cumsum((lead.real ** 2 + lead.imag ** 2).sum(axis=0)))
+    sq_norms = (lead.real ** 2 + lead.imag ** 2).sum(axis=0)
+    thresholds = 2.0 * linalg.DEFAULT_RTOL * np.sqrt(np.cumsum(sq_norms))
     if np.all(np.abs(np.diagonal(r)) > thresholds):
         return list(range(count)), q, r
-    picked = _greedy_independent_columns(M, count, tol)
+    picked = _greedy_independent_columns(M, count)
     q, r = np.linalg.qr(M[:, picked], mode=mode)
     return picked, q, r
 
@@ -281,7 +282,7 @@ def _picked_first(picked: list[int], size: int) -> list[int]:
     return picked + np.flatnonzero(rest).tolist()
 
 
-def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
+def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     """Reduce the pair (A, B) to ST shape; returns (perm, S, T).
 
     The permutation moves the lexicographically earliest independent
@@ -293,10 +294,10 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     -W^{-1} A_perm has the rows -R11^{-1} Q1* A_perm over -Q2* A_perm;
     admissibility forces it into the shape (S 0; -T* I) after eliminating
     its lower-right block A22, and S is the Schur complement A11 - A12 A22^{-1} A21;
-    ``linalg.inverse`` raises SingularMatrix when A22 is singular within ``tol``.
+    ``linalg.inverse`` raises SingularMatrix when A22 is singular at DEFAULT_RTOL.
     """
     n = A.shape[0]
-    picked, q, r = _independent_columns_qr(B, r_b, tol, "complete")
+    picked, q, r = _independent_columns_qr(B, r_b, "complete")
     order = _picked_first(picked, n)
     perm = tuple(order)
     At = A[:, order]
@@ -309,7 +310,7 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
     Ap = -np.concatenate([top[:, n - r_b:], qa[r_b:]], axis=0)
 
     A12, A21, A22 = Ap[:r_b, r_b:], Ap[r_b:, :r_b], Ap[r_b:, r_b:]
-    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ (linalg.inverse(A22, tol) @ A21))
+    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ (linalg.inverse(A22) @ A21))
     return perm, S, T
 
 
@@ -317,7 +318,7 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int, tol: float):
 def to_st_form(c: VertexCoupling) -> STForm:
     """Unique ST form of a coupling, organized by r_b = rank(B); once per coupling."""
     _require_record(c, VertexCoupling)
-    perm, S, T = _st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b, c.tol)
+    perm, S, T = _st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b)
     return STForm(n=c.n, r_b=c.r_b, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
 
@@ -328,7 +329,7 @@ def to_reverse_st_form(c: VertexCoupling) -> ReverseSTForm:
     which is admissible exactly when (A, B) is.
     """
     _require_record(c, VertexCoupling)
-    perm, S, T = _st_reduce(np.asarray(c.B), np.asarray(c.A), c.r_a, c.tol)
+    perm, S, T = _st_reduce(np.asarray(c.B), np.asarray(c.A), c.r_a)
     return ReverseSTForm(n=c.n, r_a=c.r_a, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
 
@@ -381,7 +382,7 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     S_st = np.asarray(st.S)
     T_st = np.asarray(st.T)
     try:
-        picked, q, r = _independent_columns_qr(S_st.conj().T, m, c.tol, "reduced")
+        picked, q, r = _independent_columns_qr(S_st.conj().T, m, "reduced")
     except SingularMatrix as exc:
         raise SingularSBlock(
             "the Hermitian block of the ST form is numerically rank-deficient "

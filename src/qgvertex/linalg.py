@@ -12,9 +12,9 @@ import numpy as np
 
 from .errors import NonFiniteMatrix, ShapeMismatch, SingularMatrix
 
-# Default relative cutoff on singular values for rank decisions.  A coupling
-# record keeps the tolerance it was validated with, and the conversions use
-# it; the k -> 0 rank of S is read at this cutoff.
+# Relative cutoff on singular values for every rank decision after the
+# admissibility verdict: the ranks r_a and r_b that ``validate`` records, each
+# column pick and inverse of the conversions, and the k -> 0 rank of S.
 DEFAULT_RTOL = 1e-10
 
 # Default absolute cutoff for Hermitian / unitary residual checks.
@@ -82,13 +82,13 @@ def rank(m: np.ndarray, tol: float = DEFAULT_RTOL) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def inverse(m: np.ndarray, tol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Inverse of a square matrix; raises SingularMatrix when rank(m, tol) < n.
+def inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix; raises SingularMatrix when rank(m) < n.
 
     The inverse is computed first.  Since cond_2(M) <= |M|_F |M^{-1}|_F, a
-    product below 1/(2 tol) certifies that the rank test passes (the factor
-    2 covers the rounding of both sides); only when it is not, or when the
-    LU factorisation breaks down, does the SVD rank test decide.
+    product below 1/(2 DEFAULT_RTOL) certifies that the rank test passes (the
+    factor 2 covers the rounding of both sides); only when it is not, or when
+    the LU factorisation breaks down, does the SVD rank test decide.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -103,15 +103,15 @@ def inverse(m: np.ndarray, tol: float = DEFAULT_RTOL) -> np.ndarray:
     else:
         # an overflow to inf, or inf times an underflow to 0 (NaN), fails the certificate
         with np.errstate(over="ignore", invalid="ignore"):
-            certified = tol > 0 and 2.0 * tol * np.linalg.norm(m) * np.linalg.norm(inv) < 1.0
+            certified = 2.0 * DEFAULT_RTOL * np.linalg.norm(m) * np.linalg.norm(inv) < 1.0
         if certified:
             return inv
-    if rank(m, tol) < n:
-        raise SingularMatrix(f"matrix of shape {m.shape} is singular within rtol={tol:g}")
+    if rank(m) < n:
+        raise SingularMatrix(f"matrix of shape {m.shape} is singular within rtol={DEFAULT_RTOL:g}")
     return np.linalg.inv(m)
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_ATOL) -> bool:
+def is_hermitian(m: np.ndarray, tol: float) -> bool:
     """True iff the max-norm of (M - M*) is at most ``tol``."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -89,32 +89,32 @@ class TestUnitary:
         assert np.allclose(to_unitary(c).U, SWAP, atol=1e-14)
 
     def test_from_unitary_dirichlet_class(self):
-        c = from_unitary(-np.eye(2))
+        c = from_unitary(UnitaryForm(2, -np.eye(2)))
         assert np.allclose(c.A, -2.0 * np.eye(2))
         assert np.allclose(c.B, np.zeros((2, 2)))
         assert c.r_b == 0
 
     def test_from_unitary_neumann_class(self):
-        c = from_unitary(np.eye(2))
+        c = from_unitary(UnitaryForm(2, np.eye(2)))
         assert np.allclose(c.A, np.zeros((2, 2)))
         assert np.allclose(c.B, 2j * np.eye(2))
         assert c.r_a == 0
 
     def test_swap_matches_kirchhoff_on_k_grid(self):
-        c1 = from_unitary(SWAP)
+        c1 = from_unitary(UnitaryForm(2, SWAP))
         c2 = validate(KIRCHHOFF2_A, KIRCHHOFF2_B)
         assert smatrix_distance(c1, c2) < 1e-12
 
     def test_not_unitary_rejected(self):
         with pytest.raises(NotUnitary):
-            from_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            from_unitary(UnitaryForm(2, np.array([[1.0, 1.0], [0.0, 1.0]])))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0)])
     def test_from_unitary_rejects_non_finite_entry(self, value):
         u = SWAP.astype(complex)
         u[0, 1] = value
         with pytest.raises(NonFiniteMatrix, match="^U has"):
-            from_unitary(u)
+            from_unitary(UnitaryForm(2, u))
 
     def test_unitary_form_checks_its_layout_at_construction(self):
         with pytest.raises(ShapeMismatch, match=r"^block U has shape \(2, 2\), expected \(3, 3\)$"):
@@ -131,7 +131,7 @@ class TestUnitary:
     def test_validate_accepts_every_unitary(self, rng):
         for n in (1, 2, 3, 5):
             for _ in range(5):
-                from_unitary(haar_unitary(n, rng))  # must not raise
+                from_unitary(UnitaryForm(n, haar_unitary(n, rng)))  # must not raise
 
 
 class TestEquivalenceInvariance:

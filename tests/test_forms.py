@@ -11,6 +11,7 @@ from qgvertex import (
     documents,
     delta_parameters,
     forms,
+    haar_unitary,
     linalg,
     parameter_count,
     pqrs_to_matrices,
@@ -137,7 +138,7 @@ class TestSTAsPQRS:
 
     def test_assembled_pairs_match_the_direct_blocks(self, corpus):
         for c in list(corpus) + degree_60_couplings()[:1]:
-            tol = 1e-6 if c.n > 10 else c.tol
+            tol = 1e-6 if c.n > 10 else linalg.DEFAULT_RTOL
             top, bottom = st_blocks_reference(to_st_form(c))
             st = st_to_matrices(to_st_form(c), tol)
             assert same_bits(st.A, bottom) and same_bits(st.B, top)
@@ -150,13 +151,13 @@ class TestSTAsPQRS:
             STForm(n=3, r_b=1, perm=(0, 1, 2), S=np.eye(1), T=np.ones((2, 1)))
 
 
-def svd_greedy_columns(M, count, tol):
+def svd_greedy_columns(M, count):
     """Reference column pick: one SVD rank test per candidate column."""
     picked = []
     for j in range(M.shape[1]):
         if len(picked) == count:
             break
-        if linalg.rank(M[:, picked + [j]], tol) == len(picked) + 1:
+        if linalg.rank(M[:, picked + [j]], linalg.DEFAULT_RTOL) == len(picked) + 1:
             picked.append(j)
     if len(picked) != count:
         raise SingularMatrix("too few independent columns")
@@ -184,20 +185,19 @@ class TestColumnPick:
                      (np.asarray(to_st_form(c).S).conj().T, m)]
             for M, count in cases:
                 M = np.asarray(M)
-                assert (_greedy_independent_columns(M, count, c.tol)
-                        == svd_greedy_columns(M, count, c.tol))
+                assert _greedy_independent_columns(M, count) == svd_greedy_columns(M, count)
 
     def test_zero_count_and_zero_matrix(self):
-        assert _greedy_independent_columns(np.ones((3, 3)), 0, 1e-10) == []
+        assert _greedy_independent_columns(np.ones((3, 3)), 0) == []
         with pytest.raises(SingularMatrix):
-            _greedy_independent_columns(np.zeros((3, 3)), 1, 1e-10)
+            _greedy_independent_columns(np.zeros((3, 3)), 1)
 
 
-def pick_then_qr_st_reduce(A, B, r_b, tol):
+def pick_then_qr_st_reduce(A, B, r_b):
     """Reference ST reduction: the greedy pass picks the columns of B, and the
     picked columns are factorised afterwards by one complete QR."""
     n = A.shape[0]
-    order = _picked_first(_greedy_independent_columns(B, r_b, tol), n)
+    order = _picked_first(_greedy_independent_columns(B, r_b), n)
     At, Bt = A[:, order], B[:, order]
     q, r = np.linalg.qr(Bt[:, :r_b], mode="complete")
     qh = q.conj().T
@@ -206,16 +206,16 @@ def pick_then_qr_st_reduce(A, B, r_b, tol):
     T = top[:, :n - r_b]
     Ap = -np.concatenate([top[:, n - r_b:], qa[r_b:]], axis=0)
     A12, A21, A22 = Ap[:r_b, r_b:], Ap[r_b:, :r_b], Ap[r_b:, r_b:]
-    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ (linalg.inverse(A22, tol) @ A21))
+    S = linalg.hermitian_part(Ap[:r_b, :r_b] - A12 @ (linalg.inverse(A22) @ A21))
     return tuple(order), S, T
 
 
 def pick_then_qr_pqrs(c):
     """Reference PQRS blocks (perm, P, Q, R, S): the greedy pass picks the rows
     of the reference ST form's S, and their adjoint is factorised afterwards."""
-    st_perm, S_st, T_st = pick_then_qr_st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b, c.tol)
+    st_perm, S_st, T_st = pick_then_qr_st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b)
     m = c.r_a + c.r_b - c.n
-    sigma = _picked_first(_greedy_independent_columns(S_st.conj().T, m, c.tol), c.r_b)
+    sigma = _picked_first(_greedy_independent_columns(S_st.conj().T, m), c.r_b)
     Sp, Tp = S_st[np.ix_(sigma, sigma)], T_st[sigma, :]
     top, bot = Sp[:m, :], Sp[m:, :]
     q, r = np.linalg.qr(top.conj().T)
@@ -289,7 +289,7 @@ class TestCertifiedPick:
         for c in list(corpus) + degree_60_couplings():
             A, B = np.asarray(c.A), np.asarray(c.B)
             for M, N, r in ((A, B, c.r_b), (B, A, c.r_a)):
-                got, want = _st_reduce(M, N, r, c.tol), pick_then_qr_st_reduce(M, N, r, c.tol)
+                got, want = _st_reduce(M, N, r), pick_then_qr_st_reduce(M, N, r)
                 assert got[0] == want[0]
                 assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
             f, (perm, *blocks) = to_pqrs_form(c), pick_then_qr_pqrs(c)
@@ -318,8 +318,8 @@ class TestCertifiedPick:
             call_counts.update(qr=0, greedy=0)
             got = convert(c)
             assert call_counts == {"qr": 2, "greedy": 1}
-            assert list(got.perm[:r]) == svd_greedy_columns(picked_from, r, c.tol)
-            perm, S, T = pick_then_qr_st_reduce(other, picked_from, r, c.tol)
+            assert list(got.perm[:r]) == svd_greedy_columns(picked_from, r)
+            perm, S, T = pick_then_qr_st_reduce(other, picked_from, r)
             assert got.perm == perm and same_bits(got.S, S) and same_bits(got.T, T)
 
     @pytest.mark.parametrize("kind", ["zero", "duplicate", "tiny"])
@@ -334,7 +334,7 @@ class TestCertifiedPick:
         f = to_pqrs_form(c)  # builds on the coupling's ST form computed above
         assert call_counts == {"qr": 2, "greedy": 1}
         picked = [st.perm.index(edge) for edge in f.perm[:m]]
-        assert picked == svd_greedy_columns(np.asarray(st.S).conj().T, m, c.tol)
+        assert picked == svd_greedy_columns(np.asarray(st.S).conj().T, m)
         # the fallback factorises S's picked rows in the ST order, not in the
         # PQRS order as the reference does, so R agrees to rounding only
         perm, *blocks = pick_then_qr_pqrs(c)
@@ -349,12 +349,11 @@ class TestOncePerCoupling:
 
     @pytest.fixture
     def reductions(self, monkeypatch):
-        """The tolerance of each ``_st_reduce`` call while the test runs, in order."""
-        tols = []
+        """The rank argument of each ``_st_reduce`` call while the test runs, in order."""
+        ranks = []
         reduce = forms._st_reduce
-        monkeypatch.setattr(forms, "_st_reduce",
-                            lambda A, B, r, tol: tols.append(tol) or reduce(A, B, r, tol))
-        return tols
+        monkeypatch.setattr(forms, "_st_reduce", lambda A, B, r: ranks.append(r) or reduce(A, B, r))
+        return ranks
 
     def test_conversions_reduce_and_split_once(self, reductions, computed_splits):
         c = random_coupling(5, 3, 4, np.random.default_rng(3))
@@ -368,7 +367,7 @@ class TestOncePerCoupling:
         for c in corpus:
             to_projector_form(c)  # fills the cache through the chain first
             cached = (to_st_form(c), to_pqrs_form(c), to_projector_form(c))
-            fresh = validate(c.A, c.B, c.tol)
+            fresh = validate(c.A, c.B)
             for got, want in zip(cached, (to_st_form(fresh), to_pqrs_form(fresh),
                                           to_projector_form(fresh))):
                 assert getattr(got, "perm", None) == getattr(want, "perm", None)
@@ -379,16 +378,16 @@ class TestOncePerCoupling:
     def test_replaced_coupling_recomputes_its_forms(self, reductions):
         c = random_coupling(5, 3, 4, np.random.default_rng(3))
         st, f = to_st_form(c), to_pqrs_form(c)
-        other = replace(c, tol=1e-8)
+        other = replace(c)
         assert to_st_form(other) is not st and to_pqrs_form(other) is not f
-        assert reductions == [c.tol, 1e-8]
+        assert reductions == [c.r_b, c.r_b]
 
 
-def lstsq_st_reduce(A, B, r_b, tol):
+def lstsq_st_reduce(A, B, r_b):
     """Reference ST reduction: T by least squares, W = (B1 Q2) from a complete
     QR of B1, and the reduced pair by one n x n solve with W."""
     n = A.shape[0]
-    order = _picked_first(_greedy_independent_columns(B, r_b, tol), n)
+    order = _picked_first(_greedy_independent_columns(B, r_b), n)
     At, Bt = A[:, order], B[:, order]
     B1 = Bt[:, :r_b]
     T = np.linalg.lstsq(B1, Bt[:, r_b:], rcond=None)[0]
@@ -403,7 +402,7 @@ def lstsq_pqrs_r(c):
     """Reference R of the PQRS form: least squares for bot = -R top."""
     S = np.asarray(to_st_form(c).S)
     m = c.r_a + c.r_b - c.n
-    sigma = _picked_first(_greedy_independent_columns(S.conj().T, m, c.tol), c.r_b)
+    sigma = _picked_first(_greedy_independent_columns(S.conj().T, m), c.r_b)
     Sp = S[np.ix_(sigma, sigma)]
     top, bot = Sp[:m, :], Sp[m:, :]
     return -np.linalg.lstsq(top.conj().T, bot.conj().T, rcond=None)[0].conj().T
@@ -422,8 +421,8 @@ class TestReduction:
         for c in couplings:
             A, B = np.asarray(c.A), np.asarray(c.B)
             for M, N, r in ((A, B, c.r_b), (B, A, c.r_a)):
-                perm, S, T = _st_reduce(M, N, r, c.tol)
-                ref_perm, ref_S, ref_T = lstsq_st_reduce(M, N, r, c.tol)
+                perm, S, T = _st_reduce(M, N, r)
+                ref_perm, ref_S, ref_T = lstsq_st_reduce(M, N, r)
                 assert perm == ref_perm
                 assert relative_gap(S, ref_S) <= 1e-12
                 assert relative_gap(T, ref_T) <= 1e-12
@@ -436,8 +435,28 @@ class TestReduction:
         # B = diag(1, 0) picks column 0; with A = 0 the block A22 is zero
         message = r"matrix of shape \(1, 1\) is singular within rtol=1e-10"
         with pytest.raises(SingularMatrix, match=message):
-            _st_reduce(np.zeros((2, 2), dtype=complex), np.diag([1.0, 0.0]).astype(complex),
-                       1, 1e-10)
+            _st_reduce(np.zeros((2, 2), dtype=complex), np.diag([1.0, 0.0]).astype(complex), 1)
+
+
+class TestOneRankCut:
+    def test_validation_slack_leaves_ranks_and_forms_at_the_default_cut(self):
+        """``validate``'s tolerance is admissibility slack only: with one eigenphase
+        1e-7 from +1, a cut at 1e-6 would give rank(A) = 3, and the forms built on
+        that rank missed S(k) by 6.1e-8."""
+        v = haar_unitary(4, np.random.default_rng(5))
+        lam = np.exp(1j * np.array([1e-7, 0.9, -1.3, 2.0]))
+        A = (v * (lam - 1.0)) @ v.conj().T
+        B = (v * (1j * (lam + 1.0))) @ v.conj().T
+        loose, default = validate(A, B, 1e-6), validate(A, B)
+        assert (loose.r_a, loose.r_b) == (default.r_a, default.r_b) == (4, 4)
+        for convert in (to_st_form, to_reverse_st_form, to_pqrs_form):
+            got, want = convert(loose), convert(default)
+            assert got.perm == want.perm
+            for name, value in vars(want).items():
+                if isinstance(value, np.ndarray):
+                    assert same_bits(getattr(got, name), value), (convert.__name__, name)
+        s_pqrs = smatrix_pqrs(to_pqrs_form(loose), 1.0).entries
+        assert linalg.max_norm(s_pqrs - smatrix_direct(loose, 1.0).entries) <= 1e-12
 
 
 class TestPQRSForm:

@@ -84,13 +84,16 @@ class TestInverse:
     def test_rank_test_decides_only_when_the_bound_fails(self, monkeypatch):
         calls = []
         rank = linalg.rank
-        monkeypatch.setattr(linalg, "rank", lambda m, tol: calls.append(tol) or rank(m, tol))
+        monkeypatch.setattr(linalg, "rank", lambda m, tol=linalg.DEFAULT_RTOL:
+                            calls.append(tol) or rank(m, tol))
         linalg.inverse(np.eye(8))
         assert calls == []
-        # |I|_F |I^-1|_F = 8 is not below 1/(2 tol) = 2.5, though cond_2(I) = 1
-        inv = linalg.inverse(np.eye(8), tol=0.2)
-        assert calls == [0.2]
-        assert inv.tobytes() == np.eye(8, dtype=complex).tobytes()
+        # |M|_F |M^-1|_F = 6.7e9 is not below 1/(2 rtol) = 5e9, though cond_2(M) is
+        # below 1/rtol, so the rank test decides and finds full rank
+        m = np.diag([1.0, 1.5e-10]).astype(complex)
+        inv = linalg.inverse(m)
+        assert calls == [1e-10]
+        assert inv.tobytes() == np.linalg.inv(m).tobytes()
 
     def test_huge_entries_fall_back_to_the_rank_test_silently(self):
         # |M|_F overflows to inf and |M^-1|_F underflows to 0: their product is NaN,
@@ -106,13 +109,13 @@ class TestInverse:
 
 class TestHermitian:
     def test_hermitian_true(self):
-        assert linalg.is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
+        assert linalg.is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]), linalg.DEFAULT_ATOL)
 
     def test_nilpotent_false(self):
-        assert not linalg.is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert not linalg.is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), linalg.DEFAULT_ATOL)
 
     def test_zero_dimensional_vacuous(self):
-        assert linalg.is_hermitian(np.zeros((0, 0)))
+        assert linalg.is_hermitian(np.zeros((0, 0)), linalg.DEFAULT_ATOL)
 
     def test_symmetrized_always_hermitian(self, rng):
         for _ in range(10):
@@ -121,7 +124,7 @@ class TestHermitian:
 
     def test_not_square(self):
         with pytest.raises(ShapeMismatch):
-            linalg.is_hermitian(np.zeros((2, 3)))
+            linalg.is_hermitian(np.zeros((2, 3)), linalg.DEFAULT_ATOL)
 
 
 class TestHelpers:

@@ -21,6 +21,14 @@ DEFAULTS_ONLY_TESTS_SET = {
     ("sampling", "random_coupling", "margin"): "the test corpus draws with its own phase margin",
 }
 
+#: (module, function, parameter) -> why every call in src or bench passes it
+DEFAULTS_ALWAYS_PASSED = {
+    ("sampling", "random_coupling", "r_a"): "the test corpus draws its rank pairs through it",
+    ("sampling", "random_coupling", "r_b"): "the test corpus draws its rank pairs through it",
+    ("sampling", "random_coupling", "rng"): "it follows r_a and r_b, and the benchmark passes "
+                                            "it by position",
+}
+
 #: (module, name) of definitions used only from outside src: the console script
 ENTRY_POINTS = {("cli", "entry_point")}
 
@@ -101,12 +109,10 @@ def test_every_class_member_is_read():
     assert [member for member in members if member[2] not in read] == []
 
 
-def test_every_default_is_passed_by_a_call():
-    """Each defaulted parameter of a function or method in src is passed, by keyword
-    or by position, by some call in src or bench of a function of that name; a call
-    with ``*args`` passes every positional parameter, one with ``**kwargs`` every one."""
-    trees = library_trees()
-    calls = defaultdict(list)  # called name -> (positional count, keywords) per call
+def call_signatures(trees) -> dict:
+    """Called name -> (positional count, keywords) of each call in ``trees``; a call
+    with ``*args`` counts as passing every positional parameter."""
+    calls = defaultdict(list)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -114,7 +120,12 @@ def test_every_default_is_passed_by_a_call():
                 starred = any(isinstance(arg, ast.Starred) for arg in node.args)
                 calls[name].append((math.inf if starred else len(node.args),
                                     {keyword.arg for keyword in node.keywords}))
-    unpassed = []
+    return calls
+
+
+def defaulted_parameters(trees):
+    """(module, function, parameter, position) of each defaulted parameter of a
+    function or method in src; keyword-only parameters have position inf."""
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
@@ -129,7 +140,36 @@ def test_every_default_is_passed_by_a_call():
             defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
             defaulted += [(math.inf, arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                           if default is not None]
-            unpassed += [(path.stem, function.name, arg.arg) for index, arg in defaulted
-                         if not any(count > index or arg.arg in keywords or None in keywords
-                                    for count, keywords in calls[function.name])]
+            for index, arg in defaulted:
+                yield path.stem, function.name, arg.arg, index
+
+
+def passes(call, name: str, index) -> bool:
+    """Whether a call (positional count, keywords) passes parameter ``name`` at
+    ``index``, by position, by keyword or through ``**kwargs``."""
+    count, keywords = call
+    return count > index or name in keywords or None in keywords
+
+
+def test_every_default_is_passed_by_a_call():
+    """Each defaulted parameter of a function or method in src is passed, by keyword
+    or by position, by some call in src or bench of a function of that name; a call
+    with ``*args`` passes every positional parameter, one with ``**kwargs`` every one."""
+    trees = library_trees()
+    calls = call_signatures(trees)
+    unpassed = [(module, function, name) for module, function, name, index
+                in defaulted_parameters(trees)
+                if not any(passes(call, name, index) for call in calls[function])]
     assert sorted(unpassed) == sorted(DEFAULTS_ONLY_TESTS_SET)
+
+
+def test_every_default_is_relied_on():
+    """Each defaulted parameter of a function or method in src is left out by some
+    call in src or bench of a function of that name, by the rules above, or the
+    default would be a value that no call there uses."""
+    trees = library_trees()
+    calls = call_signatures(trees)
+    always_passed = [(module, function, name) for module, function, name, index
+                     in defaulted_parameters(trees)
+                     if all(passes(call, name, index) for call in calls[function])]
+    assert sorted(always_passed) == sorted(DEFAULTS_ALWAYS_PASSED)

@@ -14,6 +14,7 @@ from qgvertex import (
     classify_branching,
     documents,
     expand,
+    from_unitary,
     limit_high_k,
     limit_low_k,
     linalg,
@@ -294,6 +295,7 @@ class TestRecordKinds:
         (to_pqrs_form, "unitary", "VertexCoupling"),
         (to_projector_form, "st", "VertexCoupling"),
         (to_unitary, "reverse-st", "VertexCoupling"),
+        (from_unitary, "projector", "UnitaryForm"),
         (lambda f: smatrix_direct(f, 1.3), "unitary", "VertexCoupling"),
         (lambda f: bc_residual(f, SMatrix(4, 1.3, np.eye(4))), "pqrs", "VertexCoupling"),
         (lambda f: smatrix_projector(f, 1.3), "pqrs", "ProjectorForm"),
@@ -301,7 +303,7 @@ class TestRecordKinds:
     ], ids=["smatrix_st", "smatrix_reverse_st", "st_to_matrices", "reverse_st_to_matrices",
             "smatrix_pqrs", "limit_high_k", "limit_low_k", "pqrs_to_matrices", "expand",
             "to_st_form", "to_reverse_st_form", "to_pqrs_form", "to_projector_form",
-            "to_unitary", "smatrix_direct", "bc_residual", "smatrix_projector",
+            "to_unitary", "from_unitary", "smatrix_direct", "bc_residual", "smatrix_projector",
             "projector_to_matrices"])
     def test_record_of_another_kind_raises_type_error(self, call, given, needed):
         c = random_coupling(4, 3, 2, np.random.default_rng(1))
