@@ -3,7 +3,8 @@ assigned name in ``src/qgvertex`` is public or referenced by name elsewhere in
 ``src``, so that neither a helper nor a table or constant outlives its use;
 every method, property and class attribute is read in ``src`` or ``bench``; and
 some call there passes each defaulted parameter, or the parameter would have
-one value in use and be a constant."""
+one value in use and be a constant, and some call leaves it out, or the default
+would be a value that no call uses."""
 
 import ast
 import math
@@ -109,10 +110,13 @@ def test_every_class_member_is_read():
     assert [member for member in members if member[2] not in read] == []
 
 
-def call_signatures(trees) -> dict:
-    """Called name -> (positional count, keywords) of each call in ``trees``; a call
-    with ``*args`` counts as passing every positional parameter."""
-    calls = defaultdict(list)
+def default_passes() -> dict:
+    """(module, function, parameter) of each defaulted parameter of a function or
+    method in src -> whether each call in src or bench of a function of that name
+    passes it, by keyword or by position; a call with ``*args`` passes every
+    positional parameter, one with ``**kwargs`` every one."""
+    trees = library_trees()
+    calls = defaultdict(list)  # called name -> (positional count, keywords) per call
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -120,12 +124,7 @@ def call_signatures(trees) -> dict:
                 starred = any(isinstance(arg, ast.Starred) for arg in node.args)
                 calls[name].append((math.inf if starred else len(node.args),
                                     {keyword.arg for keyword in node.keywords}))
-    return calls
-
-
-def defaulted_parameters(trees):
-    """(module, function, parameter, position) of each defaulted parameter of a
-    function or method in src; keyword-only parameters have position inf."""
+    passes = {}
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
@@ -141,35 +140,19 @@ def defaulted_parameters(trees):
             defaulted += [(math.inf, arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                           if default is not None]
             for index, arg in defaulted:
-                yield path.stem, function.name, arg.arg, index
-
-
-def passes(call, name: str, index) -> bool:
-    """Whether a call (positional count, keywords) passes parameter ``name`` at
-    ``index``, by position, by keyword or through ``**kwargs``."""
-    count, keywords = call
-    return count > index or name in keywords or None in keywords
+                passes[path.stem, function.name, arg.arg] = [
+                    count > index or arg.arg in keywords or None in keywords
+                    for count, keywords in calls[function.name]]
+    return passes
 
 
 def test_every_default_is_passed_by_a_call():
-    """Each defaulted parameter of a function or method in src is passed, by keyword
-    or by position, by some call in src or bench of a function of that name; a call
-    with ``*args`` passes every positional parameter, one with ``**kwargs`` every one."""
-    trees = library_trees()
-    calls = call_signatures(trees)
-    unpassed = [(module, function, name) for module, function, name, index
-                in defaulted_parameters(trees)
-                if not any(passes(call, name, index) for call in calls[function])]
+    """Some call passes each defaulted parameter, or it would have one value in use."""
+    unpassed = [key for key, passed in default_passes().items() if not any(passed)]
     assert sorted(unpassed) == sorted(DEFAULTS_ONLY_TESTS_SET)
 
 
 def test_every_default_is_relied_on():
-    """Each defaulted parameter of a function or method in src is left out by some
-    call in src or bench of a function of that name, by the rules above, or the
-    default would be a value that no call there uses."""
-    trees = library_trees()
-    calls = call_signatures(trees)
-    always_passed = [(module, function, name) for module, function, name, index
-                     in defaulted_parameters(trees)
-                     if all(passes(call, name, index) for call in calls[function])]
+    """Some call leaves out each defaulted parameter, or no call uses its default."""
+    always_passed = [key for key, passed in default_passes().items() if all(passed)]
     assert sorted(always_passed) == sorted(DEFAULTS_ALWAYS_PASSED)
