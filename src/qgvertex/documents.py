@@ -22,6 +22,7 @@ dict, or has a key that is not a str, goes to ``json.dumps`` whole.
 ``write_sweep_csv`` writes one ``repr`` per distinct value of each slice of
 rows, and splits the rows into one share per usable CPU, each written by a
 forked worker but the first; the bytes do not depend on the number of shares.
+``filters.pair_sweep`` makes the repeats: one float per symmetry orbit.
 """
 
 from __future__ import annotations
@@ -303,10 +304,10 @@ def _fork_writer(share: SweepTable, out) -> int:
 def write_sweep_csv(table: SweepTable, stream) -> None:
     """Write a sweep table as CSV; floats use shortest round-trip repr.
 
-    Uniform blocks repeat values bit for bit within a row, so each slice of
-    ``CSV_SLICE_ROWS`` rows calls ``repr`` once per distinct bit pattern and
-    goes to its output in one write.  Keying on bits keeps 0.0 apart from
-    -0.0, so the text is that of ``repr`` on every value.
+    ``filters.pair_sweep`` repeats a symmetric coupling's values bit for bit
+    within a row, so each slice of ``CSV_SLICE_ROWS`` rows calls ``repr`` once
+    per distinct bit pattern and goes to its output in one write.  Keying on
+    bits keeps 0.0 apart from -0.0, so the text is that of ``repr`` on every value.
 
     The table's row blocks (``SWEEP_BLOCK`` rows each) are split into
     contiguous shares, one per usable CPU (``os.sched_getaffinity``, else

@@ -239,7 +239,8 @@ class SweepTable:
 
     When ``block_sizes`` is set, rows also carry block-pair aggregates:
     the mean probability over each cross pair, plus per-block reflection
-    (diagonal) and intra-block (off-diagonal) means.
+    (diagonal) and intra-block (off-diagonal) means.  A row of a coupling with
+    its blocks' symmetry repeats one value per orbit (``pair_sweep``).
     """
 
     n: int
@@ -268,7 +269,10 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
     """|S_ij(k)|^2 of the pair (A, B) over the ascending positive grid ``ks``.
 
     ``block_sizes``, when given, are three non-negative integers summing to
-    n; the table then carries their block-pair aggregates.
+    n; the table then carries their block-pair aggregates, and if (A, B) has
+    the blocks' symmetry (``_orbit_representatives``), each orbit of index pairs
+    gets its mean, one float for all members.  Otherwise |S_ij|^2 is the batched
+    solve's, bit for bit.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size < 1:
@@ -282,11 +286,39 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
         block_sizes = tuple(map(operator.index, block_sizes))
         if len(block_sizes) != 3 or sum(block_sizes) != n or any(b < 0 for b in block_sizes):
             raise ShapeMismatch(f"block sizes must be three values summing to n={n}")
-    probs = np.empty((ks.size,) + A.shape)
+    orbit = None if block_sizes is None else _orbit_representatives(A, B, block_sizes)
+    if orbit is not None:
+        members = orbit[:, None] == np.flatnonzero(orbit == np.arange(n * n))  # (pair, orbit)
+        weights, column = members / members.sum(axis=0), members.argmax(axis=1)
+    probs = np.empty((ks.size, n * n))
     for start in range(0, ks.size, SWEEP_BLOCK):
         s = _smatrix_grid(A, B, ks[start:start + SWEEP_BLOCK])
-        probs[start:start + SWEEP_BLOCK] = np.abs(s) ** 2
-    return SweepTable(n=n, ks=ks, probabilities=probs, block_sizes=block_sizes)
+        x = np.abs(s.reshape(len(s), -1)) ** 2
+        if orbit is not None:
+            # the orbit's first member plus the mean offset from it: within one
+            # rounding of the exact mean, and the same float for every member
+            base = x[:, orbit]
+            x = base + ((x - base) @ weights)[:, column]
+        probs[start:start + SWEEP_BLOCK] = x
+    return SweepTable(n=n, ks=ks, probabilities=probs.reshape(-1, n, n), block_sizes=block_sizes)
+
+
+def _orbit_representatives(A, B, block_sizes: tuple[int, int, int]) -> np.ndarray | None:
+    """Flat index of each index pair's orbit representative, or None if swapping
+    edges inside a block changes A or B.  Else A and B are constant on each orbit (a
+    cross block, a diagonal block's diagonal or its off-diagonal), S(k) commutes
+    with the swaps, and a real pair's S(k) = S(k)^T joins block (mu, nu) to (nu, mu).
+    """
+    n = len(A)
+    blk = np.repeat((0, 1, 2), block_sizes)
+    first = np.repeat((0, block_sizes[0], block_sizes[0] + block_sizes[1]), block_sizes)
+    off = (blk[:, None] == blk) & ~np.eye(n, dtype=bool)
+    orbit = n * first[:, None] + first + off
+    if not ((np.take(A, orbit) == A).all() and (np.take(B, orbit) == B).all()):
+        return None
+    if not (A.imag.any() or B.imag.any()):
+        orbit = np.minimum(orbit, orbit.T)  # block (mu, nu) precedes (nu, mu) for mu < nu
+    return orbit.ravel()
 
 
 def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:

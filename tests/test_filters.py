@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from qgvertex import (
+    PQRSForm,
+    admissible_rank_pairs,
     amplitude_limits,
     classify_branching,
     limit_high_k,
     limit_low_k,
     pqrs_to_matrices,
     probability_sweep,
+    random_coupling,
     scattering,
     smatrix_direct,
     smatrix_pqrs,
     uniform_block_pqrs,
 )
 from qgvertex.cli import main
+from qgvertex.coupling import _smatrix_grid
 from qgvertex.errors import InvalidShape, ShapeMismatch, SingularMatrix, SingularSBlock
 from qgvertex.filters import (
     DELTA_DELTA_DELTAPRIME,
@@ -337,7 +341,11 @@ class TestProbabilitySweep:
             c = pqrs_to_matrices(uniform_block_pqrs(fp))
             loop = np.array([np.abs(np.asarray(smatrix_direct(c, float(k)).entries)) ** 2
                              for k in ks])
-            assert np.array_equal(table.probabilities, loop)
+            # the batched solve, before the orbit averaging, is the per-k route bit for bit
+            for start in range(0, ks.size, SWEEP_BLOCK):
+                chunk = slice(start, start + SWEEP_BLOCK)
+                raw = np.abs(_smatrix_grid(c.A, c.B, ks[chunk])) ** 2
+                assert np.array_equal(raw, loop[chunk])
 
             header = table.header()
             rows = np.concatenate(list(table.rows()))
@@ -400,3 +408,94 @@ class TestProbabilitySweep:
         assert header[0] == "k"
         assert "b12" in header and "b11_refl" in header and "b11_intra" in header
         assert "b33_intra" not in header  # block 3 has one line
+
+
+#: slack of an orbit mean beyond its farthest member, in spacings of the mean:
+#: the mean is the orbit's first member plus the mean offset from it, and that
+#: last sum rounds once, by at most half a spacing
+MEAN_ROUNDING = 0.5
+
+
+def uniform_designs():
+    """fig1, fig2 and one seeded design of real uniform blocks per rank pair with n <= 6."""
+    gen = np.random.default_rng(22)
+    designs = [FIG1_PARAMS, FIG2_PARAMS]
+    for n in range(1, 7):
+        for r_a, r_b in admissible_rank_pairs(n):
+            p, q, r = (float(v) for v in gen.uniform(-3.0, 3.0, size=3))
+            s = float(gen.choice([-1.0, 1.0]) * gen.uniform(0.2, 3.0)) if r_a + r_b > n else 0.0
+            designs.append(FilterParams(n, r_a, r_b, p, q, r, s))
+    return designs
+
+
+def orbits(sizes, transpose: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns) of each orbit of the index pairs under the swaps inside the
+    blocks, and transposition when ``transpose``, written out from the group."""
+    blk = [mu for mu, size in enumerate(sizes) for _ in range(size)]
+    found = {}
+    for i, j in np.ndindex(len(blk), len(blk)):
+        pair = tuple(sorted((blk[i], blk[j]))) if transpose else (blk[i], blk[j])
+        found.setdefault(pair + (i == j,), []).append((i, j))
+    return [tuple(np.array(members).T) for members in found.values()]
+
+
+class TestOrbitAveraging:
+    """A real uniform-block design has an S(k) that commutes with every swap of
+    edges inside a block and equals its transpose, so ``pair_sweep`` gives each
+    orbit of index pairs one value: the mean of the orbit's raw |S_ij(k)|^2."""
+
+    def test_orbit_means_are_constant_and_no_farther_than_their_farthest_member(self):
+        ks = np.logspace(-3, 3, 61)
+        for fp in uniform_designs():
+            table = probability_sweep(fp, ks)
+            c = pqrs_to_matrices(uniform_block_pqrs(fp))
+            raw = np.abs(_smatrix_grid(c.A, c.B, ks)) ** 2
+            ref = np.array([np.abs(np.asarray(smatrix_direct(c, float(k)).entries)) ** 2
+                            for k in ks])
+            for rows, cols in orbits(fp.block_sizes, transpose=True):
+                mean, members, exact = (t[:, rows, cols] for t in (table.probabilities, raw, ref))
+                assert (mean == mean[:, :1]).all(), (fp, rows, cols)
+                # farthest[:, j]: the largest distance of any raw member from ref_j
+                farthest = np.abs(members[:, :, None] - exact[:, None, :]).max(axis=1)
+                slack = MEAN_ROUNDING * np.spacing(mean)
+                assert (np.abs(mean - exact) <= farthest + slack).all(), (fp, rows, cols)
+            for axis in (-2, -1):  # columns and rows of a unitary S(k)
+                assert np.max(np.abs(table.probabilities.sum(axis=axis) - 1.0)) < 1e-12, fp
+
+    def test_symmetric_rows_repeat_one_value_per_orbit(self):
+        table = probability_sweep(FIG1_PARAMS, np.logspace(-2, 2, 200))
+        distinct = [len(np.unique(row)) for row in table.probabilities.reshape(200, -1)]
+        assert max(distinct) <= len(orbits(FIG1_PARAMS.block_sizes, transpose=True)) == 8
+
+
+class TestNoSymmetryNoAveraging:
+    """Averaging follows the symmetries that (A, B) has exactly, and no others."""
+
+    KS = np.logspace(-3, 3, 41)
+
+    def test_complex_uniform_blocks_are_averaged_inside_blocks_only(self):
+        layout = PQRSForm.layout(5, 3, 4)
+        constants = {"P": 2.5 + 1.5j, "Q": 1.2, "R": 0.7, "S": 3.0}
+        form = PQRSForm(5, 3, 4, tuple(range(5)),
+                        **{name: constants[name] * np.ones(shape, dtype=complex)
+                           for name, shape in layout.items()})
+        c = pqrs_to_matrices(form)
+        table = pair_sweep(c.A, c.B, self.KS, (2, 2, 1))
+        for rows, cols in orbits((2, 2, 1), transpose=False):
+            values = table.probabilities[:, rows, cols]
+            assert (values == values[:, :1]).all()
+        # no time reversal: |S_13|^2 and |S_31|^2 (blocks 1 -> 2 and 2 -> 1) differ
+        forward, backward = table.probabilities[:, 0, 2], table.probabilities[:, 2, 0]
+        assert np.max(np.abs(forward - backward)) > 1e-3
+
+    def test_generic_coupling_keeps_its_raw_grid(self):
+        c = random_coupling(5, 3, 4, np.random.default_rng(22))
+        assert np.iscomplexobj(c.A) and c.A.imag.any()
+        table = pair_sweep(c.A, c.B, self.KS, (2, 2, 1))
+        assert np.array_equal(table.probabilities, np.abs(_smatrix_grid(c.A, c.B, self.KS)) ** 2)
+
+    def test_blocks_that_break_the_symmetry_keep_the_raw_grid(self):
+        c = pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS))
+        raw = np.abs(_smatrix_grid(c.A, c.B, self.KS)) ** 2
+        for sizes in ((1, 2, 2), (2, 1, 2), (3, 2, 0)):
+            assert np.array_equal(pair_sweep(c.A, c.B, self.KS, sizes).probabilities, raw), sizes

@@ -7,6 +7,7 @@ import pytest
 
 from qgvertex import (
     FilterParams,
+    ProjectorForm,
     admissible_rank_pairs,
     documents,
     delta_parameters,
@@ -20,6 +21,7 @@ from qgvertex import (
     reverse_st_to_matrices,
     smatrix_direct,
     smatrix_pqrs,
+    smatrix_projector,
     st_to_matrices,
     subfamily_count,
     to_pqrs_form,
@@ -691,6 +693,33 @@ class TestRankPairRule:
         assert InvalidShape is InvalidRankPair
 
 
+def hermitian_basis(n: int) -> list[np.ndarray]:
+    """A real basis, n^2 matrices, of the n x n Hermitian matrices."""
+    basis = []
+    for i, j in np.ndindex(n, n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = 1.0 if i <= j else 1j
+        basis.append(e + e.conj().T if i != j else e)
+    return basis
+
+
+def exp_i(x: np.ndarray) -> np.ndarray:
+    """exp(i x) of a Hermitian x: a unitary, exp(X) for the skew-Hermitian X = i x."""
+    w, v = np.linalg.eigh(x)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def tangent_rank(differences, h: float) -> int:
+    """Rank of the central differences U(+h e) - U(-h e), one column per direction e.
+    A direction of the family moves U at a rate of order one, rounding at about
+    eps / h = 2e-11, so the cut 1e-6 is absolute: it also counts a family of rank 0."""
+    if not differences:
+        return 0
+    jacobian = np.stack([np.concatenate([d.real.ravel(), d.imag.ravel()])
+                         for d in differences], axis=1) / (2.0 * h)
+    return int(np.count_nonzero(np.linalg.svd(jacobian, compute_uv=False) > 1e-6))
+
+
 class TestParameterCounts:
     def test_full_rank_square(self):
         assert parameter_count(3, 3, 3) == 9
@@ -742,6 +771,61 @@ class TestParameterCounts:
                 assert len(columns) == count
                 jacobian = np.array(columns).T.reshape(2 * n * n, count)
                 assert linalg.rank(jacobian, 1e-6) == count, (n, r_a, r_b)
+
+    def test_stratum_dimension_is_the_parameter_count(self):
+        """The unitaries V diag(1, -1, e^{i theta}) V*, V = exp(X) with X skew-Hermitian,
+        +1 taken n - r_a times, -1 n - r_b times and m free phases, form a stratum of
+        U(n) whose tangent rank, computed with no PQRS code, is ``parameter_count``."""
+        gen = np.random.default_rng(9)
+        h = 1e-5
+        for n in range(1, 6):
+            basis = hermitian_basis(n)
+            x0 = sum(0.5 * gen.standard_normal() * e for e in basis)
+            for r_a, r_b in admissible_rank_pairs(n):
+                m = r_a + r_b - n
+                theta = gen.uniform(0.3, 2.8, size=m)
+
+                def unitary(x, phases):
+                    v = exp_i(x)
+                    d = np.concatenate([np.ones(n - r_a), -np.ones(n - r_b), np.exp(1j * phases)])
+                    return (v * d) @ v.conj().T
+
+                columns = [unitary(x0 + h * e, theta) - unitary(x0 - h * e, theta) for e in basis]
+                columns += [unitary(x0, theta + h * e) - unitary(x0, theta - h * e)
+                            for e in np.eye(m)]
+                assert tangent_rank(columns, h) == parameter_count(n, r_a, r_b), (n, r_a, r_b)
+
+    def test_lam_and_the_projector_ranges_make_up_the_parameter_count(self):
+        """U = S(1) of a projector form moves along m^2 directions with lam alone;
+        rotating the ranges of proj_p and proj_q as well brings its tangent rank to
+        ``parameter_count``, so the two ranges carry ``delta_parameters`` of them."""
+        gen = np.random.default_rng(9)
+        h = 1e-5
+        for n in range(1, 6):
+            for r_a, r_b in admissible_rank_pairs(n):
+                m = r_a + r_b - n
+                w0 = haar_unitary(n, gen)
+                dims = np.repeat((0, 1, 2), (n - r_b, n - r_a, m))  # ranges of p, q, c
+                projectors = [np.diag(dims == mu).astype(complex) for mu in range(3)]
+                lam_c = np.zeros((n, n), dtype=complex)
+                lam_c[n - m:, n - m:] = linalg.hermitian_part(gen.standard_normal((m, m)))
+
+                def unitary(rotation, lam_step):
+                    w = exp_i(rotation) @ w0
+                    p, q, c, lam = (w @ x @ w.conj().T for x in (*projectors, lam_c + lam_step))
+                    return np.asarray(smatrix_projector(ProjectorForm(n, p, q, c, lam), 1.0).entries)
+
+                still = np.zeros((n, n))
+                lam_steps = [np.pad(e, ((n - m, 0), (n - m, 0))) for e in hermitian_basis(m)]
+                lam_columns = [unitary(still, h * e) - unitary(still, -h * e) for e in lam_steps]
+                range_columns = [unitary(h * e, 0.0) - unitary(-h * e, 0.0)
+                                 for e in hermitian_basis(n)]
+                count = parameter_count(n, r_a, r_b)
+                assert tangent_rank(lam_columns, h) == m * m, (n, r_a, r_b)
+                assert tangent_rank(lam_columns + range_columns, h) == count, (n, r_a, r_b)
+                assert count - m * m == delta_parameters(n, r_a, r_b)
+                c = projector_to_matrices(ProjectorForm(n, *projectors, lam_c))
+                assert (c.r_a, c.r_b) == (r_a, r_b)
 
     def test_delta_examples(self):
         assert delta_parameters(3, 3, 3) == 0
