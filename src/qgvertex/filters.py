@@ -91,29 +91,37 @@ def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
     return PQRSForm(fp.n, fp.r_a, fp.r_b, tuple(range(fp.n)), **blocks)
 
 
-def _block_means(x: np.ndarray, sizes: tuple[int, int, int]) -> dict[str, np.ndarray]:
-    """Block-pair means of ``x`` (shape (..., n, n)), keyed by CSV column in order.
+def _block_orbits(sizes: tuple[int, int, int]) -> np.ndarray:
+    """(n, n) table of each index pair's orbit under the swaps of edges inside each block
+    (each cross block, diagonal block's diagonal and off-diagonal), as the flat index of
+    the orbit's first pair in row-major order: sorted, these come in CSV column order."""
+    n = sum(sizes)
+    first = np.repeat((0, sizes[0], sizes[0] + sizes[1]), sizes)  # of each edge's block
+    off = (first[:, None] == first) & ~np.eye(n, dtype=bool)
+    return n * first[:, None] + first + off
 
-    ``b{mu}{nu}`` is the mean of a cross block; a diagonal block gives the
-    mean of its diagonal, ``b{mu}{mu}_refl``, and, with two or more edges,
-    of its off-diagonal entries, ``b{mu}{mu}_intra``.  Empty blocks give none.
-    """
-    edges = np.cumsum((0,) + tuple(sizes))
-    spans = [(mu, slice(edges[mu - 1], edges[mu])) for mu in (1, 2, 3) if sizes[mu - 1]]
-    means = {}
-    for mu, rows in spans:
-        for nu, cols in spans:
-            blk = x[..., rows, cols]
-            if mu != nu:
-                means[f"b{mu}{nu}"] = blk.mean(axis=(-2, -1))
-                continue
-            means[f"b{mu}{mu}_refl"] = np.diagonal(blk, axis1=-2, axis2=-1).mean(axis=-1)
-            if sizes[mu - 1] > 1:
-                # boolean indexing returns the stack column-major; C order keeps
-                # each row's summation order that of a single matrix
-                off = np.ascontiguousarray(blk[..., ~np.eye(sizes[mu - 1], dtype=bool)])
-                means[f"b{mu}{mu}_intra"] = off.mean(axis=-1)
-    return means
+
+def _orbit_members(sizes: tuple[int, int, int]) -> dict[tuple[int, int, str], list[int]]:
+    """Row-major flat indices of each orbit of ``_block_orbits``, keyed (mu, nu, kind) in
+    CSV column order: kind is "" for a cross block, "_refl" for a diagonal block's
+    diagonal and "_intra" for its off-diagonal."""
+    table = _block_orbits(sizes)
+    members = {}  # representatives (i, j), first seen in row-major order, come sorted
+    for pair, rep in enumerate(table.ravel().tolist()):
+        members.setdefault(divmod(rep, len(table)), []).append(pair)
+    blk = [mu for mu, size in zip((1, 2, 3), sizes) for _ in range(size)]
+    return {(blk[i], blk[j], "" if blk[i] != blk[j] else "_refl" if i == j else "_intra"): pairs
+            for (i, j), pairs in members.items()}
+
+
+def _block_means(x: np.ndarray, sizes: tuple[int, int, int]) -> dict[tuple[int, int, str], np.ndarray]:
+    """Mean of ``x`` (shape (..., n, n)) over each orbit of ``_orbit_members``, under its
+    key; empty blocks give none.  ``take`` gathers each orbit into a C-order copy, so
+    each row of a stack sums in the order of a single matrix, and sum / count is the
+    arithmetic of ``mean`` without its per-call overhead."""
+    flat = x.reshape(*x.shape[:-2], -1)
+    return {label: flat.take(pairs, axis=-1).sum(axis=-1) / len(pairs)
+            for label, pairs in _orbit_members(sizes).items()}
 
 
 @dataclass(frozen=True)
@@ -181,10 +189,9 @@ def amplitude_limits(fp: FilterParams) -> AmplitudeLimits:
     }
 
     tables = {"": ({}, {}), "_refl": ({}, {}), "_intra": ({}, {})}  # (high-k, low-k)
-    for name, (high, low) in _block_means(np.stack([hi, lo]), fp.block_sizes).items():
-        key = (int(name[1]), int(name[2])) if len(name) == 3 else int(name[1])
-        high_table, low_table = tables[name[3:]]
-        high_table[key], low_table[key] = float(high), float(low)
+    for (mu, nu, kind), means in _block_means(np.stack([hi, lo]), fp.block_sizes).items():
+        for table, mean in zip(tables[kind], means):
+            table[(mu, nu) if mu != nu else mu] = float(mean)
     (high_k, low_k), (high_refl, low_refl), (high_intra, low_intra) = tables.values()
 
     closed_high = {p: v for p, v in closed_candidates_high.items() if p in high_k}
@@ -237,21 +244,20 @@ def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -
 class SweepTable:
     """Transmission probabilities |S_ij(k)|^2 on a momentum grid.
 
-    When ``block_sizes`` is set, rows also carry block-pair aggregates:
-    the mean probability over each cross pair, plus per-block reflection
-    (diagonal) and intra-block (off-diagonal) means.  A row of a coupling with
-    its blocks' symmetry repeats one value per orbit (``pair_sweep``).
+    When ``block_sizes`` is set, rows also carry the means of ``_block_means``,
+    one per orbit: each cross pair, plus per-block reflection (diagonal) and
+    intra-block (off-diagonal) means.  A row of a coupling with its blocks'
+    symmetry repeats one value per orbit (``pair_sweep``).  n is the degree.
     """
 
-    n: int
     ks: np.ndarray
     probabilities: np.ndarray  # (len(ks), n, n), real
     block_sizes: tuple[int, int, int] | None = None
 
     def header(self) -> list[str]:
-        cols = ["k"] + [f"S{i + 1}{j + 1}" for i in range(self.n) for j in range(self.n)]
+        cols = ["k"] + [f"S{i + 1}{j + 1}" for i, j in np.ndindex(self.probabilities.shape[1:])]
         if self.block_sizes is not None:
-            cols += list(_block_means(self.probabilities[:0], self.block_sizes))
+            cols += [f"b{mu}{nu}{kind}" for mu, nu, kind in _orbit_members(self.block_sizes)]
         return cols
 
     def rows(self):
@@ -300,20 +306,13 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
             base = x[:, orbit]
             x = base + ((x - base) @ weights)[:, column]
         probs[start:start + SWEEP_BLOCK] = x
-    return SweepTable(n=n, ks=ks, probabilities=probs.reshape(-1, n, n), block_sizes=block_sizes)
+    return SweepTable(ks=ks, probabilities=probs.reshape(-1, n, n), block_sizes=block_sizes)
 
 
 def _orbit_representatives(A, B, block_sizes: tuple[int, int, int]) -> np.ndarray | None:
-    """Flat index of each index pair's orbit representative, or None if swapping
-    edges inside a block changes A or B.  Else A and B are constant on each orbit (a
-    cross block, a diagonal block's diagonal or its off-diagonal), S(k) commutes
-    with the swaps, and a real pair's S(k) = S(k)^T joins block (mu, nu) to (nu, mu).
-    """
-    n = len(A)
-    blk = np.repeat((0, 1, 2), block_sizes)
-    first = np.repeat((0, block_sizes[0], block_sizes[0] + block_sizes[1]), block_sizes)
-    off = (blk[:, None] == blk) & ~np.eye(n, dtype=bool)
-    orbit = n * first[:, None] + first + off
+    """``_block_orbits`` flattened if A and B are constant on its orbits, so S(k) commutes with
+    the swaps, else None; a real pair's S(k) = S(k)^T joins block (mu, nu) to (nu, mu)."""
+    orbit = _block_orbits(block_sizes)
     if not ((np.take(A, orbit) == A).all() and (np.take(B, orbit) == B).all()):
         return None
     if not (A.imag.any() or B.imag.any()):

@@ -592,7 +592,7 @@ class TestSweepCsv:
         probs = np.array([[[0.0, -0.0], [5e-324, np.nan]],
                           [[-0.0, 0.0], [-np.nan, -5e-324]],
                           [[0.25, 0.25], [np.nan, -np.nan]]])
-        table = filters.SweepTable(n=2, ks=np.array([0.5, 1.0, 2.0]), probabilities=probs)
+        table = filters.SweepTable(ks=np.array([0.5, 1.0, 2.0]), probabilities=probs)
         text = written_csv(table)
         assert text == per_value_csv(table)
         assert text.splitlines()[1:] == ["0.5,0.0,-0.0,5e-324,nan",
@@ -600,7 +600,7 @@ class TestSweepCsv:
                                          "2.0,0.25,0.25,nan,nan"]
 
     def test_integer_table_is_written_as_floats(self):
-        table = filters.SweepTable(n=1, ks=np.array([1, 2]), probabilities=np.array([[[1]], [[0]]]))
+        table = filters.SweepTable(ks=np.array([1, 2]), probabilities=np.array([[[1]], [[0]]]))
         assert written_csv(table) == "k,S11\n1.0,1.0\n2.0,0.0\n"
 
 

@@ -34,6 +34,8 @@ from qgvertex.filters import (
     FilterParams,
     SweepTable,
     _block_means,
+    _block_orbits,
+    _orbit_members,
     pair_sweep,
 )
 
@@ -218,9 +220,10 @@ class TestOneSplit:
                     hi = np.abs(np.asarray(limit_high_k(form).entries))
                     lo = np.abs(np.asarray(limit_low_k(form, allow_singular=True).entries))
                     limits = amplitude_limits(fp)
-                    for name, (high, low) in _block_means(np.stack([hi, lo]), fp.block_sizes).items():
-                        key = (int(name[1]), int(name[2])) if len(name) == 3 else int(name[1])
-                        table = {"": "", "_refl": "_reflection", "_intra": "_intra"}[name[3:]]
+                    means = _block_means(np.stack([hi, lo]), fp.block_sizes)
+                    for (mu, nu, kind), (high, low) in means.items():
+                        key = (mu, nu) if mu != nu else mu
+                        table = {"": "", "_refl": "_reflection", "_intra": "_intra"}[kind]
                         assert getattr(limits, "high_k" + table)[key] == float(high)
                         assert getattr(limits, "low_k" + table)[key] == float(low)
 
@@ -371,20 +374,21 @@ class TestProbabilitySweep:
             for m in range(n + 1):
                 for na in range(n - m + 1):
                     sizes = (m, na, n - m - na)
-                    keys = list(_block_means(np.zeros((n, n)), sizes))
-                    table = SweepTable(n=n, ks=np.ones(1), probabilities=np.zeros((1, n, n)),
+                    labels = list(_block_means(np.zeros((n, n)), sizes))
+                    table = SweepTable(ks=np.ones(1), probabilities=np.zeros((1, n, n)),
                                        block_sizes=sizes)
-                    assert table.header()[1 + n * n:] == keys
+                    assert table.header()[1 + n * n:] == [f"b{mu}{nu}{kind}" for mu, nu, kind in labels]
                     fp = FilterParams(n=n, r_a=n - na, r_b=m + na, p=0.7, q=-0.4, r=1.3,
                                       s=1.1 if m else 0.0)
                     limits = amplitude_limits(fp)
-                    reported = ({f"b{mu}{nu}" for mu, nu in limits.high_k}
-                                | {f"b{mu}{mu}_refl" for mu in limits.high_k_reflection}
-                                | {f"b{mu}{mu}_intra" for mu in limits.high_k_intra})
-                    assert set(keys) == reported
+                    reported = ({(mu, nu, "") for mu, nu in limits.high_k}
+                                | {(mu, mu, "_refl") for mu in limits.high_k_reflection}
+                                | {(mu, mu, "_intra") for mu in limits.high_k_intra})
+                    assert set(labels) == reported
                     assert limits.high_k.keys() == limits.low_k.keys()
                     assert limits.high_k_reflection.keys() == limits.low_k_reflection.keys()
                     assert limits.high_k_intra.keys() == limits.low_k_intra.keys()
+                    assert all(type(v) is int for mu, nu, _ in labels for v in (mu, nu))
 
     def test_stacked_block_means_equal_single_matrix_means(self, rng):
         # rows() aggregates a stack of momenta at once; each row must sum in
@@ -499,3 +503,65 @@ class TestNoSymmetryNoAveraging:
         raw = np.abs(_smatrix_grid(c.A, c.B, self.KS)) ** 2
         for sizes in ((1, 2, 2), (2, 1, 2), (3, 2, 0)):
             assert np.array_equal(pair_sweep(c.A, c.B, self.KS, sizes).probabilities, raw), sizes
+
+
+def span_block_means(x, sizes) -> dict[str, np.ndarray]:
+    """Block means written out from the block spans and eye masks, keyed by CSV
+    column: the reference that ``_block_means`` matches bit for bit."""
+    edges = np.cumsum((0,) + tuple(sizes))
+    spans = [(mu, slice(edges[mu - 1], edges[mu])) for mu in (1, 2, 3) if sizes[mu - 1]]
+    means = {}
+    for mu, rows in spans:
+        for nu, cols in spans:
+            blk = x[..., rows, cols]
+            if mu != nu:
+                means[f"b{mu}{nu}"] = blk.mean(axis=(-2, -1))
+                continue
+            means[f"b{mu}{mu}_refl"] = np.diagonal(blk, axis1=-2, axis2=-1).mean(axis=-1)
+            if sizes[mu - 1] > 1:
+                off = np.ascontiguousarray(blk[..., ~np.eye(sizes[mu - 1], dtype=bool)])
+                means[f"b{mu}{mu}_intra"] = off.mean(axis=-1)
+    return means
+
+
+def block_triples(max_degree):
+    """Every (m, n_a, n_b) of non-negative block sizes with 1 <= m + n_a + n_b <= max_degree."""
+    return [(m, na, n - m - na) for n in range(1, max_degree + 1)
+            for m in range(n + 1) for na in range(n - m + 1)]
+
+
+class TestOnePartition:
+    """The orbit table ``_block_orbits`` is the one partition of index pairs behind the
+    sweep's averaging, the block-mean columns, the header and the limit tables."""
+
+    def test_block_means_equal_the_span_reference_bit_for_bit(self, rng):
+        for sizes in block_triples(11):
+            n = sum(sizes)
+            for rows in (1, 3, SWEEP_BLOCK):
+                x = rng.random((rows, n, n))
+                means, reference = _block_means(x, sizes), span_block_means(x, sizes)
+                assert [f"b{mu}{nu}{kind}" for mu, nu, kind in means] == list(reference)
+                for mean, expected in zip(means.values(), reference.values()):
+                    assert mean.shape == expected.shape == (rows,)
+                    assert mean.tobytes() == expected.tobytes(), (sizes, rows)
+
+    def test_header_equals_the_benchmark_reference(self, bench_workloads):
+        for sizes in [None] + block_triples(6):
+            n = 4 if sizes is None else sum(sizes)
+            table = SweepTable(ks=np.ones(1), probabilities=np.zeros((1, n, n)), block_sizes=sizes)
+            assert table.header() == bench_workloads.reference.sweep_header(n, sizes)
+
+    def test_orbit_table_partitions_like_the_group(self):
+        for sizes in block_triples(6):
+            table = _block_orbits(sizes)
+            merged = np.minimum(table, table.T)  # pair_sweep's time-reversal merge
+            for orbit, transpose in ((table, False), (merged, True)):
+                groups = orbits(sizes, transpose)
+                reps = [orbit[rows, cols] for rows, cols in groups]
+                # constant on each orbit of the group, its first pair's flat index
+                assert all((rep == rep[0]).all() for rep in reps), sizes
+                assert [rep[0] for rep in reps] == [table.shape[0] * r[0] + c[0] for r, c in groups]
+                assert len({rep[0] for rep in reps}) == len(groups)
+            members = [table.shape[0] * rows + cols for rows, cols in orbits(sizes, False)]
+            assert list(_orbit_members(sizes).values()) == sorted(
+                (m.tolist() for m in members), key=lambda pairs: pairs[0])
