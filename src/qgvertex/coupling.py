@@ -67,15 +67,18 @@ def _require_record(f, *records: type) -> None:
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
 
-    Raises ValueError instead of returning a non-finite S, which comes from
-    k B overflowing or from A + ikB being numerically singular; numpy's
-    warnings are silenced, since that error reports them.
+    Raises ValueError instead of returning an S with a column of |S|^2 that
+    misses 1 by more than ``linalg.SMATRIX_ATOL`` (a NaN or infinite S misses
+    too), which comes from k B overflowing or from A + ikB being numerically
+    singular; numpy's warnings are silenced, since that error reports them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ikb = (1j * ks)[:, None, None] * B
         s = -np.linalg.solve(A + ikb, A - ikb)
-    if not np.isfinite(s).all():
-        raise ValueError(f"S(k) is not finite for k in [{ks.min():g}, {ks.max():g}]: "
+        defect = np.max(np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0))
+    if not defect <= linalg.SMATRIX_ATOL:
+        raise ValueError(f"S(k) is not finite or not unitary for k in [{ks.min():g}, {ks.max():g}] "
+                         f"(a column of |S|^2 misses 1 by {defect:.2g}): "
                          "k B overflows or A + ikB is numerically singular")
     return s
 

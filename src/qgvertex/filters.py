@@ -219,8 +219,8 @@ def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -
     limits come from the design's one cached split (``uniform_block_pqrs``),
     so classifying after ``amplitude_limits`` factorises nothing again.
     """
-    if threshold <= 1.0:
-        raise ValueError("dominance threshold must exceed 1")
+    if not threshold > 1.0:  # NaN too
+        raise ValueError(f"dominance threshold must exceed 1, got {threshold!r}")
     if any(size == 0 for size in fp.block_sizes):
         return NO_BRANCHING
     limits = amplitude_limits(fp)

@@ -20,6 +20,12 @@ DEFAULT_RTOL = 1e-10
 # Default absolute cutoff for Hermitian / unitary residual checks.
 DEFAULT_ATOL = 1e-10
 
+# Largest amount by which a column of a computed |S(k)|^2 may miss 1: far above
+# the rounding of an admissible pair at the momenta in use (a few 1e-9 at
+# k = 1e+-7), far below a visibly wrong table.  S(k) is not that well conditioned
+# near k = 0 or infinity, so ``DEFAULT_ATOL`` would refuse working momenta.
+SMATRIX_ATOL = 1e-6
+
 
 def as_complex_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a fresh 2-d complex array."""

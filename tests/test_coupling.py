@@ -6,11 +6,14 @@ import pytest
 from qgvertex import (
     from_unitary,
     haar_unitary,
+    linalg,
     random_coupling,
+    smatrix_direct,
     to_unitary,
     validate,
 )
 from qgvertex.coupling import UnitaryForm
+from qgvertex.filters import pair_sweep
 from qgvertex.errors import (NonFiniteMatrix, NotSelfAdjoint, NotUnitary, RankDeficient,
                              ShapeMismatch)
 
@@ -187,3 +190,28 @@ class TestEigensplit:
         assert np.count_nonzero(near_plus) == c.n - c.r_a
         assert np.count_nonzero(rest) == c.r_a + c.r_b - c.n
         assert np.all(np.abs(np.abs(vals[rest]) - 1.0) < 1e-10)
+
+
+def far_scale_coupling():
+    """A coupling whose S(k) loses unitarity far from its own scale: a column of
+    |S(k)|^2 misses 1 by 1.6e-8 at k = 1e8, 1.4e-2 at 1e14 and 0.81 at 1e-17."""
+    return random_coupling(3, 2, 2, np.random.default_rng(1))
+
+
+class TestUnitarityGuard:
+    """S(k) is refused, not returned, once a column of |S(k)|^2 misses 1 by more
+    than ``linalg.SMATRIX_ATOL``."""
+
+    @pytest.mark.parametrize("k", [1e-14, 1e14])
+    def test_far_momenta_raise(self, k):
+        c = far_scale_coupling()
+        with pytest.raises(ValueError, match=r"not finite or not unitary .* misses 1 by"):
+            smatrix_direct(c, k)
+        with pytest.raises(ValueError, match=r"not finite or not unitary .* misses 1 by"):
+            pair_sweep(c.A, c.B, np.sort([1.0, k]), None)
+
+    def test_momenta_near_the_scale_pass(self):
+        c = far_scale_coupling()
+        ks = np.logspace(-8, 8, 33)
+        probs = pair_sweep(c.A, c.B, ks, None).probabilities
+        assert np.max(np.abs(probs.sum(axis=-2) - 1.0)) <= linalg.SMATRIX_ATOL

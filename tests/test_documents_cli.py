@@ -33,7 +33,7 @@ from qgvertex.errors import DocumentError
 from qgvertex.filters import AmplitudeLimits, LimitMismatch
 
 from conftest import couplings_equivalent, smatrix_distance
-from test_coupling import delta_pair
+from test_coupling import delta_pair, far_scale_coupling
 
 
 def dirichlet_doc(n=2):
@@ -360,6 +360,14 @@ class TestCliSmatrix:
         path = write_doc(tmp_path, dirichlet_doc())
         assert main(["smatrix", path, "--k", "-1.0"]) == 2
 
+    @pytest.mark.parametrize("k", ["1e-14", "1e14"])
+    def test_non_unitary_momentum_exits_2_with_one_line(self, tmp_path, capsys, k):
+        path = write_doc(tmp_path, documents.coupling_to_document(far_scale_coupling()))
+        assert main(["smatrix", path, "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: S\(k\) is not finite or not unitary .*\n", captured.err)
+
 
 class TestCliSweep:
     def test_kirchhoff_rows_are_identical(self, tmp_path, capsys):
@@ -474,6 +482,16 @@ class TestCliSweep:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught] == []
         assert not out_path.exists()
+
+    def test_non_unitary_table_exits_2_with_one_line(self, tmp_path, capsys):
+        # a column of |S(k)|^2 at k = 1e16 sums to 1.66
+        path = write_doc(tmp_path, documents.coupling_to_document(far_scale_coupling()))
+        out_path = tmp_path / "sweep.csv"
+        assert main(["sweep", path, "--k-min", "1", "--k-max", "1e16", "--points", "5",
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert re.fullmatch(r"error: S\(k\) is not finite or not unitary .*\n", captured.err)
 
     def test_malformed_document_exits_1(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
