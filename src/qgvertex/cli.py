@@ -107,8 +107,9 @@ def _k_grid(k_min: float, k_max: float, points: int, scale: str) -> np.ndarray:
         raise VertexError(f"need finite 0 < k_min < k_max, got {k_min:g}, {k_max:g}")
     if points < 2:
         raise VertexError(f"need at least 2 points, got {points}")
-    ks = (np.logspace(np.log10(k_min), np.log10(k_max), points) if scale == "log"
-          else np.linspace(k_min, k_max, points))
+    with np.errstate(over="ignore"):  # 10**log10(k_max) may overflow, and is replaced
+        ks = (np.logspace(np.log10(k_min), np.log10(k_max), points) if scale == "log"
+              else np.linspace(k_min, k_max, points))
     ks[0], ks[-1] = k_min, k_max  # 10**log10(k) can miss k by an ulp
     return ks
 

@@ -67,19 +67,16 @@ def _require_record(f, *records: type) -> None:
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
 
-    Raises ValueError instead of returning an S with a column of |S|^2 that
-    misses 1 by more than ``linalg.SMATRIX_ATOL`` (a NaN or infinite S misses
-    too), which comes from k B overflowing or from A + ikB being numerically
-    singular; numpy's warnings are silenced, since that error reports them.
+    Raises ValueError instead of returning an S that is not unitary
+    (``linalg.require_unitary_columns``), which comes from k B overflowing or
+    from A + ikB being numerically singular; numpy's warnings are silenced,
+    since that error reports them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ikb = (1j * ks)[:, None, None] * B
         s = -np.linalg.solve(A + ikb, A - ikb)
-        defect = np.max(np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0))
-    if not defect <= linalg.SMATRIX_ATOL:
-        raise ValueError(f"S(k) is not finite or not unitary for k in [{ks.min():g}, {ks.max():g}] "
-                         f"(a column of |S|^2 misses 1 by {defect:.2g}): "
-                         "k B overflows or A + ikB is numerically singular")
+    linalg.require_unitary_columns(s, f"for k in [{ks.min():g}, {ks.max():g}] (k B overflows "
+                                   "or A + ikB is numerically singular)")
     return s
 
 
@@ -104,7 +101,9 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     rows = np.concatenate([A, B], axis=1)
     if linalg.rank(rows, tol) < n:
         raise RankDeficient(f"rank(A|B) < n = {n}: the pair does not fix a vertex coupling")
-    rows /= np.abs(rows).max(axis=1, keepdims=True)
+    # by the real and imaginary parts: a complex division takes 1 / max, which
+    # overflows for a subnormal row
+    rows.view(float)[:] /= np.abs(rows).max(axis=1, keepdims=True)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     if not linalg.is_hermitian(rows[:, :n] @ rows[:, n:].conj().T, tol):
         raise NotSelfAdjoint("A B* is not Hermitian within tolerance")

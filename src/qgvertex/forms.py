@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .coupling import VertexCoupling, _require_record, validate
-from .errors import InvalidRankPair, ShapeMismatch, SingularMatrix, SingularSBlock
+from .errors import InvalidRankPair, NonFiniteMatrix, ShapeMismatch, SingularMatrix, SingularSBlock
 
 
 def block_sizes(n: int, r_a: int, r_b: int) -> tuple[int, int, int]:
@@ -171,7 +171,10 @@ class PQRSForm:
         except SingularMatrix as exc:
             raise SingularMatrix("the PQRS split needs X of full rank m, the part of W "
                                  "orthogonal to Z, and it is numerically rank-deficient") from exc
-        h = linalg.hermitian_part(r_inv.conj().T @ np.asarray(self.S) @ r_inv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = linalg.hermitian_part(r_inv.conj().T @ np.asarray(self.S) @ r_inv)
+        if not np.isfinite(h).all():
+            raise NonFiniteMatrix("H = R^-* S R^-1 of the PQRS split overflows: the S block is too large")
         return linalg.read_only(qz @ qz.conj().T, qx, h)
 
     @functools.cached_property
@@ -282,6 +285,7 @@ def _picked_first(picked: list[int], size: int) -> list[int]:
     return picked + np.flatnonzero(rest).tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN block fails the record's check
 def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     """Reduce the pair (A, B) to ST shape; returns (perm, S, T).
 
@@ -297,6 +301,11 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     ``linalg.inverse`` raises SingularMatrix when A22 is singular at DEFAULT_RTOL.
     """
     n = A.shape[0]
+    # the reduction is invariant under (A, B) -> (cA, cB): a power of two c brings a
+    # pair whose largest entry is near the float limits into range, exactly
+    exponent = math.frexp(max(linalg.max_norm(A), linalg.max_norm(B)))[1]
+    if abs(exponent) > 500:
+        A, B = (np.ldexp(M.view(float), -exponent).view(complex) for M in (A, B))
     picked, q, r = _independent_columns_qr(B, r_b, "complete")
     order = _picked_first(picked, n)
     perm = tuple(order)
@@ -362,6 +371,7 @@ def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -
 # ---------------------------------------------------------------------------
 
 @_once_per_record
+@np.errstate(over="ignore", invalid="ignore")  # as in _st_reduce
 def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     """Unique PQRS form of a coupling, once per coupling: its one ``split`` serves all.
 
@@ -424,6 +434,7 @@ def _b_hat(f: PQRSForm) -> np.ndarray:
     return Bh
 
 
+@np.errstate(over="ignore", invalid="ignore")  # validate refuses an inf or NaN entry
 def _pqrs_pair(f: PQRSForm) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) assembled from PQRS blocks in the original numbering, unvalidated."""
     Bh = _b_hat(f)

@@ -68,6 +68,17 @@ def unitarity_defect(u: np.ndarray) -> float:
     return max_norm(u @ u.conj().T - np.eye(len(u)))
 
 
+def require_unitary_columns(s: np.ndarray, context: str) -> None:
+    """ValueError unless each column of |s|^2 (s of shape (..., n, n)) sums to 1
+    within ``SMATRIX_ATOL``; a NaN or infinite entry fails too.  ``context``
+    follows "S(k) is not finite or not unitary" in the message."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0))
+    if not defect <= SMATRIX_ATOL:
+        raise ValueError(f"S(k) is not finite or not unitary {context}: "
+                         f"a column of |S|^2 misses 1 by {defect:.2g}")
+
+
 def require_tolerance(tol: float) -> None:
     """ValueError unless 0 < tol < 1, the rule of every relative rank cut: the test
     is False for NaN too, a cut at tol <= 0 counts rounding noise as rank and one

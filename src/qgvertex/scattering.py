@@ -30,6 +30,7 @@ record of another kind than a function reads raises TypeError.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -100,6 +101,19 @@ def _require_momentum(k: float) -> None:
 # The five scattering routes
 # ---------------------------------------------------------------------------
 
+def _unitary(route):
+    """``route`` run with numpy's overflow and invalid warnings off, refusing an
+    S(k) that is not unitary (``linalg.require_unitary_columns``): far from the
+    coupling's scale every route loses unitarity, as ``_smatrix_grid`` does."""
+    @functools.wraps(route)
+    def checked(*args):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = route(*args)
+        linalg.require_unitary_columns(s.entries, f"at k = {s.k:g}")
+        return s
+    return checked
+
+
 def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
     """S(k) from the defining pair; inverts the full n x n matrix A + ikB."""
     _require_record(c, VertexCoupling)
@@ -108,6 +122,7 @@ def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
     return SMatrix(n=c.n, k=k, entries=linalg.frozen(s))
 
 
+@_unitary
 def _st_route(f: STForm | ReverseSTForm, k: float, sign: float) -> SMatrix:
     """sign (-I + 2 L (L*L - zS)^{-1} L*), L = (I; T*), in the original numbering:
     S(k) of the ST form for (z, sign) = (1/ik, 1), of the reverse one for (ik, -1)."""
@@ -131,6 +146,7 @@ def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
     return _st_route(f, k, -1.0)
 
 
+@_unitary
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     """S(k) = -I + 2 Z (Z*Z)^{-1} Z* + 2 X (X*X - S/ik)^{-1} X* from the PQRS form.
 
@@ -150,6 +166,7 @@ def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     return SMatrix(n=f.n, k=k, entries=linalg.unpermute(s, f.perm))
 
 
+@_unitary
 def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
     """S(k) = -proj_p + proj_q - (lam - ik)^{-1} (lam + ik) proj_c.
 
@@ -194,6 +211,7 @@ def _zero_eigenvalues(w: np.ndarray) -> np.ndarray:
     return size <= linalg.DEFAULT_RTOL * size.max(initial=0.0)
 
 
+@_unitary
 def _limit(f: PQRSForm, k: float, cols: np.ndarray) -> SMatrix:
     """The limit at k (math.inf or 0.0) of ``_limit_matrix`` that keeps the columns
     ``cols`` of U, those whose factor 1/(1 - w/ik) tends to 1, in original numbering."""

@@ -433,6 +433,18 @@ class TestReduction:
         for c in couplings:
             assert relative_gap(np.asarray(to_pqrs_form(c).R), lstsq_pqrs_r(c)) <= 1e-12
 
+    def test_pair_near_the_float_limits_reduces_like_its_unit_scale(self, corpus):
+        # the squared column norms of the pick overflowed from entries of about 1e154 on
+        for c in corpus[:30]:
+            A, B = np.asarray(c.A), np.asarray(c.B)
+            for scale in (1e-300, 1e300):
+                for M, N, r in ((A, B, c.r_b), (B, A, c.r_a)):
+                    perm, S, T = _st_reduce(scale * M, scale * N, r)
+                    ref_perm, ref_S, ref_T = _st_reduce(M, N, r)
+                    assert perm == ref_perm
+                    assert relative_gap(S, ref_S) <= 1e-12
+                    assert relative_gap(T, ref_T) <= 1e-12
+
     def test_singular_lower_right_block_raises(self):
         # B = diag(1, 0) picks column 0; with A = 0 the block A22 is zero
         message = r"matrix of shape \(1, 1\) is singular within rtol=1e-10"
