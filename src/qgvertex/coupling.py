@@ -75,8 +75,7 @@ def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         ikb = (1j * ks)[:, None, None] * B
         s = -np.linalg.solve(A + ikb, A - ikb)
-    linalg.require_unitary_columns(s, f"for k in [{ks.min():g}, {ks.max():g}] (k B overflows "
-                                   "or A + ikB is numerically singular)")
+        linalg.require_unitary_columns(s, ks, "k B overflows or A + ikB is numerically singular")
     return s
 
 

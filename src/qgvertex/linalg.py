@@ -68,15 +68,15 @@ def unitarity_defect(u: np.ndarray) -> float:
     return max_norm(u @ u.conj().T - np.eye(len(u)))
 
 
-def require_unitary_columns(s: np.ndarray, context: str) -> None:
+def require_unitary_columns(s: np.ndarray, ks, cause: str) -> None:
     """ValueError unless each column of |s|^2 (s of shape (..., n, n)) sums to 1
-    within ``SMATRIX_ATOL``; a NaN or infinite entry fails too.  ``context``
-    follows "S(k) is not finite or not unitary" in the message."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.max(np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0))
+    within ``SMATRIX_ATOL``; a NaN or infinite entry fails too.  The message
+    names the range of the momenta ``ks`` and the likely ``cause``.  Call it under
+    ``np.errstate(over="ignore")``, where a huge entry's square is inf and fails."""
+    defect = np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0).max()
     if not defect <= SMATRIX_ATOL:
-        raise ValueError(f"S(k) is not finite or not unitary {context}: "
-                         f"a column of |S|^2 misses 1 by {defect:.2g}")
+        raise ValueError(f"S(k) is not finite or not unitary for k in [{np.min(ks):g}, "
+                         f"{np.max(ks):g}] ({cause}): a column of |S|^2 misses 1 by {defect:.2g}")
 
 
 def require_tolerance(tol: float) -> None:

@@ -109,7 +109,7 @@ def _unitary(route):
     def checked(*args):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             s = route(*args)
-        linalg.require_unitary_columns(s.entries, f"at k = {s.k:g}")
+            linalg.require_unitary_columns(s.entries, s.k, "k is too far from the coupling's scale")
         return s
     return checked
 
@@ -211,7 +211,6 @@ def _zero_eigenvalues(w: np.ndarray) -> np.ndarray:
     return size <= linalg.DEFAULT_RTOL * size.max(initial=0.0)
 
 
-@_unitary
 def _limit(f: PQRSForm, k: float, cols: np.ndarray) -> SMatrix:
     """The limit at k (math.inf or 0.0) of ``_limit_matrix`` that keeps the columns
     ``cols`` of U, those whose factor 1/(1 - w/ik) tends to 1, in original numbering."""
