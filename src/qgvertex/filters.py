@@ -244,10 +244,10 @@ def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -
 class SweepTable:
     """Transmission probabilities |S_ij(k)|^2 on a momentum grid.
 
-    When ``block_sizes`` is set, rows also carry the means of ``_block_means``,
-    one per orbit: each cross pair, plus per-block reflection (diagonal) and
-    intra-block (off-diagonal) means.  A row of a coupling with its blocks'
-    symmetry repeats one value per orbit (``pair_sweep``).  n is the degree.
+    When ``block_sizes`` is set, rows also carry ``_block_means``, one mean per
+    orbit of ``_block_orbits``, named by ``header`` from the same orbits: each cross
+    pair, each block's reflection (diagonal) and intra-block (off-diagonal) mean.
+    A row of a symmetric coupling repeats one value per orbit (``pair_sweep``).
     """
 
     ks: np.ndarray
@@ -275,10 +275,11 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
     """|S_ij(k)|^2 of the pair (A, B) over the ascending positive grid ``ks``.
 
     ``block_sizes``, when given, are three non-negative integers summing to
-    n; the table then carries their block-pair aggregates, and if (A, B) has
-    the blocks' symmetry (``_orbit_representatives``), each orbit of index pairs
-    gets its mean, one float for all members.  Otherwise |S_ij|^2 is the batched
-    solve's, bit for bit.
+    n; the table then carries one aggregate per orbit of ``_block_orbits``, and if
+    (A, B) has the blocks' symmetry on those orbits (``_orbit_representatives``),
+    each orbit of index pairs gets its mean, one float for all members.  Otherwise
+    |S_ij|^2 is the batched solve's, bit for bit.  A column of |S(k)|^2 that misses
+    1 by more than ``linalg.SMATRIX_ATOL`` raises ValueError (``_smatrix_grid``).
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size < 1:
