@@ -145,8 +145,9 @@ def cmd_filter_demo(args) -> int:
         fp = filters.FilterParams(n=args.n, r_a=args.ra, r_b=args.rb,
                                   p=args.p, q=args.q, r=args.r, s=args.s)
         label = "custom"
-    form = filters.uniform_block_pqrs(fp)
-    c = pqrs_to_matrices(form)
+    limits = filters.amplitude_limits(fp)  # before any output: a refused threshold prints none
+    verdict = filters.classify_branching(fp, args.threshold)
+    c = pqrs_to_matrices(filters.uniform_block_pqrs(fp))
     doc = documents.coupling_to_document(
         c,
         label=label,
@@ -155,8 +156,6 @@ def cmd_filter_demo(args) -> int:
         blocks=fp.block_sizes,
     )
     print(documents.dumps(doc))
-    limits = filters.amplitude_limits(fp)
-    verdict = filters.classify_branching(fp, args.threshold)
     sys.stderr.write(documents.render_limits_report(fp, limits, verdict, args.threshold))
     return EXIT_OK
 

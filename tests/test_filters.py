@@ -208,8 +208,9 @@ class TestClassification:
         with pytest.raises(ValueError, match="^dominance threshold must exceed 1, got nan$"):
             classify_branching(FIG1_PARAMS, float("nan"))
         assert main(["filter-demo", "--preset", "fig1", "--threshold", "nan"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: dominance threshold must exceed 1, got nan\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the design document is not printed either
+        assert captured.err == "error: dominance threshold must exceed 1, got nan\n"
 
     def test_empty_block_designs_are_unlabeled(self):
         fp = FilterParams(n=3, r_a=3, r_b=3, p=1.0, q=1.0, r=1.0, s=1.0)

@@ -234,7 +234,6 @@ def test_cli_filter_demo(n, r_a, r_b, constants, threshold):
             f"--threshold={threshold!r}"]
     code, out, err = run(argv)
     if code:
-        # the design document is printed before the threshold is read
-        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert_one_line_error(code, out, err, argv)
     else:
         assert json.loads(out)["blocks"] == list(FilterParams(n, r_a, r_b, *constants).block_sizes)
