@@ -174,7 +174,8 @@ class PQRSForm:
         with np.errstate(over="ignore", invalid="ignore"):
             h = linalg.hermitian_part(r_inv.conj().T @ np.asarray(self.S) @ r_inv)
         if not np.isfinite(h).all():
-            raise NonFiniteMatrix("H = R^-* S R^-1 of the PQRS split overflows: the S block is too large")
+            raise NonFiniteMatrix("H = R^-* S R^-1 of the PQRS split overflows: "
+                                  "the S block is too large")
         return linalg.read_only(qz @ qz.conj().T, qx, h)
 
     @functools.cached_property
