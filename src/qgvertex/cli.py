@@ -3,7 +3,7 @@
 Subcommands: validate, convert, smatrix, sweep, filter-demo, params.
 Documents are read from a path or from standard input with ``-``.
 Exit codes: 0 success, 1 I/O or parse error, 2 domain error (inadmissible
-coupling, invalid ranks, bad momentum range).
+coupling, invalid ranks, bad momentum range, a request too large for memory).
 """
 
 from __future__ import annotations
@@ -231,6 +231,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (VertexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

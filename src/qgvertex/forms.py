@@ -52,7 +52,8 @@ import numpy as np
 
 from . import linalg
 from .coupling import VertexCoupling, _require_record, validate
-from .errors import InvalidRankPair, NonFiniteMatrix, ShapeMismatch, SingularMatrix, SingularSBlock
+from .errors import (InvalidRankPair, NonFiniteMatrix, ShapeMismatch, SingularMatrix, SingularSBlock,
+                     VertexError)
 
 
 def block_sizes(n: int, r_a: int, r_b: int) -> tuple[int, int, int]:
@@ -149,18 +150,19 @@ class PQRSForm:
 
     @functools.cached_property
     def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(proj_z, Q_x, H) from one reduced QR factorisation of (Z | W), the adjoints
-        of the two nonzero block rows of ``_b_hat``; read-only, computed once per record.
+        """(proj_z, U, w), the one split of the record that ``scattering`` writes S(k),
+        its limits and its series with; read-only, computed once per record.
 
-        Its leading columns Q_z are an orthonormal basis of Z, and proj_z = Q_z Q_z*.
+        One reduced QR factorisation of (Z | W), the adjoints of the two nonzero
+        block rows of ``_b_hat``: its leading columns Q_z give proj_z = Q_z Q_z*.
         Since the auxiliary matrix X = W - Z (Z*Z)^{-1} Z* W of the PQRS route is
         the part of W orthogonal to Z, the trailing columns Q_x and the trailing
         diagonal block R of the triangular factor are the reduced QR
-        factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  H is the
-        Hermitian m x m matrix R^{-*} S R^{-1}, with which
-        X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x*.  SingularMatrix when X
-        is rank-deficient within the default tolerance, as it is for blocks P
-        so large that W's columns agree to rounding.
+        factorisation X = Q_x R, so neither Z*Z nor X*X is formed.  With the
+        eigensystem (w, V) of the Hermitian H = R^{-*} S R^{-1} and U = Q_x V,
+        X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x* = U diag(k/(k + iw)) U*.
+        SingularMatrix when X is rank-deficient within the default tolerance, as
+        it is for blocks P so large that W's columns agree to rounding.
         """
         Bh = _b_hat(self)
         m, na, _ = self.block_sizes
@@ -176,15 +178,8 @@ class PQRSForm:
         if not np.isfinite(h).all():
             raise NonFiniteMatrix("H = R^-* S R^-1 of the PQRS split overflows: "
                                   "the S block is too large")
-        return linalg.read_only(qz @ qz.conj().T, qx, h)
-
-    @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, w) with S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U* in permuted
-        coordinates, U = Q_x V for the eigensystem (w, V) of H; read-only, cached."""
-        _, qx, h = self.split
         w, v = np.linalg.eigh(h)
-        return linalg.read_only(qx @ v, w)
+        return linalg.read_only(qz @ qz.conj().T, qx @ v, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +319,26 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     return perm, S, T
 
 
+def _refuse_scale_gap(convert):
+    """``convert`` of a coupling, with a failed rank pick re-raised as a VertexError naming
+    the scale gap of A and B when the ratio of their largest entries overflows a float:
+    ``_st_reduce``'s shift then flushes the smaller one, and the pick blames its rank."""
+    @functools.wraps(convert)
+    def refused(c):
+        try:
+            return convert(c)
+        except (SingularMatrix, SingularSBlock) as exc:
+            a, b = linalg.max_norm(c.A), linalg.max_norm(c.B)
+            if not (a and b and math.isinf(max(a / b, b / a))):
+                raise
+            raise VertexError(f"the largest entries of A and B ({a:.3g} and {b:.3g}) lie a factor "
+                              f"of about 1e{abs(math.log10(a) - math.log10(b)):.0f} apart, beyond the "
+                              "float range: this form's S block cannot be represented") from exc
+    return refused
+
+
 @_once_per_record
+@_refuse_scale_gap
 def to_st_form(c: VertexCoupling) -> STForm:
     """Unique ST form of a coupling, organized by r_b = rank(B); once per coupling."""
     _require_record(c, VertexCoupling)
@@ -332,6 +346,7 @@ def to_st_form(c: VertexCoupling) -> STForm:
     return STForm(n=c.n, r_b=c.r_b, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
 
+@_refuse_scale_gap
 def to_reverse_st_form(c: VertexCoupling) -> ReverseSTForm:
     """Unique reverse ST form, organized by r_a = rank(A).
 
@@ -372,6 +387,7 @@ def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -
 # ---------------------------------------------------------------------------
 
 @_once_per_record
+@_refuse_scale_gap
 @np.errstate(over="ignore", invalid="ignore")  # as in _st_reduce
 def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     """Unique PQRS form of a coupling, once per coupling: its one ``split`` serves all.
@@ -468,7 +484,7 @@ def pqrs_to_matrices(f: PQRSForm) -> VertexCoupling:
 def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     """Projector description (proj_p, proj_q, proj_c, lam) of a coupling.
 
-    From the PQRS form's ``split`` and ``spectrum``: proj_q = proj_z projects
+    From the PQRS form's ``split`` (proj_z, U, w): proj_q = proj_z projects
     onto Z, proj_c = U U* onto range(X), proj_p onto the rest, which is
     range(Y) with Y = (-P; RP - Q; I), and lam = U diag(w) U* =
     X (X*X)^{-1} S (X*X)^{-1} X* reproduces the scattering matrix through
@@ -476,7 +492,7 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     """
     f = to_pqrs_form(c)
     n = f.n
-    proj_q, (u, w) = f.split[0], f.spectrum
+    proj_q, u, w = f.split
     proj_c = u @ u.conj().T
     proj_p = np.eye(n) - proj_q - proj_c
     lam = linalg.hermitian_part((u * w) @ u.conj().T)

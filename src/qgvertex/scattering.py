@@ -5,27 +5,25 @@ The on-shell scattering matrix of a coupling (A, B) at momentum k > 0 is
     S(k) = -(A + ikB)^{-1} (A - ikB),
 
 an n x n unitary matrix with S(1) = U.  ``smatrix_direct`` evaluates it and
-serves as the reference oracle; the ST, reverse-ST and PQRS routes
-compute the same matrix while inverting only blocks of the sizes fixed by
-the ranks (r_b, r_a, and the m = r_a + r_b - n block alone for PQRS), and
-the projector route reads it off the projectors with one n x n solve.  The
-ST, reverse-ST and PQRS routes work in permuted coordinates and are
-conjugated back, so every function here returns S(k) in the original edge
-numbering.
+serves as the reference oracle; the ST and reverse-ST routes compute the
+same matrix while inverting only blocks of the sizes fixed by the ranks
+(r_b and r_a), and the projector route reads it off the projectors with
+one n x n solve.  The ST, reverse-ST and PQRS routes work in permuted
+coordinates and are conjugated back, so every function here returns S(k)
+in the original edge numbering.
 
 k = 0 and k = infinity are never substituted into the definition.  The
-limits and both momentum series come from one formula instead: in the
-permuted coordinates of a PQRS form,
+PQRS route, the limits and both momentum series come from one formula
+instead: in the permuted coordinates of a PQRS form,
 
-    S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*,
+    S(k) = -I + 2 proj_z + 2 U diag(k/(k + iw)) U*,
 
 with proj_z the orthogonal projector onto Z = (R*; I; Q*), X = QR the
 reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
-of the Hermitian R^{-*} S R^{-1} and U = QV: a PQRS record computes them
-once, as ``PQRSForm.split`` (proj_z, Q and R^{-*} S R^{-1}, all the PQRS
-route reads) and ``PQRSForm.spectrum`` (U, w); the limits and series take a
-PQRS form only.  ``_limit_matrix`` writes -I + 2 proj_z + 2(.) for all.  A
-record of another kind than a function reads raises TypeError.
+of the Hermitian R^{-*} S R^{-1} and U = QV.  A PQRS record computes the
+triple (proj_z, U, w) once, as ``PQRSForm.split``, and ``_limit_matrix``
+writes the formula for the route and both limits; they take a PQRS form
+only.  A record of another kind than a function reads raises TypeError.
 """
 
 from __future__ import annotations
@@ -104,7 +102,7 @@ def _require_momentum(k: float) -> None:
 def _unitary(route):
     """``route`` run with numpy's overflow and invalid warnings off, refusing an
     S(k) that is not unitary (``linalg.require_unitary_columns``): far from the
-    coupling's scale every route loses unitarity, as ``_smatrix_grid`` does."""
+    coupling's scale a solve loses unitarity, as ``_smatrix_grid``'s does."""
     @functools.wraps(route)
     def checked(*args):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -150,20 +148,15 @@ def smatrix_reverse_st(f: ReverseSTForm, k: float) -> SMatrix:
 def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     """S(k) = -I + 2 Z (Z*Z)^{-1} Z* + 2 X (X*X - S/ik)^{-1} X* from the PQRS form.
 
-    With the record's ``split`` (proj_z = Q_z Q_z*, Q_x, H) from one QR of
-    (Z | W), where X = Q_x R and H = R^{-*} S R^{-1}, this is
-    S(k) = -I + 2 proj_z + 2 Q_x (I - H/ik)^{-1} Q_x*: only the
-    m = r_a + r_b - n block I - H/ik is inverted, and neither Z*Z nor X*X
-    is formed.  The momentum-dependent term is well defined for every
+    Read off the record's ``split`` by the module's formula: nothing is solved
+    per momentum.  The momentum-dependent term is well defined for every
     Hermitian S at k > 0, including singular S, and is absent for
     scale-invariant couplings (empty S block).
     """
     _require_record(f, PQRSForm)
     _require_momentum(k)
-    proj_z, qx, h = f.split
-    mid = np.eye(len(h)) - h / (1j * k)
-    s = _limit_matrix(proj_z, qx @ np.linalg.solve(mid, qx.conj().T))
-    return SMatrix(n=f.n, k=k, entries=linalg.unpermute(s, f.perm))
+    _, u, w = f.split
+    return SMatrix(n=f.n, k=k, entries=_limit_matrix(f, u, k / (k + 1j * w)))
 
 
 @_unitary
@@ -191,17 +184,18 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
 # ---------------------------------------------------------------------------
 # Limits and momentum expansions
 #
-# All of them come from the record's one ``split`` and ``spectrum``:
-#     S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U*
-# in permuted coordinates.  As k -> infinity every factor 1/(1 - w/ik)
-# tends to 1, as k -> 0 only those with w = 0 stay (at 1); expanding the
-# factor in powers of 1/ik gives w^j, in powers of ik it gives -w^{-j}.
+# All of them come from the module's formula for S(k) and the record's one
+# ``split``.  As k -> infinity every factor k/(k + iw) tends to 1, as k -> 0
+# only those with w = 0 stay (at 1); expanding the factor in powers of 1/ik
+# gives w^j, in powers of ik it gives -w^{-j}.
 # ---------------------------------------------------------------------------
 
-def _limit_matrix(proj_z: np.ndarray, x: np.ndarray | float) -> np.ndarray:
-    """-I + 2 proj_z + 2 x: S(k) for the momentum term x of ``smatrix_pqrs``, and
-    the limit that keeps the columns u of U for x = u u*."""
-    return -np.eye(len(proj_z), dtype=complex) + 2.0 * (proj_z + x)
+def _limit_matrix(f: PQRSForm, u: np.ndarray, factors) -> np.ndarray:
+    """-I + 2 proj_z + 2 u diag(factors) u* in the original numbering, proj_z from the
+    record's ``split``: S(k) for u = U and factors k/(k + iw), and the limit that keeps
+    the columns u of U, those whose factor tends to 1, for factors 1."""
+    s = -np.eye(f.n, dtype=complex) + 2.0 * (f.split[0] + (u * factors) @ u.conj().T)
+    return linalg.unpermute(s, f.perm)
 
 
 def _zero_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -211,17 +205,10 @@ def _zero_eigenvalues(w: np.ndarray) -> np.ndarray:
     return size <= linalg.DEFAULT_RTOL * size.max(initial=0.0)
 
 
-def _limit(f: PQRSForm, k: float, cols: np.ndarray) -> SMatrix:
-    """The limit at k (math.inf or 0.0) of ``_limit_matrix`` that keeps the columns
-    ``cols`` of U, those whose factor 1/(1 - w/ik) tends to 1, in original numbering."""
-    entries = linalg.unpermute(_limit_matrix(f.split[0], cols @ cols.conj().T), f.perm)
-    return SMatrix(n=f.n, k=k, entries=entries)
-
-
 def limit_high_k(f: PQRSForm) -> SMatrix:
     """k -> infinity limit of S(k); k-independent, needs no condition on S."""
     _require_record(f, PQRSForm)
-    return _limit(f, math.inf, f.spectrum[0])
+    return SMatrix(n=f.n, k=math.inf, entries=_limit_matrix(f, f.split[1], 1.0))
 
 
 def limit_low_k(f: PQRSForm, allow_singular: bool = False) -> SMatrix:
@@ -235,21 +222,20 @@ def limit_low_k(f: PQRSForm, allow_singular: bool = False) -> SMatrix:
     the projector onto the part of range(X) on which S acts as zero.
     """
     _require_record(f, PQRSForm)
-    u, w = f.spectrum
+    _, u, w = f.split
     cols = u[:, _zero_eigenvalues(w)]
     if cols.shape[1] and not allow_singular:
         raise SingularSBlock(
             "the S block is numerically singular; the closed-form k -> 0 "
             "limit does not apply (pass allow_singular=True for the exact limit)"
         )
-    return _limit(f, 0.0, cols)
+    return SMatrix(n=f.n, k=0.0, entries=_limit_matrix(f, cols, 1.0))
 
 
 def expand(f: PQRSForm, kind: str, order: int) -> SeriesExpansion:
     """Truncated geometric expansion of S(k) around k = infinity or k = 0.
 
-    With S(k) = -I + 2 proj_z + 2 U diag(1/(1 - w/ik)) U* from the PQRS
-    form's ``split`` and ``spectrum``:
+    From the module's formula and the PQRS form's ``split``:
     high-k:  C_0 = -I + 2 proj_z + 2 U U* and C_j = 2 U diag(w^j) U*;
              the series converges for k > max |w|.
     low-k:   C_0 = -I + 2 proj_z and C_j = -2 U diag(w^-j) U*; this
@@ -263,15 +249,15 @@ def expand(f: PQRSForm, kind: str, order: int) -> SeriesExpansion:
     if kind not in ("high-k", "low-k"):
         raise ValueError(f"kind must be 'high-k' or 'low-k', got {kind!r}")
     _require_record(f, PQRSForm)
-    proj_z, (u, w) = f.split[0], f.spectrum
+    _, u, w = f.split
     if kind == "low-k" and _zero_eigenvalues(w).any():
         raise SingularSBlock("the low-k expansion requires a regular S block")
     if kind == "high-k":
-        sign, ratio, limit = 2.0, w, _limit_matrix(proj_z, u @ u.conj().T)
+        sign, ratio, kept = 2.0, w, u
     else:
-        sign, ratio, limit = -2.0, 1.0 / w, _limit_matrix(proj_z, 0.0)
-    coeffs = [limit] + [sign * (u * ratio**j) @ u.conj().T for j in range(1, order + 1)]
-    coeffs = tuple(linalg.unpermute(c, f.perm) for c in coeffs)
+        sign, ratio, kept = -2.0, 1.0 / w, u[:, :0]
+    coeffs = (_limit_matrix(f, kept, 1.0),) + tuple(
+        linalg.unpermute(sign * (u * ratio**j) @ u.conj().T, f.perm) for j in range(1, order + 1))
     radius = float(np.max(np.abs(ratio))) if ratio.size else 0.0
     return SeriesExpansion(n=f.n, kind=kind, order=order,
                            coefficients=coeffs, spectral_radius=radius)

@@ -523,6 +523,20 @@ class TestCliSweep:
         assert captured.err == "error: need finite 0 < k_min < k_max, got 1, inf\n"
         assert captured.out == ""
 
+    def test_grid_too_large_for_memory_exits_2_with_one_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the grid builder raises as numpy does for 10**12 points; nothing is allocated
+        def unallocatable(k_min, k_max, points, scale):
+            raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({points},)")
+        monkeypatch.setattr(cli, "_k_grid", unallocatable)
+        path = write_doc(tmp_path, dirichlet_doc())
+        assert main(["sweep", path, "--k-min", "0.1", "--k-max", "10",
+                     "--points", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Unable to allocate 7.28 TiB for an array with shape "
+                                "(1000000000000,)\n")
+
     def test_singular_momentum_names_both_causes(self, tmp_path, capsys):
         # at k = 1e-320, k B is subnormal and A + ikB is as singular as A
         assert main(["filter-demo", "--preset", "fig1"]) == 0

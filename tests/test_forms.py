@@ -1,5 +1,6 @@
 """Tests for the canonical forms and parameter counting."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,10 +29,12 @@ from qgvertex import (
     to_projector_form,
     to_reverse_st_form,
     to_st_form,
+    to_unitary,
     validate,
 )
+from qgvertex.cli import main
 from qgvertex.errors import (DocumentError, InvalidRankPair, InvalidShape, NonFiniteMatrix,
-                             ShapeMismatch, SingularMatrix)
+                             ShapeMismatch, SingularMatrix, VertexError)
 from qgvertex.forms import (PQRSForm, ReverseSTForm, STForm, _greedy_independent_columns,
                             _picked_first, _st_as_pqrs, _st_reduce)
 
@@ -450,6 +453,50 @@ class TestReduction:
         message = r"matrix of shape \(1, 1\) is singular within rtol=1e-10"
         with pytest.raises(SingularMatrix, match=message):
             _st_reduce(np.zeros((2, 2), dtype=complex), np.diag([1.0, 0.0]).astype(complex), 1)
+
+
+def scale_gap_pair(scale_a, scale_b, n=2, r_a=1, r_b=2, seed=3):
+    c = random_coupling(n, r_a, r_b, np.random.default_rng(seed))
+    return validate(scale_a * np.asarray(c.A), scale_b * np.asarray(c.B))
+
+
+class TestScaleGap:
+    """A pair whose A and B lie further apart in scale than the float range passes
+    ``validate``, but a form whose S block scales like that gap cannot hold it.  The
+    conversion names the gap: the ST reduction's power-of-two shift flushes the
+    smaller matrix to zero, and a column pick would blame a rank deficiency instead."""
+
+    GAP = (r"largest entries of A and B \(4\.18e-301 and 1\.98e\+300\) "
+           r"lie a factor of about 1e601 apart")
+
+    def test_forms_that_fit_still_convert(self):
+        c = scale_gap_pair(1e-300, 1e300)
+        assert to_st_form(c).r_b == 2
+        assert to_unitary(c).n == 2
+
+    @pytest.mark.parametrize("convert", [to_reverse_st_form, to_pqrs_form, to_projector_form])
+    def test_conversion_names_the_scale_gap(self, convert):
+        with pytest.raises(VertexError, match=self.GAP) as info:
+            convert(scale_gap_pair(1e-300, 1e300))
+        assert type(info.value) is VertexError
+
+    def test_mirrored_gap_refuses_the_st_form(self):
+        c = scale_gap_pair(1e300, 1e-300, 3, 3, 3, seed=2)
+        assert to_reverse_st_form(c).r_a == 3
+        for convert in (to_st_form, to_pqrs_form):
+            with pytest.raises(VertexError, match="lie a factor of about 1e600 apart"):
+                convert(c)
+
+    @pytest.mark.parametrize("kind", ["reverse-st", "pqrs", "projector"])
+    def test_cli_convert_exits_2_with_one_line(self, kind, tmp_path, capsys):
+        path = tmp_path / "gap.json"
+        path.write_text(documents.dumps(documents.coupling_to_document(
+            scale_gap_pair(1e-300, 1e300))), encoding="utf-8")
+        assert main(["convert", str(path), "--to", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert re.match("error: the " + self.GAP, captured.err)
 
 
 class TestOneRankCut:

@@ -3,6 +3,7 @@
 from contextlib import suppress
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,10 +72,10 @@ def build_x(f):
 
 
 def x_projector_gap(f) -> float:
-    """Gap between Q_x Q_x* of the split's QR and X (X*X)^{-1} X* of ``build_x``."""
-    _, qx, _ = f.split
+    """Gap between U U* = Q_x Q_x* of the split and X (X*X)^{-1} X* of ``build_x``."""
+    _, u, _ = f.split
     x = build_x(f)
-    return gap(qx @ qx.conj().T, x @ np.linalg.solve(x.conj().T @ x, x.conj().T))
+    return gap(u @ u.conj().T, x @ np.linalg.solve(x.conj().T @ x, x.conj().T))
 
 
 class TestDirectRoute:
@@ -227,7 +228,7 @@ class TestProjectorRoute:
 
 
 class TestBuildX:
-    """The split's Q_x spans the paper's X: the PQRS route reads X off it."""
+    """The split's U spans the paper's X: the PQRS route reads X off it."""
 
     def test_full_rank_coupling_gives_identity(self, rng):
         c = random_coupling(3, 3, 3, rng)
@@ -265,12 +266,63 @@ class TestOneSplitPerRecord:
         assert computed_splits == [f]
 
     def test_split_and_spectrum_are_cached_read_only(self):
+        """The one triple (proj_z, U, w) holds the spectrum (U, w) too."""
         f = to_pqrs_form(random_coupling(5, 3, 4, np.random.default_rng(2)))
-        assert f.split is f.split and f.spectrum is f.spectrum
-        for a in f.split + f.spectrum:
+        assert f.split is f.split and len(f.split) == 3
+        for a in f.split:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
+
+
+def mp_array(a) -> np.ndarray:
+    """A complex array as an object array of mpmath numbers, exactly."""
+    return np.vectorize(mpmath.mpc, otypes=[object])(np.asarray(a, dtype=complex))
+
+
+def pqrs_smatrix_30(f, k: float) -> np.ndarray:
+    """S(k) = -(A + ikB)^{-1} (A - ikB) of the PQRS form ``f`` at 30 digits: its float
+    blocks assembled into (A, B) exactly as the form writes them, under the form's own
+    permutation, then rounded to complex and returned in the original numbering."""
+    m, na, nb = f.block_sizes
+    with mpmath.workdps(30):
+        P, Q, R, S = (mp_array(b) for b in (f.P, f.Q, f.R, f.S))
+        eye = lambda size: mp_array(np.eye(size))
+        zeros = lambda rows, cols: mp_array(np.zeros((rows, cols)))
+        adj = lambda x: x.conj().T
+        B = np.block([[eye(m), zeros(m, na), P], [R, eye(na), Q], [zeros(nb, f.n)]])
+        A = -np.block([[S, -S @ adj(R), zeros(m, nb)], [zeros(na, f.n)],
+                       [-adj(P), adj(R @ P - Q), eye(nb)]])
+        ik = mpmath.mpc(0, k)
+        s = -mpmath.inverse(mpmath.matrix((A + ik * B).tolist())) * mpmath.matrix((A - ik * B).tolist())
+        s = np.array(s.tolist(), dtype=complex)
+    inv = np.argsort(f.perm)
+    return s[np.ix_(inv, inv)]
+
+
+class TestPQRSRouteAccuracy:
+    """The route part of the PQRS route's error: the route on a float form against the
+    30-digit S(k) of that same form, so the conversion's error does not enter."""
+
+    def test_route_part_against_30_digits(self, corpus):
+        cases = corpus[:55]  # the corpus opens with one coupling per rank pair, n <= 5
+        assert {(c.n, c.r_a, c.r_b) for c in cases} == {
+            (n, r_a, r_b) for n in range(1, 6) for r_a, r_b in admissible_rank_pairs(n)}
+        worst = 0.0
+        for c in cases:
+            f = to_pqrs_form(c)
+            for k in (0.1, 1.7, 40.0):
+                worst = max(worst, gap(smatrix_pqrs(f, k).entries, pqrs_smatrix_30(f, k)))
+        assert worst <= 1e-13
+
+    def test_far_momenta_keep_the_columns_unitary(self, corpus):
+        """Each factor k/(k + iw) stays finite at every momentum, so S(k) keeps the
+        orthonormality of the split's basis: no momentum is refused."""
+        for c in corpus:
+            f = to_pqrs_form(c)
+            for k in (5e-324, 1e-300, 1e-17, 1e17, 1e300, 1.7e308):
+                s = np.asarray(smatrix_pqrs(f, k).entries)
+                assert np.max(np.abs((np.abs(s) ** 2).sum(axis=0) - 1.0)) <= 1e-13
 
 
 class TestRecordKinds:
