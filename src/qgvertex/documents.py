@@ -19,10 +19,9 @@ by two spaces.  That fallback covers ints, bools, numpy scalars (whose
 matrices, zero-width rows and nested objects.  A document that is not a
 dict, or has a key that is not a str, goes to ``json.dumps`` whole.
 
-``write_sweep_csv`` writes one ``repr`` per distinct value of each slice of
-rows, and splits the rows into one share per usable CPU, each written by a
-forked worker but the first; the bytes do not depend on the number of shares.
-``filters.pair_sweep`` makes the repeats: one float per symmetry orbit.
+``write_sweep_csv`` calls ``repr`` once per orbit value of a row and gathers the
+cells through the table's orbit map (``filters.SweepTable``), in one share of
+rows per usable CPU, each but the first written by a forked worker.
 """
 
 from __future__ import annotations
@@ -47,10 +46,8 @@ from .coupling import UnitaryForm, VertexCoupling, from_unitary, to_unitary, val
 from .errors import DocumentError, InvalidRankPair
 from .filters import SWEEP_BLOCK, SweepTable
 
-#: rows per slice of a sweep CSV: one ``np.unique`` and one write each.  The
-#: repeats sit within rows, so larger slices save few ``repr`` calls, but they
-#: raised the peak RSS of a 20000-point CLI sweep: by 6-8 MB at 1024 rows, and
-#: by about 3 MB in some runs at 64 to 256 rows, never at 32
+#: rows per slice of a sweep CSV, one write each: whole 1024-row blocks wrote a
+#: 20000-point fig1 table about 8% more slowly, and held more text at once
 CSV_SLICE_ROWS = 32
 
 #: characters per read when the caller copies a worker's share of a sweep CSV
@@ -129,7 +126,7 @@ def _perm_to_json(perm) -> list[int]:
 
 
 def _perm_from_json(values, n: int) -> tuple[int, ...]:
-    if (not isinstance(values, list) or not set(map(type, values)) <= {int}
+    if (not isinstance(values, list) or len(values) != n or not set(map(type, values)) <= {int}
             or sorted(values) != list(range(1, n + 1))):
         raise DocumentError(f"permutation must list 1..{n} exactly once")
     return tuple(v - 1 for v in values)
@@ -265,14 +262,12 @@ def _usable_cpus() -> int:
 
 
 def _write_rows(table: SweepTable, stream) -> None:
-    """The CSV lines of ``table``'s rows, one ``repr`` per distinct value of each slice."""
+    """The CSV lines of ``table``'s rows: one ``repr`` per value, gathered through the map."""
     for block in table.rows():
         for start in range(0, len(block), CSV_SLICE_ROWS):
             x = block[start:start + CSV_SLICE_ROWS]
-            bits, inv = np.unique(x.view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-            cells = text[inv.reshape(x.shape)].tolist()  # inv is flat before numpy 2
-            stream.write("\n".join(map(",".join, cells)) + "\n")
+            text = np.array(list(map(repr, x.ravel().tolist())), dtype=object).reshape(x.shape)
+            stream.write("\n".join(map(",".join, text[:, table.columns].tolist())) + "\n")
 
 
 def _fork_writer(share: SweepTable, out) -> int:
@@ -304,10 +299,9 @@ def _fork_writer(share: SweepTable, out) -> int:
 def write_sweep_csv(table: SweepTable, stream) -> None:
     """Write a sweep table as CSV; floats use shortest round-trip repr.
 
-    ``filters.pair_sweep`` repeats a symmetric coupling's values bit for bit
-    within a row, so each slice of ``CSV_SLICE_ROWS`` rows calls ``repr`` once
-    per distinct bit pattern and goes to its output in one write.  Keying on
-    bits keeps 0.0 apart from -0.0, so the text is that of ``repr`` on every value.
+    Each slice of ``CSV_SLICE_ROWS`` rows calls ``repr`` once per value of
+    ``table.values`` and goes to its output in one write, its cells gathered
+    through ``table.columns``: one text per symmetry orbit, as ``pair_sweep`` proved.
 
     The table's row blocks (``SWEEP_BLOCK`` rows each) are split into
     contiguous shares, one per usable CPU (``os.sched_getaffinity``, else
@@ -325,8 +319,7 @@ def write_sweep_csv(table: SweepTable, stream) -> None:
     blocks = -(-len(table.ks) // SWEEP_BLOCK) or 1  # an empty table is one empty share
     count = min(_usable_cpus(), blocks) if hasattr(os, "fork") else 1
     edges = [SWEEP_BLOCK * (blocks * i // count) for i in range(count + 1)]
-    shares = [replace(table, ks=table.ks[lo:hi], probabilities=table.probabilities[lo:hi])
-              for lo, hi in zip(edges, edges[1:])]
+    shares = [replace(table, values=table.values[lo:hi]) for lo, hi in zip(edges, edges[1:])]
     files, pids = [], []  # pids: the workers not reaped yet, in share order
     try:
         for share in shares[1:]:

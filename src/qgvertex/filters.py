@@ -21,6 +21,10 @@ agree with the exact limit on all cross-block entries (the correction is
 confined to the diagonal block of the first edge block), and any
 disagreement with the matrix limits is reported, never reconciled
 silently.
+
+A momentum sweep (``pair_sweep``) of a pair with the blocks' symmetry computes
+one value per orbit of index pairs, from a b x b quotient S(k) and one scalar
+per block; its ``SweepTable`` keeps those values and the map the CSV reads.
 """
 
 from __future__ import annotations
@@ -242,33 +246,56 @@ def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Transmission probabilities |S_ij(k)|^2 on a momentum grid.
+    """|S_ij(k)|^2 on a momentum grid, one value per orbit.
 
-    When ``block_sizes`` is set, rows also carry ``_block_means``, one mean per
-    orbit of ``_block_orbits``, named by ``header`` from the same orbits: each cross
-    pair, each block's reflection (diagonal) and intra-block (off-diagonal) mean.
-    A row of a symmetric coupling repeats one value per orbit (``pair_sweep``).
+    A CSV row (``header``) is k, each |S_ij|^2 in row-major order and, given
+    ``block_sizes``, one mean per orbit of ``_block_orbits``.  ``values`` holds k and
+    each orbit's value once per row, and ``columns``, the orbit map, the value column
+    of each CSV column: a CSV row is ``values[i, columns]``.
     """
 
-    ks: np.ndarray
-    probabilities: np.ndarray  # (len(ks), n, n), real
-    block_sizes: tuple[int, int, int] | None = None
+    values: np.ndarray  # (len(ks), 1 + orbits), float
+    columns: np.ndarray  # (len(header()),) int
+    block_sizes: tuple[int, int, int] | None
+
+    @classmethod
+    def from_grid(cls, ks, probabilities, block_sizes: tuple[int, int, int] | None) -> SweepTable:
+        """The table of the grid ``probabilities`` (len(ks), n, n) with no symmetry: each pair
+        is its own orbit, and so is each block mean (``_block_means``) of two or more pairs."""
+        flat = np.reshape(probabilities, (len(ks), -1))
+        columns, means = list(range(1 + flat.shape[1])), []
+        if block_sizes is not None:
+            for pairs, mean in zip(_orbit_members(block_sizes).values(),
+                                   _block_means(np.asarray(probabilities), block_sizes).values()):
+                if len(pairs) == 1:
+                    columns.append(1 + pairs[0])
+                else:
+                    columns.append(1 + flat.shape[1] + len(means))
+                    means.append(mean)
+        values = np.column_stack([ks, flat, *means]).astype(float, copy=False)
+        return cls(values, np.array(columns), block_sizes)
+
+    @property
+    def ks(self) -> np.ndarray:
+        return self.values[:, 0]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """|S_ij(k)|^2, shape (len(ks), n, n), gathered from ``values``."""
+        n = math.isqrt(len(self.columns) - 1) if self.block_sizes is None else sum(self.block_sizes)
+        return self.values[:, self.columns[1:1 + n * n].reshape(n, n)]
 
     def header(self) -> list[str]:
-        cols = ["k"] + [f"S{i + 1}{j + 1}" for i, j in np.ndindex(self.probabilities.shape[1:])]
-        if self.block_sizes is not None:
-            cols += [f"b{mu}{nu}{kind}" for mu, nu, kind in _orbit_members(self.block_sizes)]
-        return cols
+        blocks = [] if self.block_sizes is None else [
+            f"b{mu}{nu}{kind}" for mu, nu, kind in _orbit_members(self.block_sizes)]
+        n = math.isqrt(len(self.columns) - 1 - len(blocks))
+        return ["k"] + [f"S{i + 1}{j + 1}" for i, j in np.ndindex(n, n)] + blocks
 
     def rows(self):
-        """Yield the rows as float64 arrays of shape (rows, columns), one per
-        ``SWEEP_BLOCK`` momenta; each row is one momentum, matching ``header()``."""
-        for start in range(0, self.ks.size, SWEEP_BLOCK):
-            block = slice(start, start + SWEEP_BLOCK)
-            prob = self.probabilities[block]
-            means = {} if self.block_sizes is None else _block_means(prob, self.block_sizes)
-            columns = [self.ks[block], prob.reshape(len(prob), -1), *means.values()]
-            yield np.column_stack(columns).astype(float, copy=False)
+        """Yield ``values`` in blocks of ``SWEEP_BLOCK`` rows, one momentum per row;
+        ``block[:, columns]`` are their CSV rows."""
+        for start in range(0, len(self.values), SWEEP_BLOCK):
+            yield self.values[start:start + SWEEP_BLOCK]
 
 
 def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable:
@@ -276,9 +303,9 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
 
     ``block_sizes``, when given, are three non-negative integers summing to
     n; the table then carries one aggregate per orbit of ``_block_orbits``, and if
-    (A, B) has the blocks' symmetry on those orbits (``_orbit_representatives``),
-    each orbit of index pairs gets its mean, one float for all members.  Otherwise
-    |S_ij|^2 is the batched solve's, bit for bit.  A column of |S(k)|^2 that misses
+    (A, B) has the blocks' symmetry on those orbits, each orbit of index pairs gets one
+    value, from the quotient (``_quotient_sweep``).
+    Otherwise |S_ij|^2 is the batched solve's, bit for bit.  A column of |S(k)|^2 that misses
     1 by more than ``linalg.SMATRIX_ATOL`` raises ValueError (``_smatrix_grid``).
     """
     ks = np.asarray(ks, dtype=float)
@@ -286,39 +313,64 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
         raise ValueError("k_grid must be a non-empty 1-d array")
     if not np.isfinite(ks).all():
         raise ValueError("k_grid must be finite")
-    if np.any(ks <= 0.0) or np.any(np.diff(ks) <= 0.0):
+    if ks[0] <= 0.0 or (ks[1:] <= ks[:-1]).any():
         raise ValueError("k_grid must be strictly positive and ascending")
     n = A.shape[0]
     if block_sizes is not None:
         block_sizes = tuple(map(operator.index, block_sizes))
         if len(block_sizes) != 3 or sum(block_sizes) != n or any(b < 0 for b in block_sizes):
             raise ShapeMismatch(f"block sizes must be three values summing to n={n}")
-    orbit = None if block_sizes is None else _orbit_representatives(A, B, block_sizes)
-    if orbit is not None:
-        members = orbit[:, None] == np.flatnonzero(orbit == np.arange(n * n))  # (pair, orbit)
-        weights, column = members / members.sum(axis=0), members.argmax(axis=1)
-    probs = np.empty((ks.size, n * n))
+    table = None if block_sizes is None else _quotient_sweep(A, B, ks, block_sizes)
+    if table is not None:
+        return table
+    probs = np.empty((ks.size, n, n))
     for start in range(0, ks.size, SWEEP_BLOCK):
         s = _smatrix_grid(A, B, ks[start:start + SWEEP_BLOCK])
-        x = np.abs(s.reshape(len(s), -1)) ** 2
-        if orbit is not None:
-            # the orbit's first member plus the mean offset from it: within one
-            # rounding of the exact mean, and the same float for every member
-            base = x[:, orbit]
-            x = base + ((x - base) @ weights)[:, column]
-        probs[start:start + SWEEP_BLOCK] = x
-    return SweepTable(ks=ks, probabilities=probs.reshape(-1, n, n), block_sizes=block_sizes)
+        probs[start:start + SWEEP_BLOCK] = np.abs(s) ** 2
+    return SweepTable.from_grid(ks, probs, block_sizes)
 
 
-def _orbit_representatives(A, B, block_sizes: tuple[int, int, int]) -> np.ndarray | None:
-    """``_block_orbits`` flattened if A and B are constant on its orbits, so S(k) commutes with
-    the swaps, else None; a real pair's S(k) = S(k)^T joins block (mu, nu) to (nu, mu)."""
-    orbit = _block_orbits(block_sizes)
-    if not ((np.take(A, orbit) == A).all() and (np.take(B, orbit) == B).all()):
+def _quotient_sweep(A, B, ks, sizes: tuple[int, int, int]) -> SweepTable | None:
+    """The table of a pair constant on the orbits of ``_block_orbits`` (so S(k) commutes with
+    the swaps; a real one's S(k) = S(k)^T joins blocks (mu, nu) and (nu, mu)), else None.
+
+    S(k) = V S_q V* + sum_mu s_mu (P_mu - V_mu V_mu*), V the normalised indicators of the b
+    nonempty blocks: S_q(k) is the S of (V*AV, V*BV), s_mu(k) that of the scalars A_ii - A_ij,
+    B_ii - B_ij (i != j in block mu) on its sum-zero vectors.  An orbit in blocks (mu, nu) has
+    |S_q[mu, nu] / sqrt(size_mu size_nu) + s_mu (delta_ij - 1/size_mu) delta_mu_nu|^2.
+    ``_smatrix_grid`` checks S_q, and each |s_mu|^2 may miss 1 by ``SMATRIX_ATOL``.
+    """
+    table = _block_orbits(sizes)
+    if not ((A.take(table) == A).all() and (B.take(table) == B).all()):
         return None
-    if not (A.imag.any() or B.imag.any()):
-        orbit = np.minimum(orbit, orbit.T)  # block (mu, nu) precedes (nu, mu) for mu < nu
-    return orbit.ravel()
+    orbit = table if A.imag.any() or B.imag.any() else np.minimum(table, table.T)  # mu <= nu
+    n, size = len(A), [s for s in sizes if s]
+    b, blk = len(size), [mu for mu, s in enumerate(size) for _ in range(s)]  # each edge's block
+    f, multi = [blk.index(mu) for mu in range(b)], [mu for mu in range(b) if size[mu] > 1]
+    rows = [[M[i].tolist() for i in f] for M in (A, B)]  # a row per block gives V*MV
+    Aq, Bq = (np.array([[math.sqrt(s / t) * sum(r[j:j + t]) for j, t in zip(f, size)]
+                        for r, s in zip(R, size)]) for R in rows)
+    alpha, beta = ([R[mu][f[mu]] - R[mu][f[mu] + 1] for mu in multi] for R in rows)
+    orbit, table = orbit.ravel().tolist(), table.ravel().tolist()
+    reps = [pair for pair, rep in enumerate(orbit) if pair == rep]  # one value column each
+    c = np.zeros((b * b + len(multi), len(reps)))  # orbit o's value: |(S_q, s) @ c[:, o]|^2
+    for o, (i, j) in enumerate(divmod(rep, n) for rep in reps):
+        c[b * blk[i] + blk[j], o] = 1.0 / math.sqrt(size[blk[i]] * size[blk[j]])
+        if blk[i] in multi and blk[j] == blk[i]:
+            c[b * b + multi.index(blk[i]), o] = (i == j) - 1.0 / size[blk[i]]
+    values = np.column_stack([ks, np.empty((ks.size, len(reps)))])
+    for start in range(0, ks.size, SWEEP_BLOCK):
+        k = ks[start:start + SWEEP_BLOCK]
+        z = _smatrix_grid(Aq, Bq, k).reshape(len(k), -1)
+        if multi:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ikb = 1j * k[:, None] * beta
+                z = np.concatenate([z, (ikb - alpha) / (ikb + alpha)], axis=1)
+                linalg.require_unitary_columns(z[:, None, b * b:], k, "k B overflows")
+        values[start:start + SWEEP_BLOCK, 1:] = np.abs(z @ c) ** 2
+    column = {rep: col for col, rep in enumerate(reps, 1)}
+    means = [orbit[pair] for pair, rep in enumerate(table) if pair == rep]  # block-mean orbits
+    return SweepTable(values, np.array([0] + [column[rep] for rep in orbit + means]), sizes)
 
 
 def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:

@@ -281,6 +281,15 @@ def _picked_first(picked: list[int], size: int) -> list[int]:
     return picked + np.flatnonzero(rest).tolist()
 
 
+def _in_range(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``matrices`` times one power of two, exactly, if their largest entry lies beyond
+    2^+-500, where a column pick's squared norms overflow: for scale-free reductions."""
+    exponent = math.frexp(max(map(linalg.max_norm, matrices)))[1]
+    if abs(exponent) <= 500:
+        return matrices
+    return tuple(np.ldexp(M.view(float), -exponent).view(complex) for M in matrices)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN block fails the record's check
 def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     """Reduce the pair (A, B) to ST shape; returns (perm, S, T).
@@ -297,11 +306,7 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     ``linalg.inverse`` raises SingularMatrix when A22 is singular at DEFAULT_RTOL.
     """
     n = A.shape[0]
-    # the reduction is invariant under (A, B) -> (cA, cB): a power of two c brings a
-    # pair whose largest entry is near the float limits into range, exactly
-    exponent = math.frexp(max(linalg.max_norm(A), linalg.max_norm(B)))[1]
-    if abs(exponent) > 500:
-        A, B = (np.ldexp(M.view(float), -exponent).view(complex) for M in (A, B))
+    A, B = _in_range(A, B)  # the reduction is invariant under (A, B) -> (cA, cB)
     picked, q, r = _independent_columns_qr(B, r_b, "complete")
     order = _picked_first(picked, n)
     perm = tuple(order)
@@ -408,8 +413,9 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
 
     S_st = np.asarray(st.S)
     T_st = np.asarray(st.T)
+    S_in = _in_range(S_st)[0]  # the pick and R do not depend on the scale of S
     try:
-        picked, q, r = _independent_columns_qr(S_st.conj().T, m, "reduced")
+        picked, q, r = _independent_columns_qr(S_in.conj().T, m, "reduced")
     except SingularMatrix as exc:
         raise SingularSBlock(
             "the Hermitian block of the ST form is numerically rank-deficient "
@@ -421,7 +427,7 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
 
     # unique R with bot = -R top, top the picked rows of S_st and bot the
     # others, columns in the ST order: with top* = q r, R* = -r^{-1} q* bot*
-    bot = S_st[sigma[m:], :]
+    bot = S_in[sigma[m:], :]
     R = -np.linalg.solve(r, q.conj().T @ bot.conj().T).conj().T
     T1 = Tp[:m, :]
     T2 = Tp[m:, :]

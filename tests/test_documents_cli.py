@@ -591,10 +591,26 @@ class TestSweepGridAndBlocks:
         assert "b33_intra" in header and "b11_intra" not in header
 
 
+#: a real uniform-block design whose orbits have 3 and 6 members: their mean
+#: as sum over count can miss the members' common value by a spacing
+SYMMETRIC_321 = filters.FilterParams(n=6, r_a=4, r_b=5, p=0.7, q=-1.1, r=0.4, s=1.3)
+
+
 def per_value_csv(table) -> str:
-    """The sweep CSV with one ``repr`` call per value, row by row."""
+    """The sweep CSV with one ``repr`` call per value, row by row, built without the
+    writer's orbit map: k, the full grid ``table.probabilities`` and its block means.
+    An orbit whose members are all equal has their value as its exact mean; any other
+    gets ``_block_means``, the sum over the count."""
+    probs = table.probabilities
+    flat = probs.reshape(len(probs), -1)
+    columns = [table.ks, flat]
+    if table.block_sizes is not None:
+        members = filters._orbit_members(table.block_sizes).values()
+        for pairs, mean in zip(members, filters._block_means(probs, table.block_sizes).values()):
+            equal = (flat[:, pairs] == flat[:, pairs[:1]]).all(axis=1)
+            columns.append(np.where(equal, flat[:, pairs[0]], mean))
     lines = [",".join(table.header())]
-    lines += [",".join(map(repr, row)) for row in np.concatenate(list(table.rows())).tolist()]
+    lines += [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -611,8 +627,11 @@ class TestSweepCsv:
     @pytest.mark.parametrize("fp", [FIG1_PARAMS, FIG2_PARAMS], ids=["fig1", "fig2"])
     def test_presets_match_per_value_repr(self, fp):
         table = filters.probability_sweep(fp, self.KS)
-        rows = np.concatenate(list(table.rows()))
-        assert all(len(set(row)) < len(row) for row in rows.tolist())  # repeats to share
+        assert table.values.shape[1] == 1 + 8 < len(table.header())  # k and 8 orbits
+        assert written_csv(table) == per_value_csv(table)
+
+    def test_orbits_of_three_and_six_pairs_match_per_value_repr(self):
+        table = filters.probability_sweep(SYMMETRIC_321, self.KS)
         assert written_csv(table) == per_value_csv(table)
 
     def test_generic_coupling_matches_per_value_repr(self, rng):
@@ -620,11 +639,17 @@ class TestSweepCsv:
         table = filters.pair_sweep(c.A, c.B, self.KS, None)
         assert written_csv(table) == per_value_csv(table)
 
+    def test_generic_coupling_with_blocks_matches_per_value_repr(self, rng):
+        c = random_coupling(5, rng=rng)
+        table = filters.pair_sweep(c.A, c.B, self.KS, (2, 2, 1))
+        assert table.values.shape[1] == len(table.header()) - 1  # b33_refl is S55
+        assert written_csv(table) == per_value_csv(table)
+
     def test_signed_zeros_subnormals_and_nans_keep_their_text(self):
         probs = np.array([[[0.0, -0.0], [5e-324, np.nan]],
                           [[-0.0, 0.0], [-np.nan, -5e-324]],
                           [[0.25, 0.25], [np.nan, -np.nan]]])
-        table = filters.SweepTable(ks=np.array([0.5, 1.0, 2.0]), probabilities=probs)
+        table = filters.SweepTable.from_grid(np.array([0.5, 1.0, 2.0]), probs, None)
         text = written_csv(table)
         assert text == per_value_csv(table)
         assert text.splitlines()[1:] == ["0.5,0.0,-0.0,5e-324,nan",
@@ -632,7 +657,7 @@ class TestSweepCsv:
                                          "2.0,0.25,0.25,nan,nan"]
 
     def test_integer_table_is_written_as_floats(self):
-        table = filters.SweepTable(ks=np.array([1, 2]), probabilities=np.array([[[1]], [[0]]]))
+        table = filters.SweepTable.from_grid(np.array([1, 2]), np.array([[[1]], [[0]]]), None)
         assert written_csv(table) == "k,S11\n1.0,1.0\n2.0,0.0\n"
 
 
@@ -676,6 +701,17 @@ class TestSweepCsvShares:
         table = fig2_table(blocks)
         assert written_csv(table) == per_value_csv(table)
         assert len(forks) == workers
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_symmetric_and_generic_tables_at_every_share_count(self, monkeypatch, forks, cpus):
+        usable_cpus(monkeypatch, cpus)
+        ks = np.logspace(-2, 2, 3 * filters.SWEEP_BLOCK - 5)
+        c = random_coupling(5, 3, 4, np.random.default_rng(27))
+        tables = [filters.probability_sweep(SYMMETRIC_321, ks),
+                  filters.pair_sweep(c.A, c.B, ks, (2, 2, 1))]
+        for table in tables:
+            assert written_csv(table) == per_value_csv(table)
+        assert len(forks) == 2 * (cpus - 1)
 
     def test_one_share_without_fork(self, monkeypatch):
         usable_cpus(monkeypatch, 2)

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from qgvertex import (
     smatrix_direct,
     smatrix_pqrs,
     uniform_block_pqrs,
+    validate,
 )
 from qgvertex.cli import main
 from qgvertex.coupling import _smatrix_grid
@@ -40,6 +42,11 @@ from qgvertex.filters import (
 )
 
 from conftest import unitarity_defect
+
+
+def csv_rows(table) -> np.ndarray:
+    """The table's CSV rows: each block of ``rows()`` gathered through the orbit map."""
+    return np.concatenate([block[:, table.columns] for block in table.rows()])
 
 
 class TestFilterParams:
@@ -360,7 +367,7 @@ class TestProbabilitySweep:
                 assert np.array_equal(raw, loop[chunk])
 
             header = table.header()
-            rows = np.concatenate(list(table.rows()))
+            rows = csv_rows(table)
             assert len(rows) == ks.size
             edges = np.cumsum((0,) + fp.block_sizes)
             for row, prob in zip(rows, loop):
@@ -384,8 +391,7 @@ class TestProbabilitySweep:
                 for na in range(n - m + 1):
                     sizes = (m, na, n - m - na)
                     labels = list(_block_means(np.zeros((n, n)), sizes))
-                    table = SweepTable(ks=np.ones(1), probabilities=np.zeros((1, n, n)),
-                                       block_sizes=sizes)
+                    table = SweepTable.from_grid(np.ones(1), np.zeros((1, n, n)), sizes)
                     assert table.header()[1 + n * n:] == [f"b{mu}{nu}{kind}" for mu, nu, kind in labels]
                     fp = FilterParams(n=n, r_a=n - na, r_b=m + na, p=0.7, q=-0.4, r=1.3,
                                       s=1.1 if m else 0.0)
@@ -415,18 +421,12 @@ class TestProbabilitySweep:
     def test_header_matches_rows(self):
         table = probability_sweep(FIG1_PARAMS, np.logspace(-1, 1, 3))
         header = table.header()
-        rows = np.concatenate(list(table.rows()))
+        rows = csv_rows(table)
         assert len(rows) == 3
         assert all(len(r) == len(header) for r in rows)
         assert header[0] == "k"
         assert "b12" in header and "b11_refl" in header and "b11_intra" in header
         assert "b33_intra" not in header  # block 3 has one line
-
-
-#: slack of an orbit mean beyond its farthest member, in spacings of the mean:
-#: the mean is the orbit's first member plus the mean offset from it, and that
-#: last sum rounds once, by at most half a spacing
-MEAN_ROUNDING = 0.5
 
 
 def uniform_designs():
@@ -452,33 +452,100 @@ def orbits(sizes, transpose: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     return [tuple(np.array(members).T) for members in found.values()]
 
 
-class TestOrbitAveraging:
-    """A real uniform-block design has an S(k) that commutes with every swap of
-    edges inside a block and equals its transpose, so ``pair_sweep`` gives each
-    orbit of index pairs one value: the mean of the orbit's raw |S_ij(k)|^2."""
+def block_symmetric_pair(sizes, rng, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded admissible pair constant on the orbits of the swaps inside the blocks
+    ``sizes``: the quotient pair (O cos(t) O*, O sin(t) O*) on the block-constant vectors,
+    with about one angle t in three 0, and a scalar pair e^{i psi} (cos phi, sin phi) on
+    each block's sum-zero vectors; ``real`` draws O orthogonal and psi = 0.  Each entry is
+    read from one table per orbit, so the orbits hold one float each."""
+    size = np.array([s for s in sizes if s])
+    blk = np.repeat(np.arange(len(size)), size)
+    x = rng.standard_normal((2, len(size), len(size)))
+    O = np.linalg.qr(x[0] if real else x[0] + 1j * x[1])[0]
+    t = np.where(rng.random(len(size)) < 1 / 3, 0.0, rng.uniform(0.0, np.pi, len(size)))
+    phi, psi = rng.uniform(0.0, np.pi, len(size)), rng.uniform(0.0, 2 * np.pi, len(size))
+    phase = 1.0 if real else np.exp(1j * psi)
+    pair = []
+    for quotient, scalar in (((O * np.cos(t)) @ O.conj().T, phase * np.cos(phi)),
+                             ((O * np.sin(t)) @ O.conj().T, phase * np.sin(phi))):
+        table = quotient / np.sqrt(np.outer(size, size)) - np.diag(scalar / size)
+        pair.append(table[np.ix_(blk, blk)] + np.diag(scalar[blk]))
+    return tuple(pair)
 
-    def test_orbit_means_are_constant_and_no_farther_than_their_farthest_member(self):
-        ks = np.logspace(-3, 3, 61)
+
+def mp_probabilities(A, B, k: float) -> np.ndarray:
+    """|S_ij(k)|^2 = |-(A + ikB)^{-1} (A - ikB)|^2 at 30 digits, rounded to float."""
+    with mpmath.workdps(30):
+        A, B = (mpmath.matrix(np.vectorize(mpmath.mpc, otypes=[object])(m).tolist()) for m in (A, B))
+        ik = mpmath.mpc(0, k)
+        s = -mpmath.inverse(A + ik * B) * (A - ik * B)
+        return np.array([[float(abs(s[i, j]) ** 2) for j in range(s.cols)] for i in range(s.rows)])
+
+
+def solve_condition(c, ks) -> np.ndarray:
+    """cond_2(A + ikB) at each momentum: the batched solve's error is of order eps times it."""
+    return np.linalg.cond(c.A + 1j * ks[:, None, None] * c.B)
+
+
+class TestQuotientSweep:
+    """A block-symmetric pair's table comes from its b x b quotient S_q(k) and one
+    unimodular scalar per block of two or more edges, one value per orbit of index
+    pairs (and of transposition, for a real pair); the n x n solve is the oracle."""
+
+    KS = np.logspace(-3, 3, 61)
+
+    def test_presets_match_the_batched_solve_within_1e_14(self):
+        for fp in (FIG1_PARAMS, FIG2_PARAMS):
+            c = pqrs_to_matrices(uniform_block_pqrs(fp))
+            table = probability_sweep(fp, self.KS)
+            raw = np.abs(_smatrix_grid(c.A, c.B, self.KS)) ** 2
+            assert np.max(np.abs(table.probabilities - raw)) <= 1e-14, fp
+
+    def test_block_symmetric_pairs_match_the_batched_solve(self):
+        """Every block triple with n <= 8, a real and a complex pair each: the gap to the
+        n x n solve stays within 1e-14 times cond(A + ikB), and each row and column of
+        |S|^2 sums to 1 within 1e-12."""
+        rng = np.random.default_rng(27)
+        for sizes in block_triples(8):
+            for real in (True, False):
+                c = validate(*block_symmetric_pair(sizes, rng, real))
+                table = pair_sweep(c.A, c.B, self.KS, sizes)
+                merged = not (c.A.imag.any() or c.B.imag.any())  # for real draws, and n = 1
+                assert table.values.shape[1] - 1 == len(orbits(sizes, transpose=merged))
+                gap = np.abs(table.probabilities - np.abs(_smatrix_grid(c.A, c.B, self.KS)) ** 2)
+                assert (gap.max(axis=(-2, -1)) <= 1e-14 * solve_condition(c, self.KS)).all(), sizes
+                for axis in (-2, -1):
+                    assert np.max(np.abs(table.probabilities.sum(axis=axis) - 1.0)) <= 1e-12
+
+    def test_orbit_values_are_constant_and_nearer_the_30_digit_value(self):
+        """Each uniform design with n <= 6: one float per orbit, within 1e-14 times
+        cond(A + ikB) of ``smatrix_direct``; against |S_ij|^2 at 30 digits, the quotient's
+        worst error stays within 2e-15 and below that of the n x n solve, whose raw
+        members the orbit averaging before the quotient started from."""
+        ks = np.array([1e-3, 1e3])  # where the n x n solve is least accurate
+        worst = {"quotient": 0.0, "solve": 0.0}
         for fp in uniform_designs():
             table = probability_sweep(fp, ks)
             c = pqrs_to_matrices(uniform_block_pqrs(fp))
-            raw = np.abs(_smatrix_grid(c.A, c.B, ks)) ** 2
-            ref = np.array([np.abs(np.asarray(smatrix_direct(c, float(k)).entries)) ** 2
-                            for k in ks])
             for rows, cols in orbits(fp.block_sizes, transpose=True):
-                mean, members, exact = (t[:, rows, cols] for t in (table.probabilities, raw, ref))
-                assert (mean == mean[:, :1]).all(), (fp, rows, cols)
-                # farthest[:, j]: the largest distance of any raw member from ref_j
-                farthest = np.abs(members[:, :, None] - exact[:, None, :]).max(axis=1)
-                slack = MEAN_ROUNDING * np.spacing(mean)
-                assert (np.abs(mean - exact) <= farthest + slack).all(), (fp, rows, cols)
-            for axis in (-2, -1):  # columns and rows of a unitary S(k)
-                assert np.max(np.abs(table.probabilities.sum(axis=axis) - 1.0)) < 1e-12, fp
+                values = table.probabilities[:, rows, cols]
+                assert (values == values[:, :1]).all(), (fp, rows, cols)
+            direct = np.array([np.abs(np.asarray(smatrix_direct(c, float(k)).entries)) ** 2
+                               for k in ks])
+            gap = np.abs(table.probabilities - direct).max(axis=(-2, -1))
+            assert (gap <= 1e-14 * solve_condition(c, ks)).all(), fp
+            raw = np.abs(_smatrix_grid(c.A, c.B, ks)) ** 2
+            for i, k in enumerate(ks):
+                exact = mp_probabilities(c.A, c.B, k)
+                worst["quotient"] = max(worst["quotient"], np.abs(table.probabilities[i] - exact).max())
+                worst["solve"] = max(worst["solve"], np.abs(raw[i] - exact).max())
+        assert worst["quotient"] <= min(2e-15, worst["solve"]), worst
 
     def test_symmetric_rows_repeat_one_value_per_orbit(self):
         table = probability_sweep(FIG1_PARAMS, np.logspace(-2, 2, 200))
         distinct = [len(np.unique(row)) for row in table.probabilities.reshape(200, -1)]
         assert max(distinct) <= len(orbits(FIG1_PARAMS.block_sizes, transpose=True)) == 8
+        assert table.values.shape == (200, 1 + 8)  # k, then one value per orbit
 
 
 class TestNoSymmetryNoAveraging:
@@ -557,7 +624,7 @@ class TestOnePartition:
     def test_header_equals_the_benchmark_reference(self, bench_workloads):
         for sizes in [None] + block_triples(6):
             n = 4 if sizes is None else sum(sizes)
-            table = SweepTable(ks=np.ones(1), probabilities=np.zeros((1, n, n)), block_sizes=sizes)
+            table = SweepTable.from_grid(np.ones(1), np.zeros((1, n, n)), sizes)
             assert table.header() == bench_workloads.reference.sweep_header(n, sizes)
 
     def test_orbit_table_partitions_like_the_group(self):

@@ -487,6 +487,24 @@ class TestScaleGap:
             with pytest.raises(VertexError, match="lie a factor of about 1e600 apart"):
                 convert(c)
 
+    @pytest.mark.parametrize("ranks", [(3, 3, 3), (4, 4, 2)])
+    def test_far_larger_a_keeps_its_pqrs_form_and_scales_s(self, ranks):
+        """A larger than B by 1e150 to 1e300 fits: the PQRS form is the unscaled pair's
+        with S times the factor.  The pick of S's independent rows squared entries near
+        1e156 and refused it with SingularSBlock from about 1e154 on."""
+        c = random_coupling(*ranks, np.random.default_rng(2))
+        base = to_pqrs_form(c)
+        for e in (150, 160, 200, 300):
+            scaled = validate(10.0**e * np.asarray(c.A), c.B)
+            f = to_pqrs_form(scaled)
+            assert f.perm == base.perm, e
+            assert max(relative_gap(getattr(f, b), getattr(base, b)) for b in "PQR") <= 1e-12
+            assert relative_gap(np.asarray(f.S) / 10.0**e, base.S) <= 1e-12, e
+            try:
+                to_projector_form(scaled)
+            except (VertexError, ValueError):
+                pass
+
     @pytest.mark.parametrize("kind", ["reverse-st", "pqrs", "projector"])
     def test_cli_convert_exits_2_with_one_line(self, kind, tmp_path, capsys):
         path = tmp_path / "gap.json"

@@ -2,7 +2,8 @@
 
 Every call either returns a finite S(k) whose columns of |S(k)|^2 sum to 1
 within ``linalg.SMATRIX_ATOL``, or raises a ``VertexError``, ``ValueError`` or
-``TypeError``.  The suite turns warnings into errors, so a ``RuntimeWarning``
+``TypeError``; a document either parses or raises a ``VertexError``, and the CLI
+prints one error line.  The suite turns warnings into errors, so a ``RuntimeWarning``
 that escapes fails the test too.  The draws are derandomized and few, so the
 test is deterministic and takes about two seconds.
 """
@@ -153,7 +154,7 @@ def test_pair_sweep(pair, ks, sizes):
         table = pair_sweep(c.A, c.B, ks, sizes)
     except TYPED:
         return
-    rows = np.concatenate(list(table.rows()))
+    rows = np.concatenate([block[:, table.columns] for block in table.rows()])
     assert rows.shape == (len(table.ks), len(table.header()))
     assert_unitary(np.sqrt(table.probabilities), ("pair_sweep", ks, sizes))
 
@@ -237,3 +238,63 @@ def test_cli_filter_demo(n, r_a, r_b, constants, threshold):
         assert_one_line_error(code, out, err, argv)
     else:
         assert json.loads(out)["blocks"] == list(FilterParams(n, r_a, r_b, *constants).block_sizes)
+
+
+#: one document of each kind for a small coupling, the seeds of the document draws
+SEED_COUPLING = random_coupling(3, 2, 2, np.random.default_rng(8))
+SEED_DOCUMENTS = [documents.coupling_to_document(SEED_COUPLING, label="seed", blocks=(1, 1, 1))]
+SEED_DOCUMENTS += [documents.form_to_document(kind.from_coupling(SEED_COUPLING))
+                   for kind in documents.FORM_KINDS.values()]
+
+#: JSON values of every type, nested a few levels: wrong types for any key
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([2**62, 10**30, -2**63])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def nested(value, depth: int):
+    """``value`` inside ``depth`` one-element lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@st.composite
+def drawn_documents(draw):
+    """A seed document with one key set to a drawn JSON value, nested deeply or
+    removed, or a drawn JSON value in place of the whole document."""
+    doc = dict(draw(st.sampled_from(SEED_DOCUMENTS)))
+    key = draw(st.sampled_from([*doc, "form", "n", "extra"]))
+    action = draw(st.sampled_from(["set", "nest", "remove", "whole"]))
+    if action == "set":
+        doc[key] = draw(json_values)
+    elif action == "nest":
+        doc[key] = nested(doc.get(key), draw(st.sampled_from([1, 3, 50, 900])))
+    elif action == "remove":
+        doc.pop(key, None)
+    else:
+        doc = draw(json_values)
+    return doc
+
+
+@FUZZ
+@given(doc=drawn_documents(), depth=st.sampled_from([0, 2000, 100000]))
+@example(doc={"form": "st", "n": 2**62, "r_b": 1, "permutation": [1], "S": [], "T": []}, depth=0)
+def test_documents(document_dir, doc, depth):
+    """``loads`` and ``parse_document`` return a record or raise a ``VertexError``; CLI
+    ``validate`` and ``convert`` exit 0 or print one error line and exit 1 or 2.
+    ``depth`` wraps the JSON text in that many more arrays."""
+    text = "[" * depth + json.dumps(doc) + "]" * depth
+    for parse, arg in ((documents.loads, text), (documents.parse_document, doc)):
+        if parse is documents.parse_document and depth:
+            continue
+        with contextlib.suppress(VertexError):
+            parse(arg)
+    path = document_dir / "drawn.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["validate", str(path)], ["convert", str(path), "--to", "pqrs"]):
+        code, out, err = run(argv)
+        if code:
+            assert_one_line_error(code, out, err, argv)
