@@ -23,8 +23,9 @@ disagreement with the matrix limits is reported, never reconciled
 silently.
 
 A momentum sweep (``pair_sweep``) of a pair with the blocks' symmetry computes
-one value per orbit of index pairs, from a b x b quotient S(k) and one scalar
-per block; its ``SweepTable`` keeps those values and the map the CSV reads.
+one value per orbit of index pairs, from a b x b quotient S(k) and one scalar per
+block of two or more edges; its ``SweepTable`` keeps those values and the map the
+CSV reads.
 """
 
 from __future__ import annotations
@@ -304,9 +305,9 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
     ``block_sizes``, when given, are three non-negative integers summing to
     n; the table then carries one aggregate per orbit of ``_block_orbits``, and if
     (A, B) has the blocks' symmetry on those orbits, each orbit of index pairs gets one
-    value, from the quotient (``_quotient_sweep``).
-    Otherwise |S_ij|^2 is the batched solve's, bit for bit.  A column of |S(k)|^2 that misses
-    1 by more than ``linalg.SMATRIX_ATOL`` raises ValueError (``_smatrix_grid``).
+    value, from the quotient (``_quotient_sweep``).  Otherwise |S_ij|^2 is the batched
+    solve's, bit for bit.  A column of |S(k)|^2 that misses 1 by more than
+    ``linalg.SMATRIX_ATOL`` raises ValueError (``_smatrix_grid``).
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size < 1:
