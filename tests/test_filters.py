@@ -520,8 +520,7 @@ class TestQuotientSweep:
     def test_orbit_values_are_constant_and_nearer_the_30_digit_value(self):
         """Each uniform design with n <= 6: one float per orbit, within 1e-14 times
         cond(A + ikB) of ``smatrix_direct``; against |S_ij|^2 at 30 digits, the quotient's
-        worst error stays within 2e-15 and below that of the n x n solve, whose raw
-        members the orbit averaging before the quotient started from."""
+        worst error stays within 2e-15 and below that of the n x n solve."""
         ks = np.array([1e-3, 1e3])  # where the n x n solve is least accurate
         worst = {"quotient": 0.0, "solve": 0.0}
         for fp in uniform_designs():
