@@ -74,7 +74,10 @@ def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ikb = (1j * ks)[:, None, None] * B
-        s = -np.linalg.solve(A + ikb, A - ikb)
+        try:
+            s = -np.linalg.solve(A + ikb, A - ikb)
+        except np.linalg.LinAlgError:  # an exactly singular A + ikB fails the check below
+            s = np.full(ikb.shape, np.nan)
         linalg.require_unitary_columns(s, ks, "k B overflows or A + ikB is numerically singular")
     return s
 

@@ -7,13 +7,15 @@ from qgvertex import (
     from_unitary,
     haar_unitary,
     linalg,
+    pqrs_to_matrices,
     random_coupling,
     smatrix_direct,
     to_unitary,
+    uniform_block_pqrs,
     validate,
 )
-from qgvertex.coupling import UnitaryForm
-from qgvertex.filters import pair_sweep
+from qgvertex.coupling import UnitaryForm, _smatrix_grid
+from qgvertex.filters import FIG1_PARAMS, pair_sweep
 from qgvertex.errors import (NonFiniteMatrix, NotSelfAdjoint, NotUnitary, RankDeficient,
                              ShapeMismatch)
 
@@ -209,6 +211,16 @@ class TestUnitarityGuard:
             smatrix_direct(c, k)
         with pytest.raises(ValueError, match=r"not finite or not unitary .* misses 1 by"):
             pair_sweep(c.A, c.B, np.sort([1.0, k]), None)
+
+    def test_exactly_singular_a_plus_ikb_raises_the_guard(self):
+        """k B underflows to zero beside a singular A, and the solve itself refuses the
+        matrix: the error is the guard's, for the n x n solve and for the quotient."""
+        message = r"not finite or not unitary .* A \+ ikB is numerically singular"
+        with pytest.raises(ValueError, match=message):
+            _smatrix_grid(np.diag([1.0, 0.0]), np.diag([0.0, 1e-300]), np.array([1e-300]))
+        fig1 = pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS))
+        with pytest.raises(ValueError, match=message):
+            pair_sweep(fig1.A, 1e-300 * fig1.B, np.array([1e-300, 1e-17]), (2, 2, 1))
 
     def test_momenta_near_the_scale_pass(self):
         c = far_scale_coupling()
