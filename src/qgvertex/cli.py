@@ -28,9 +28,9 @@ EXIT_DOMAIN = 2
 
 
 def _read_coupling(path: str):
-    """(validated coupling, decoded JSON) of the document at ``path``, of any form kind;
-    ``-`` reads standard input."""
-    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+    """(validated coupling, decoded JSON) of the UTF-8 document at ``path``, of any form
+    kind; ``-`` reads standard input."""
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
         doc = documents._decode(fh.read())
     return documents.as_coupling(documents.parse_document(doc)), doc
 

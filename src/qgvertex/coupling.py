@@ -100,7 +100,7 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     if n < 1:
         raise ShapeMismatch("vertex degree must be at least 1")
     linalg.require_finite({"A": A, "B": B})
-    rows = np.concatenate([A, B], axis=1)
+    rows = linalg.in_range(np.concatenate([A, B], axis=1))[0]  # no modulus overflows
     if linalg.rank(rows, tol) < n:
         raise RankDeficient(f"rank(A|B) < n = {n}: the pair does not fix a vertex coupling")
     # by the real and imaginary parts: a complex division takes 1 / max, which
@@ -121,7 +121,8 @@ def to_unitary(c: VertexCoupling) -> UnitaryForm:
     """Unitary description of the coupling, U = S(1) = -(A + iB)^{-1}(A - iB),
     which is defined for every admissible pair."""
     _require_record(c, VertexCoupling)
-    return UnitaryForm(n=c.n, U=linalg.frozen(_smatrix_grid(c.A, c.B, np.array([1.0]))[0]))
+    A, B = linalg.in_range(c.A, c.B)  # S does not change under (A, B) -> (cA, cB)
+    return UnitaryForm(n=c.n, U=linalg.frozen(_smatrix_grid(A, B, np.array([1.0]))[0]))
 
 
 def from_unitary(u: UnitaryForm) -> VertexCoupling:

@@ -42,9 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import forms, linalg
-from .coupling import UnitaryForm, VertexCoupling, from_unitary, to_unitary, validate
+from .coupling import UnitaryForm, VertexCoupling, _require_record, from_unitary, to_unitary, validate
 from .errors import DocumentError, InvalidRankPair
-from .filters import SWEEP_BLOCK, SweepTable
+from .filters import SWEEP_BLOCK, FilterParams, SweepTable
 
 #: rows per slice of a sweep CSV, one write each: whole 1024-row blocks wrote a
 #: 20000-point fig1 table about 8% more slowly, and held more text at once
@@ -139,6 +139,7 @@ def _perm_from_json(values, n: int) -> tuple[int, ...]:
 def coupling_to_document(c: VertexCoupling, label: str | None = None,
                          description: str | None = None,
                          blocks: tuple[int, int, int] | None = None) -> dict:
+    _require_record(c, VertexCoupling)
     doc = {"n": c.n, "A": matrix_to_json(c.A), "B": matrix_to_json(c.B)}
     if label is not None:
         doc["label"] = label
@@ -150,7 +151,7 @@ def coupling_to_document(c: VertexCoupling, label: str | None = None,
 
 
 def form_to_document(obj) -> dict:
-    """JSON document for any form record (or a coupling)."""
+    """JSON document for any form record (or a coupling); TypeError for another object."""
     if isinstance(obj, VertexCoupling):
         return coupling_to_document(obj)
     for kind, spec in FORM_KINDS.items():
@@ -158,7 +159,7 @@ def form_to_document(obj) -> dict:
             doc = {"form": kind, "n": obj.n, **{rank: getattr(obj, rank) for rank in spec.ranks}}
             return doc | {key: (_perm_to_json if f == "perm" else matrix_to_json)(getattr(obj, f))
                           for key, f in spec.fields.items()}
-    raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
+    raise TypeError(f"needs a VertexCoupling or a form record, got {type(obj).__name__}")
 
 
 def _require_int(doc: dict, key: str) -> int:
@@ -194,13 +195,13 @@ def parse_document(doc: dict):
 
 
 def as_coupling(obj) -> VertexCoupling:
-    """Coerce any parsed record to a validated coupling."""
+    """Coerce any parsed record to a validated coupling; TypeError for another object."""
     if isinstance(obj, VertexCoupling):
         return obj
     for spec in FORM_KINDS.values():
         if isinstance(obj, spec.record):
             return spec.to_coupling(obj)
-    raise DocumentError(f"cannot interpret {type(obj).__name__} as a coupling")
+    raise TypeError(f"needs a VertexCoupling or a form record, got {type(obj).__name__}")
 
 
 def _matrix_text(rows) -> str | None:
@@ -237,10 +238,13 @@ def dumps(doc: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n}"
 
 
-def _decode(text: str):
-    """JSON value of ``text``; DocumentError when it is not valid JSON or nests too deeply."""
+def _decode(text: str | bytes):
+    """JSON value of ``text``, a str or UTF-8 bytes; DocumentError when the bytes are not
+    UTF-8, or the text is not valid JSON or nests too deeply."""
     try:
-        return json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not valid UTF-8: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
 
@@ -348,6 +352,7 @@ def _report_row(label: str, *cells: float | None) -> str:
 
 def render_limits_report(fp, limits, classification: str, threshold: float) -> str:
     """Plain-text table of limit amplitudes, closed forms and the verdict."""
+    _require_record(fp, FilterParams)
     m, na, nb = fp.block_sizes
     lines = [
         f"uniform-block coupling: n={fp.n} r_A={fp.r_a} r_B={fp.r_b} "

@@ -23,13 +23,14 @@ disagreement with the matrix limits is reported, never reconciled
 silently.
 
 A momentum sweep (``pair_sweep``) of a pair with the blocks' symmetry computes
-one value per orbit of index pairs, from a b x b quotient S(k) and one scalar per
-block of two or more edges; its ``SweepTable`` keeps those values and the map the
-CSV reads.
+one value per orbit of index pairs (``_orbit_members``), from a b x b quotient
+S(k) and one scalar per block of two or more edges, and of any other pair each
+|S_ij|^2; ``SweepTable.from_values`` keeps those values and the map the CSV reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .coupling import _smatrix_grid
+from .coupling import _require_record, _smatrix_grid
 from .errors import InvalidShape, ShapeMismatch, SingularSBlock
 from .forms import PQRSForm, _once_per_record, _pqrs_pair, block_sizes
 from .scattering import limit_high_k, limit_low_k
@@ -91,42 +92,31 @@ NO_BRANCHING = "none"
 @_once_per_record
 def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
     """PQRS form of blocks p, q, r, s times all-ones, identity numbering; built once per design."""
+    _require_record(fp, FilterParams)
     blocks = {name: linalg.frozen(getattr(fp, name.lower()) * np.ones(shape, dtype=complex))
               for name, shape in PQRSForm.layout(fp.n, fp.r_a, fp.r_b).items()}
     return PQRSForm(fp.n, fp.r_a, fp.r_b, tuple(range(fp.n)), **blocks)
 
 
-def _block_orbits(sizes: tuple[int, int, int]) -> np.ndarray:
-    """(n, n) table of each index pair's orbit under the swaps of edges inside each block
-    (each cross block, diagonal block's diagonal and off-diagonal), as the flat index of
-    the orbit's first pair in row-major order: sorted, these come in CSV column order."""
-    n = sum(sizes)
-    first = np.repeat((0, sizes[0], sizes[0] + sizes[1]), sizes)  # of each edge's block
-    off = (first[:, None] == first) & ~np.eye(n, dtype=bool)
-    return n * first[:, None] + first + off
-
-
 def _orbit_members(sizes: tuple[int, int, int]) -> dict[tuple[int, int, str], list[int]]:
-    """Row-major flat indices of each orbit of ``_block_orbits``, keyed (mu, nu, kind) in
-    CSV column order: kind is "" for a cross block, "_refl" for a diagonal block's
+    """The orbits of the index pairs under the swaps of edges inside each block: the
+    row-major flat indices of each, keyed (mu, nu, kind) by its blocks mu and nu in CSV
+    column order, with kind "" for a cross block, "_refl" for a diagonal block's
     diagonal and "_intra" for its off-diagonal."""
-    table = _block_orbits(sizes)
-    members = {}  # representatives (i, j), first seen in row-major order, come sorted
-    for pair, rep in enumerate(table.ravel().tolist()):
-        members.setdefault(divmod(rep, len(table)), []).append(pair)
     blk = [mu for mu, size in zip((1, 2, 3), sizes) for _ in range(size)]
-    return {(blk[i], blk[j], "" if blk[i] != blk[j] else "_refl" if i == j else "_intra"): pairs
-            for (i, j), pairs in members.items()}
+    members = {}  # keys first seen in row-major order come in CSV column order
+    for pair, (mu, nu) in enumerate(itertools.product(blk, repeat=2)):
+        kind = "" if mu != nu else "_intra" if pair % (len(blk) + 1) else "_refl"
+        members.setdefault((mu, nu, kind), []).append(pair)
+    return members
 
 
-def _block_means(x: np.ndarray, sizes: tuple[int, int, int]) -> dict[tuple[int, int, str], np.ndarray]:
-    """Mean of ``x`` (shape (..., n, n)) over each orbit of ``_orbit_members``, under its
-    key; empty blocks give none.  ``take`` gathers each orbit into a C-order copy, so
-    each row of a stack sums in the order of a single matrix, and sum / count is the
-    arithmetic of ``mean`` without its per-call overhead."""
-    flat = x.reshape(*x.shape[:-2], -1)
-    return {label: flat.take(pairs, axis=-1).sum(axis=-1) / len(pairs)
-            for label, pairs in _orbit_members(sizes).items()}
+def _block_means(flat: np.ndarray, orbits: dict) -> dict:
+    """Mean of the columns of ``flat`` (shape (..., c)) that each of ``orbits`` lists,
+    under its key.  ``take`` gathers each orbit into a C-order copy, so each row of a
+    stack sums in the order of a single row, and sum / count is the arithmetic of
+    ``mean`` without its per-call overhead."""
+    return {key: flat.take(cols, axis=-1).sum(axis=-1) / len(cols) for key, cols in orbits.items()}
 
 
 @dataclass(frozen=True)
@@ -167,6 +157,7 @@ class AmplitudeLimits:
 
 def amplitude_limits(fp: FilterParams) -> AmplitudeLimits:
     """Evaluate both limit tables and check the closed forms against them to ``CLOSED_FORM_TOL``."""
+    _require_record(fp, FilterParams)
     m, na, nb = fp.block_sizes
     form = uniform_block_pqrs(fp)
     high, low = limit_high_k(form), limit_low_k(form, allow_singular=True)
@@ -194,7 +185,8 @@ def amplitude_limits(fp: FilterParams) -> AmplitudeLimits:
     }
 
     tables = {"": ({}, {}), "_refl": ({}, {}), "_intra": ({}, {})}  # (high-k, low-k)
-    for (mu, nu, kind), means in _block_means(np.stack([hi, lo]), fp.block_sizes).items():
+    flat = np.stack([hi, lo]).reshape(2, -1)
+    for (mu, nu, kind), means in _block_means(flat, _orbit_members(fp.block_sizes)).items():
         for table, mean in zip(tables[kind], means):
             table[(mu, nu) if mu != nu else mu] = float(mean)
     (high_k, low_k), (high_refl, low_refl), (high_intra, low_intra) = tables.values()
@@ -224,6 +216,7 @@ def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -
     limits come from the design's one cached split (``uniform_block_pqrs``),
     so classifying after ``amplitude_limits`` factorises nothing again.
     """
+    _require_record(fp, FilterParams)
     if not threshold > 1.0:  # NaN too
         raise ValueError(f"dominance threshold must exceed 1, got {threshold!r}")
     if any(size == 0 for size in fp.block_sizes):
@@ -250,7 +243,7 @@ class SweepTable:
     """|S_ij(k)|^2 on a momentum grid, one value per orbit.
 
     A CSV row (``header``) is k, each |S_ij|^2 in row-major order and, given
-    ``block_sizes``, one mean per orbit of ``_block_orbits``.  ``values`` holds k and
+    ``block_sizes``, one mean per orbit of ``_orbit_members``.  ``values`` holds k and
     each orbit's value once per row, and ``columns``, the orbit map, the value column
     of each CSV column: a CSV row is ``values[i, columns]``.
     """
@@ -260,20 +253,21 @@ class SweepTable:
     block_sizes: tuple[int, int, int] | None
 
     @classmethod
-    def from_grid(cls, ks, probabilities, block_sizes: tuple[int, int, int] | None) -> SweepTable:
-        """The table of the grid ``probabilities`` (len(ks), n, n) with no symmetry: each pair
-        is its own orbit, and so is each block mean (``_block_means``) of two or more pairs."""
-        flat = np.reshape(probabilities, (len(ks), -1))
-        columns, means = list(range(1 + flat.shape[1])), []
-        if block_sizes is not None:
-            for pairs, mean in zip(_orbit_members(block_sizes).values(),
-                                   _block_means(np.asarray(probabilities), block_sizes).values()):
-                if len(pairs) == 1:
-                    columns.append(1 + pairs[0])
-                else:
-                    columns.append(1 + flat.shape[1] + len(means))
-                    means.append(mean)
-        values = np.column_stack([ks, flat, *means]).astype(float, copy=False)
+    def from_values(cls, values: np.ndarray, pair_columns, block_sizes) -> SweepTable:
+        """The table of ``values``, k and then value columns, in which index pair p
+        (row-major) reads value column ``pair_columns[p]``.  Given ``block_sizes``, an
+        orbit of ``_orbit_members`` whose pairs all read one column reuses it; any other
+        gets a column of their mean (``_block_means``)."""
+        columns, means = [0, *pair_columns], {}
+        for key, pairs in ({} if block_sizes is None else _orbit_members(block_sizes)).items():
+            read = [pair_columns[pair] for pair in pairs]
+            if len(set(read)) == 1:
+                columns.append(read[0])
+            else:
+                columns.append(values.shape[1] + len(means))
+                means[key] = read
+        if means:
+            values = np.column_stack([values, *_block_means(values, means).values()])
         return cls(values, np.array(columns), block_sizes)
 
     @property
@@ -281,16 +275,18 @@ class SweepTable:
         return self.values[:, 0]
 
     @property
+    def _n(self) -> int:  # the block sizes' sum, else the root of the pair columns' count
+        return math.isqrt(len(self.columns) - 1) if self.block_sizes is None else sum(self.block_sizes)
+
+    @property
     def probabilities(self) -> np.ndarray:
         """|S_ij(k)|^2, shape (len(ks), n, n), gathered from ``values``."""
-        n = math.isqrt(len(self.columns) - 1) if self.block_sizes is None else sum(self.block_sizes)
-        return self.values[:, self.columns[1:1 + n * n].reshape(n, n)]
+        return self.values[:, self.columns[1:1 + self._n ** 2].reshape(self._n, self._n)]
 
     def header(self) -> list[str]:
         blocks = [] if self.block_sizes is None else [
             f"b{mu}{nu}{kind}" for mu, nu, kind in _orbit_members(self.block_sizes)]
-        n = math.isqrt(len(self.columns) - 1 - len(blocks))
-        return ["k"] + [f"S{i + 1}{j + 1}" for i, j in np.ndindex(n, n)] + blocks
+        return ["k"] + [f"S{i + 1}{j + 1}" for i, j in np.ndindex(self._n, self._n)] + blocks
 
     def rows(self):
         """Yield ``values`` in blocks of ``SWEEP_BLOCK`` rows, one momentum per row;
@@ -303,11 +299,11 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
     """|S_ij(k)|^2 of the pair (A, B) over the ascending positive grid ``ks``.
 
     ``block_sizes``, when given, are three non-negative integers summing to
-    n; the table then carries one aggregate per orbit of ``_block_orbits``, and if
+    n; the table then carries one aggregate per orbit of ``_orbit_members``, and if
     (A, B) has the blocks' symmetry on those orbits, each orbit of index pairs gets one
-    value, from the quotient (``_quotient_sweep``).  Otherwise |S_ij|^2 is the batched
-    solve's, bit for bit.  A column of |S(k)|^2 that misses 1 by more than
-    ``linalg.SMATRIX_ATOL`` raises ValueError (``_smatrix_grid``).
+    value, from the quotient (``_quotient_sweep``).  Otherwise each pair is its own
+    value column, the batched solve's |S_ij|^2 bit for bit.  A column of |S(k)|^2 that
+    misses 1 by more than ``linalg.SMATRIX_ATOL`` raises ValueError (``_smatrix_grid``).
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size < 1:
@@ -321,19 +317,21 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
         block_sizes = tuple(map(operator.index, block_sizes))
         if len(block_sizes) != 3 or sum(block_sizes) != n or any(b < 0 for b in block_sizes):
             raise ShapeMismatch(f"block sizes must be three values summing to n={n}")
-    table = None if block_sizes is None else _quotient_sweep(A, B, ks, block_sizes)
-    if table is not None:
-        return table
-    probs = np.empty((ks.size, n, n))
+    quotient = None if block_sizes is None else _quotient_sweep(A, B, block_sizes)
+    orbit_rows, pair_columns = quotient or (  # else each pair is its own value column
+        lambda k: np.abs(_smatrix_grid(A, B, k)).reshape(len(k), -1) ** 2, range(1, n * n + 1))
+    values = np.empty((ks.size, 1 + max(pair_columns)))
+    values[:, 0] = ks
     for start in range(0, ks.size, SWEEP_BLOCK):
-        s = _smatrix_grid(A, B, ks[start:start + SWEEP_BLOCK])
-        probs[start:start + SWEEP_BLOCK] = np.abs(s) ** 2
-    return SweepTable.from_grid(ks, probs, block_sizes)
+        values[start:start + SWEEP_BLOCK, 1:] = orbit_rows(ks[start:start + SWEEP_BLOCK])
+    return SweepTable.from_values(values, pair_columns, block_sizes)
 
 
-def _quotient_sweep(A, B, ks, sizes: tuple[int, int, int]) -> SweepTable | None:
-    """The table of a pair constant on the orbits of ``_block_orbits`` (so S(k) commutes with
-    the swaps; a real one's S(k) = S(k)^T joins blocks (mu, nu) and (nu, mu)), else None.
+def _quotient_sweep(A, B, sizes: tuple[int, int, int]):
+    """(orbit rows, pair columns) of a pair constant on the orbits of ``_orbit_members`` (so
+    S(k) commutes with the swaps; a real one's S(k) = S(k)^T joins blocks (mu, nu) and
+    (nu, mu)), else None: ``orbit_rows(k)`` gives each orbit's |S_ij|^2 at the momenta k,
+    one value column per orbit key, and pair p reads column ``pair_columns[p]``.
 
     S(k) = V S_q V* + sum_mu s_mu (P_mu - V_mu V_mu*), V the normalised indicators of the b
     nonempty blocks: S_q(k) is the S of (V*AV, V*BV), s_mu(k) that of the scalars A_ii - A_ij,
@@ -341,37 +339,40 @@ def _quotient_sweep(A, B, ks, sizes: tuple[int, int, int]) -> SweepTable | None:
     |S_q[mu, nu] / sqrt(size_mu size_nu) + s_mu (delta_ij - 1/size_mu) delta_mu_nu|^2.
     ``_smatrix_grid`` checks S_q, and each |s_mu|^2 may miss 1 by ``SMATRIX_ATOL``.
     """
-    table = _block_orbits(sizes)
-    if not ((A.take(table) == A).all() and (B.take(table) == B).all()):
+    orbits = _orbit_members(sizes)
+    entries = A.ravel().tolist(), B.ravel().tolist()
+    if any(m[pair] != m[pairs[0]] for m in entries for pairs in orbits.values() for pair in pairs):
         return None
-    orbit = table if A.imag.any() or B.imag.any() else np.minimum(table, table.T)  # mu <= nu
-    n, size = len(A), [s for s in sizes if s]
-    b, blk = len(size), [mu for mu, s in enumerate(size) for _ in range(s)]  # each edge's block
-    f, multi = [blk.index(mu) for mu in range(b)], [mu for mu in range(b) if size[mu] > 1]
-    rows = [[M[i].tolist() for i in f] for M in (A, B)]  # a row per block gives V*MV
-    Aq, Bq = (np.array([[math.sqrt(s / t) * sum(r[j:j + t]) for j, t in zip(f, size)]
+    real = not (A.imag.any() or B.imag.any())
+    keys = [(mu, nu, kind) for mu, nu, kind in orbits if not real or mu <= nu]  # value columns
+    pair_columns = [0] * A.size
+    for (mu, nu, kind), pairs in orbits.items():  # a real pair's (nu, mu, "") reads (mu, nu, "")
+        col = 1 + keys.index((*sorted((mu, nu)), kind) if real else (mu, nu, kind))
+        for pair in pairs:
+            pair_columns[pair] = col
+    label = [mu for mu, s in zip((1, 2, 3), sizes) if s]  # of the b nonempty blocks
+    size, first = [sizes[mu - 1] for mu in label], [sum(sizes[:mu - 1]) for mu in label]
+    b, multi = len(size), [q for q, s in enumerate(size) if s > 1]
+    rows = [[M[i].tolist() for i in first] for M in (A, B)]  # a row per block gives V*MV
+    Aq, Bq = (np.array([[math.sqrt(s / t) * sum(r[j:j + t]) for j, t in zip(first, size)]
                         for r, s in zip(R, size)]) for R in rows)
-    alpha, beta = ([R[mu][f[mu]] - R[mu][f[mu] + 1] for mu in multi] for R in rows)
-    orbit, table = orbit.ravel().tolist(), table.ravel().tolist()
-    reps = [pair for pair, rep in enumerate(orbit) if pair == rep]  # one value column each
-    c = np.zeros((b * b + len(multi), len(reps)))  # orbit o's value: |(S_q, s) @ c[:, o]|^2
-    for o, (i, j) in enumerate(divmod(rep, n) for rep in reps):
-        c[b * blk[i] + blk[j], o] = 1.0 / math.sqrt(size[blk[i]] * size[blk[j]])
-        if blk[i] in multi and blk[j] == blk[i]:
-            c[b * b + multi.index(blk[i]), o] = (i == j) - 1.0 / size[blk[i]]
-    values = np.column_stack([ks, np.empty((ks.size, len(reps)))])
-    for start in range(0, ks.size, SWEEP_BLOCK):
-        k = ks[start:start + SWEEP_BLOCK]
+    alpha, beta = ([R[q][first[q]] - R[q][first[q] + 1] for q in multi] for R in rows)
+    c = np.zeros((b * b + len(multi), len(keys)))  # key o's value: |(S_q, s) @ c[:, o]|^2
+    for o, (mu, nu, kind) in enumerate(keys):
+        i, j = label.index(mu), label.index(nu)
+        c[b * i + j, o] = 1.0 / math.sqrt(size[i] * size[j])
+        if kind and i in multi:
+            c[b * b + multi.index(i), o] = (kind == "_refl") - 1.0 / size[i]
+
+    def orbit_rows(k):
         z = _smatrix_grid(Aq, Bq, k).reshape(len(k), -1)
         if multi:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 ikb = 1j * k[:, None] * beta
                 z = np.concatenate([z, (ikb - alpha) / (ikb + alpha)], axis=1)
                 linalg.require_unitary_columns(z[:, None, b * b:], k, "k B overflows")
-        values[start:start + SWEEP_BLOCK, 1:] = np.abs(z @ c) ** 2
-    column = {rep: col for col, rep in enumerate(reps, 1)}
-    means = [orbit[pair] for pair, rep in enumerate(table) if pair == rep]  # block-mean orbits
-    return SweepTable(values, np.array([0] + [column[rep] for rep in orbit + means]), sizes)
+        return np.abs(z @ c) ** 2
+    return orbit_rows, pair_columns
 
 
 def probability_sweep(fp: FilterParams, k_grid) -> SweepTable:

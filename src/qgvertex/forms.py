@@ -281,15 +281,6 @@ def _picked_first(picked: list[int], size: int) -> list[int]:
     return picked + np.flatnonzero(rest).tolist()
 
 
-def _in_range(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``matrices`` times one power of two, exactly, if their largest entry lies beyond
-    2^+-500, where a column pick's squared norms overflow: for scale-free reductions."""
-    exponent = math.frexp(max(map(linalg.max_norm, matrices)))[1]
-    if abs(exponent) <= 500:
-        return matrices
-    return tuple(np.ldexp(M.view(float), -exponent).view(complex) for M in matrices)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN block fails the record's check
 def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     """Reduce the pair (A, B) to ST shape; returns (perm, S, T).
@@ -306,7 +297,7 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     ``linalg.inverse`` raises SingularMatrix when A22 is singular at DEFAULT_RTOL.
     """
     n = A.shape[0]
-    A, B = _in_range(A, B)  # the reduction is invariant under (A, B) -> (cA, cB)
+    A, B = linalg.in_range(A, B)  # the reduction is invariant under (A, B) -> (cA, cB)
     picked, q, r = _independent_columns_qr(B, r_b, "complete")
     order = _picked_first(picked, n)
     perm = tuple(order)
@@ -326,19 +317,20 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
 
 def _refuse_scale_gap(convert):
     """``convert`` of a coupling, with a failed rank pick re-raised as a VertexError naming
-    the scale gap of A and B when the ratio of their largest entries overflows a float:
+    the scale gap of A and B when the ratio of their largest parts overflows a float:
     ``_st_reduce``'s shift then flushes the smaller one, and the pick blames its rank."""
     @functools.wraps(convert)
     def refused(c):
         try:
             return convert(c)
         except (SingularMatrix, SingularSBlock) as exc:
-            a, b = linalg.max_norm(c.A), linalg.max_norm(c.B)
+            a, b = linalg.largest_part(c.A), linalg.largest_part(c.B)
             if not (a and b and math.isinf(max(a / b, b / a))):
                 raise
-            raise VertexError(f"the largest entries of A and B ({a:.3g} and {b:.3g}) lie a factor "
-                              f"of about 1e{abs(math.log10(a) - math.log10(b)):.0f} apart, beyond the "
-                              "float range: this form's S block cannot be represented") from exc
+            gap = abs(math.log10(a) - math.log10(b))
+            raise VertexError(f"the largest real or imaginary parts of A and B ({a:.3g} and {b:.3g}) "
+                              f"lie a factor of about 1e{gap:.0f} apart, beyond the float range: "
+                              "this form's S block cannot be represented") from exc
     return refused
 
 
@@ -413,7 +405,7 @@ def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
 
     S_st = np.asarray(st.S)
     T_st = np.asarray(st.T)
-    S_in = _in_range(S_st)[0]  # the pick and R do not depend on the scale of S
+    S_in = linalg.in_range(S_st)[0]  # the pick and R do not depend on the scale of S
     try:
         picked, q, r = _independent_columns_qr(S_in.conj().T, m, "reduced")
     except SingularMatrix as exc:

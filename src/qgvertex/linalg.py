@@ -8,6 +8,8 @@ decompositions work without special-casing at call sites.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonFiniteMatrix, ShapeMismatch, SingularMatrix
@@ -63,6 +65,23 @@ def max_norm(m: np.ndarray) -> float:
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
 
 
+def largest_part(m: np.ndarray) -> float:
+    """Largest |real part| or |imaginary part| of an entry of a complex matrix with
+    contiguous rows; 0 for zero-dimensional ones.  Unlike the largest modulus
+    (``max_norm``), it is finite for finite entries."""
+    return 0.0 if m.size == 0 else float(np.abs(m.view(float)).max())
+
+
+def in_range(*matrices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``matrices`` (complex, rows contiguous) times one power of two, exactly, if the
+    largest real or imaginary part of their entries lies beyond 2^+-500, where moduli
+    and squared norms overflow or underflow: for scale-free decisions."""
+    exponent = math.frexp(max(map(largest_part, matrices)))[1]
+    if abs(exponent) <= 500:
+        return matrices
+    return tuple(np.ldexp(M.view(float), -exponent).view(complex) for M in matrices)
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """max-norm of U U* - I."""
     return max_norm(u @ u.conj().T - np.eye(len(u)))
@@ -94,6 +113,8 @@ def rank(m: np.ndarray, tol: float = DEFAULT_RTOL) -> int:
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
+    if not math.isfinite(s[0]):  # an entry's modulus overflows, and LAPACK's own scaling with it
+        s = np.linalg.svd(in_range(np.ascontiguousarray(m, dtype=complex))[0], compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qgvertex import admissible_rank_pairs, random_coupling, smatrix_direct
+from qgvertex.filters import SweepTable, _block_means, _orbit_members
 from qgvertex.forms import PQRSForm
 
 CORPUS_SEED = 20260809
@@ -114,3 +115,32 @@ def smatrix_distance(c1, c2, ks=(0.1, 1.0, 10.0)) -> float:
 def couplings_equivalent(c1, c2, tol=1e-9) -> bool:
     """Same degree and the same S(k) on the momentum grid within ``tol``."""
     return c1.n == c2.n and smatrix_distance(c1, c2) <= tol
+
+
+def grid_table(ks, probabilities, block_sizes) -> SweepTable:
+    """The sweep table of the grid ``probabilities`` (len(ks), n, n), each pair its own
+    value column, as ``pair_sweep`` builds it for a pair without the blocks' symmetry."""
+    flat = np.reshape(probabilities, (len(ks), -1))
+    return SweepTable.from_values(np.column_stack([ks, flat]), range(1, 1 + flat.shape[1]),
+                                  block_sizes)
+
+
+def block_means(x, sizes) -> dict:
+    """``_block_means`` of the stack ``x`` (shape (..., n, n)) over each orbit of
+    ``_orbit_members(sizes)``, under its key."""
+    return _block_means(np.reshape(x, (*np.shape(x)[:-2], -1)), _orbit_members(sizes))
+
+
+def assert_same_csv(got: str, want: str) -> None:
+    """Fail naming both line counts and the first line where the two CSV texts differ;
+    pytest's diff of two long texts takes minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    line = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+                min(len(got_lines), len(want_lines)))
+    first = [lines[line] if line < len(lines) else "<end of text>"
+             for lines in (got_lines, want_lines)]
+    pytest.fail(f"CSV texts differ: {len(got_lines)} lines against {len(want_lines)}; "
+                f"first difference at line {line + 1}:\n  got:  {first[0]!r}\n  want: {first[1]!r}",
+                pytrace=False)

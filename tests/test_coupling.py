@@ -10,6 +10,10 @@ from qgvertex import (
     pqrs_to_matrices,
     random_coupling,
     smatrix_direct,
+    to_pqrs_form,
+    to_projector_form,
+    to_reverse_st_form,
+    to_st_form,
     to_unitary,
     uniform_block_pqrs,
     validate,
@@ -24,6 +28,14 @@ from conftest import smatrix_distance
 KIRCHHOFF2_A = np.array([[1.0, -1.0], [0.0, 0.0]])
 KIRCHHOFF2_B = np.array([[0.0, 0.0], [1.0, 1.0]])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def float_limit_pair(c, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of ``c`` times one real factor that takes their largest real or imaginary
+    part to ``top``."""
+    A, B = np.asarray(c.A), np.asarray(c.B)
+    factor = top / linalg.largest_part(np.concatenate([A, B], axis=1))
+    return factor * A, factor * B
 
 
 def delta_pair(alpha, n=2):
@@ -159,6 +171,22 @@ class TestEquivalenceInvariance:
         for exponent in range(-200, 201, 10):
             scaled = validate(10.0 ** exponent * np.asarray(c.A), 10.0 ** exponent * np.asarray(c.B))
             assert (scaled.r_a, scaled.r_b) == (3, 2), exponent
+
+    @pytest.mark.parametrize("ranks, seed, top", [
+        ((3, 3, 3), 2, 1.5e308), ((4, None, None), 7, 1.7e308), ((4, None, None), 20, 1.7e308),
+        ((4, None, None), 29, 1.7e308)])
+    def test_pairs_at_the_float_limit_keep_their_verdict_and_ranks(self, ranks, seed, top):
+        """Scaled until their largest real or imaginary part is near the largest float,
+        where an entry's modulus overflows: the rank SVD and the row division of the
+        Hermitian test used to meet inf, and validate raised RankDeficient.  Every form
+        converts, and to_unitary gives the unscaled pair's U."""
+        c = random_coupling(*ranks, np.random.default_rng(seed))
+        A, B = float_limit_pair(c, top)
+        scaled = validate(A, B)
+        assert (scaled.r_a, scaled.r_b) == (c.r_a, c.r_b)
+        assert linalg.max_norm(to_unitary(scaled).U - to_unitary(c).U) < 1e-12
+        for convert in (to_st_form, to_reverse_st_form, to_pqrs_form, to_projector_form):
+            assert convert(scaled).n == c.n
 
     def test_inadmissible_pair_refused_at_every_scale(self):
         gen = np.random.default_rng(3)

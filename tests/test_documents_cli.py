@@ -32,7 +32,7 @@ from qgvertex.cli import main
 from qgvertex.errors import DocumentError
 from qgvertex.filters import AmplitudeLimits, LimitMismatch
 
-from conftest import couplings_equivalent, smatrix_distance
+from conftest import assert_same_csv, block_means, couplings_equivalent, grid_table, smatrix_distance
 from test_coupling import delta_pair, far_scale_coupling
 
 
@@ -171,10 +171,9 @@ class TestDocuments:
                 documents.parse_document(doc)
 
     def test_other_document_errors(self):
-        with pytest.raises(DocumentError, match=r"^cannot serialize object of type dict$"):
-            documents.form_to_document({})
-        with pytest.raises(DocumentError, match=r"^cannot interpret dict as a coupling$"):
-            documents.as_coupling({})
+        for convert in (documents.form_to_document, documents.as_coupling):
+            with pytest.raises(TypeError, match="^needs a VertexCoupling or a form record, got dict$"):
+                convert({})
         with pytest.raises(DocumentError, match=r"^not valid JSON: Expecting"):
             documents.loads("{not json")
         with pytest.raises(DocumentError, match=r"^not valid JSON: maximum recursion depth"):
@@ -309,6 +308,28 @@ class TestCliValidate:
     def test_missing_file_exits_1(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 1
 
+    UTF8_ERROR = ("error: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte\n")
+
+    def test_file_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        # reading it raised UnicodeDecodeError, a ValueError, and the CLI exited 2
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        for argv in (["validate", str(path)], ["convert", str(path), "--to", "st"],
+                     ["sweep", str(path), "--k-min", "1", "--k-max", "2", "--points", "2"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", self.UTF8_ERROR)
+
+    def test_stdin_that_is_not_utf8_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), "latin-1"))
+        assert main(["validate", "-"]) == 1
+        assert capsys.readouterr() == ("", self.UTF8_ERROR)
+
+    def test_bytes_that_are_not_utf8_raise_document_error(self):
+        with pytest.raises(DocumentError, match="^not valid UTF-8: "):
+            documents._decode(b"\xff\xfe{}")
+        assert documents._decode('{"label": "\u00e9"}'.encode()) == {"label": "\u00e9"}
+
 
 class TestCliConvert:
     def test_delta_to_pqrs(self, tmp_path, capsys):
@@ -426,7 +447,7 @@ class TestCliSweep:
         expected, code = self.dirichlet_sweep(tmp_path, capsys, link)
         assert code == 0
         assert link.is_symlink()
-        assert target.read_text(encoding="utf-8") == expected
+        assert_same_csv(target.read_text(encoding="utf-8"), expected)
 
     def test_out_hard_link_keeps_both_names(self, tmp_path, capsys):
         out, other = tmp_path / "sweep.csv", tmp_path / "other.csv"
@@ -435,7 +456,7 @@ class TestCliSweep:
         expected, code = self.dirichlet_sweep(tmp_path, capsys, out)
         assert code == 0
         assert os.path.samefile(out, other)
-        assert other.read_text(encoding="utf-8") == expected
+        assert_same_csv(other.read_text(encoding="utf-8"), expected)
 
     def test_out_regular_file_keeps_its_mode(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -444,7 +465,7 @@ class TestCliSweep:
         expected, code = self.dirichlet_sweep(tmp_path, capsys, out)
         assert code == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
-        assert out.read_text(encoding="utf-8") == expected
+        assert_same_csv(out.read_text(encoding="utf-8"), expected)
         assert list(tmp_path.glob("sweep.csv*")) == [out]
 
     def test_two_points_two_rows(self, tmp_path, capsys):
@@ -606,7 +627,7 @@ def per_value_csv(table) -> str:
     columns = [table.ks, flat]
     if table.block_sizes is not None:
         members = filters._orbit_members(table.block_sizes).values()
-        for pairs, mean in zip(members, filters._block_means(probs, table.block_sizes).values()):
+        for pairs, mean in zip(members, block_means(probs, table.block_sizes).values()):
             equal = (flat[:, pairs] == flat[:, pairs[:1]]).all(axis=1)
             columns.append(np.where(equal, flat[:, pairs[0]], mean))
     lines = [",".join(table.header())]
@@ -628,36 +649,37 @@ class TestSweepCsv:
     def test_presets_match_per_value_repr(self, fp):
         table = filters.probability_sweep(fp, self.KS)
         assert table.values.shape[1] == 1 + 8 < len(table.header())  # k and 8 orbits
-        assert written_csv(table) == per_value_csv(table)
+        assert_same_csv(written_csv(table), per_value_csv(table))
 
     def test_orbits_of_three_and_six_pairs_match_per_value_repr(self):
         table = filters.probability_sweep(SYMMETRIC_321, self.KS)
-        assert written_csv(table) == per_value_csv(table)
+        assert_same_csv(written_csv(table), per_value_csv(table))
 
     def test_generic_coupling_matches_per_value_repr(self, rng):
         c = random_coupling(5, rng=rng)
         table = filters.pair_sweep(c.A, c.B, self.KS, None)
-        assert written_csv(table) == per_value_csv(table)
+        assert_same_csv(written_csv(table), per_value_csv(table))
 
     def test_generic_coupling_with_blocks_matches_per_value_repr(self, rng):
         c = random_coupling(5, rng=rng)
         table = filters.pair_sweep(c.A, c.B, self.KS, (2, 2, 1))
         assert table.values.shape[1] == len(table.header()) - 1  # b33_refl is S55
-        assert written_csv(table) == per_value_csv(table)
+        assert_same_csv(written_csv(table), per_value_csv(table))
 
     def test_signed_zeros_subnormals_and_nans_keep_their_text(self):
         probs = np.array([[[0.0, -0.0], [5e-324, np.nan]],
                           [[-0.0, 0.0], [-np.nan, -5e-324]],
                           [[0.25, 0.25], [np.nan, -np.nan]]])
-        table = filters.SweepTable.from_grid(np.array([0.5, 1.0, 2.0]), probs, None)
+        table = grid_table(np.array([0.5, 1.0, 2.0]), probs, None)
         text = written_csv(table)
-        assert text == per_value_csv(table)
+        assert_same_csv(text, per_value_csv(table))
         assert text.splitlines()[1:] == ["0.5,0.0,-0.0,5e-324,nan",
                                          "1.0,-0.0,0.0,nan,-5e-324",
                                          "2.0,0.25,0.25,nan,nan"]
 
     def test_integer_table_is_written_as_floats(self):
-        table = filters.SweepTable.from_grid(np.array([1, 2]), np.array([[[1]], [[0]]]), None)
+        # whole-number values keep the ".0" of their float repr
+        table = grid_table(np.array([1.0, 2.0]), np.array([[[1.0]], [[0.0]]]), None)
         assert written_csv(table) == "k,S11\n1.0,1.0\n2.0,0.0\n"
 
 
@@ -692,14 +714,14 @@ class TestSweepCsvShares:
     def test_one_share_per_block_up_to_the_cpus(self, monkeypatch, forks, points, workers):
         usable_cpus(monkeypatch, 2)
         table = filters.probability_sweep(FIG1_PARAMS, np.logspace(-2, 2, points))
-        assert written_csv(table) == per_value_csv(table)
+        assert_same_csv(written_csv(table), per_value_csv(table))
         assert len(forks) == workers
 
     @pytest.mark.parametrize("cpus, blocks, workers", [(3, 7, 2), (8, 3, 2), (1, 3, 0)])
     def test_shares_are_capped_by_cpus_and_blocks(self, monkeypatch, forks, cpus, blocks, workers):
         usable_cpus(monkeypatch, cpus)
         table = fig2_table(blocks)
-        assert written_csv(table) == per_value_csv(table)
+        assert_same_csv(written_csv(table), per_value_csv(table))
         assert len(forks) == workers
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -710,14 +732,14 @@ class TestSweepCsvShares:
         tables = [filters.probability_sweep(SYMMETRIC_321, ks),
                   filters.pair_sweep(c.A, c.B, ks, (2, 2, 1))]
         for table in tables:
-            assert written_csv(table) == per_value_csv(table)
+            assert_same_csv(written_csv(table), per_value_csv(table))
         assert len(forks) == 2 * (cpus - 1)
 
     def test_one_share_without_fork(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
         monkeypatch.delattr(os, "fork")
         table = fig2_table(3)
-        assert written_csv(table) == per_value_csv(table)
+        assert_same_csv(written_csv(table), per_value_csv(table))
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -819,7 +841,7 @@ class TestSweepCsvShares:
         finally:
             release.set()
             beside.join()
-        assert text == per_value_csv(table)
+        assert_same_csv(text, per_value_csv(table))
 
 
 #: stderr of ``filter-demo --preset fig1`` and ``fig2``, line by line
@@ -935,11 +957,9 @@ class TestCliFilterDemo:
         assert "b12" in header  # blocks metadata picked up from the document
 
     def test_demo_pipes_into_sweep_via_stdin(self, capsys, monkeypatch):
-        import io
-
         assert main(["filter-demo", "--preset", "fig2"]) == 0
         doc_text = capsys.readouterr().out
-        monkeypatch.setattr("sys.stdin", io.StringIO(doc_text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc_text.encode())))
         assert main(["sweep", "-", "--k-min", "0.1", "--k-max", "10",
                      "--points", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -34,14 +34,12 @@ from qgvertex.filters import (
     PRESETS,
     SWEEP_BLOCK,
     FilterParams,
-    SweepTable,
-    _block_means,
-    _block_orbits,
     _orbit_members,
+    _quotient_sweep,
     pair_sweep,
 )
 
-from conftest import unitarity_defect
+from conftest import block_means, grid_table, unitarity_defect
 
 
 def csv_rows(table) -> np.ndarray:
@@ -236,7 +234,7 @@ class TestOneSplit:
                     hi = np.abs(np.asarray(limit_high_k(form).entries))
                     lo = np.abs(np.asarray(limit_low_k(form, allow_singular=True).entries))
                     limits = amplitude_limits(fp)
-                    means = _block_means(np.stack([hi, lo]), fp.block_sizes)
+                    means = block_means(np.stack([hi, lo]), fp.block_sizes)
                     for (mu, nu, kind), (high, low) in means.items():
                         key = (mu, nu) if mu != nu else mu
                         table = {"": "", "_refl": "_reflection", "_intra": "_intra"}[kind]
@@ -390,8 +388,8 @@ class TestProbabilitySweep:
             for m in range(n + 1):
                 for na in range(n - m + 1):
                     sizes = (m, na, n - m - na)
-                    labels = list(_block_means(np.zeros((n, n)), sizes))
-                    table = SweepTable.from_grid(np.ones(1), np.zeros((1, n, n)), sizes)
+                    labels = list(block_means(np.zeros((n, n)), sizes))
+                    table = grid_table(np.ones(1), np.zeros((1, n, n)), sizes)
                     assert table.header()[1 + n * n:] == [f"b{mu}{nu}{kind}" for mu, nu, kind in labels]
                     fp = FilterParams(n=n, r_a=n - na, r_b=m + na, p=0.7, q=-0.4, r=1.3,
                                       s=1.1 if m else 0.0)
@@ -413,9 +411,9 @@ class TestProbabilitySweep:
                 for na in range(n - m + 1):
                     sizes = (m, na, n - m - na)
                     x = rng.random((3, n, n))
-                    stacked = _block_means(x, sizes)
+                    stacked = block_means(x, sizes)
                     for i in range(3):
-                        for name, value in _block_means(x[i], sizes).items():
+                        for name, value in block_means(x[i], sizes).items():
                             assert stacked[name][i] == value, (sizes, name)
 
     def test_header_matches_rows(self):
@@ -606,15 +604,16 @@ def block_triples(max_degree):
 
 
 class TestOnePartition:
-    """The orbit table ``_block_orbits`` is the one partition of index pairs behind the
-    sweep's averaging, the block-mean columns, the header and the limit tables."""
+    """The orbits of ``_orbit_members`` are the one partition of index pairs behind the
+    sweep's symmetry test and value columns, its block means, the header and the limit
+    tables."""
 
     def test_block_means_equal_the_span_reference_bit_for_bit(self, rng):
         for sizes in block_triples(11):
             n = sum(sizes)
             for rows in (1, 3, SWEEP_BLOCK):
                 x = rng.random((rows, n, n))
-                means, reference = _block_means(x, sizes), span_block_means(x, sizes)
+                means, reference = block_means(x, sizes), span_block_means(x, sizes)
                 assert [f"b{mu}{nu}{kind}" for mu, nu, kind in means] == list(reference)
                 for mean, expected in zip(means.values(), reference.values()):
                     assert mean.shape == expected.shape == (rows,)
@@ -623,20 +622,21 @@ class TestOnePartition:
     def test_header_equals_the_benchmark_reference(self, bench_workloads):
         for sizes in [None] + block_triples(6):
             n = 4 if sizes is None else sum(sizes)
-            table = SweepTable.from_grid(np.ones(1), np.zeros((1, n, n)), sizes)
+            table = grid_table(np.ones(1), np.zeros((1, n, n)), sizes)
             assert table.header() == bench_workloads.reference.sweep_header(n, sizes)
 
     def test_orbit_table_partitions_like_the_group(self):
+        rng = np.random.default_rng(28)
         for sizes in block_triples(6):
-            table = _block_orbits(sizes)
-            merged = np.minimum(table, table.T)  # pair_sweep's time-reversal merge
-            for orbit, transpose in ((table, False), (merged, True)):
-                groups = orbits(sizes, transpose)
-                reps = [orbit[rows, cols] for rows, cols in groups]
-                # constant on each orbit of the group, its first pair's flat index
-                assert all((rep == rep[0]).all() for rep in reps), sizes
-                assert [rep[0] for rep in reps] == [table.shape[0] * r[0] + c[0] for r, c in groups]
-                assert len({rep[0] for rep in reps}) == len(groups)
-            members = [table.shape[0] * rows + cols for rows, cols in orbits(sizes, False)]
-            assert list(_orbit_members(sizes).values()) == sorted(
-                (m.tolist() for m in members), key=lambda pairs: pairs[0])
+            n = sum(sizes)
+            members = [(n * rows + cols).tolist() for rows, cols in orbits(sizes, False)]
+            assert list(_orbit_members(sizes).values()) == sorted(members, key=lambda pairs: pairs[0])
+            for real in (True, False):  # a real pair's quotient joins transposed blocks
+                pair = block_symmetric_pair(sizes, rng, real)
+                merged = not (pair[0].imag.any() or pair[1].imag.any())
+                pair_columns = np.reshape(_quotient_sweep(*pair, sizes)[1], (n, n))
+                groups = orbits(sizes, transpose=merged)
+                # constant on each orbit of the group, and value columns 1, 2, ... in CSV order
+                assert all((pair_columns[g] == pair_columns[g][0]).all() for g in groups), sizes
+                assert sorted(pair_columns[g][0] for g in groups) == list(range(1, len(groups) + 1))
+                assert list(dict.fromkeys(pair_columns.ravel())) == list(range(1, len(groups) + 1))

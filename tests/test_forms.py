@@ -466,7 +466,7 @@ class TestScaleGap:
     conversion names the gap: the ST reduction's power-of-two shift flushes the
     smaller matrix to zero, and a column pick would blame a rank deficiency instead."""
 
-    GAP = (r"largest entries of A and B \(4\.18e-301 and 1\.98e\+300\) "
+    GAP = (r"largest real or imaginary parts of A and B \(4\.04e-301 and 1\.98e\+300\) "
            r"lie a factor of about 1e601 apart")
 
     def test_forms_that_fit_still_convert(self):

@@ -40,7 +40,7 @@ from qgvertex.cli import main
 from qgvertex.errors import VertexError
 from qgvertex.filters import pair_sweep
 
-from test_coupling import far_scale_coupling
+from test_coupling import far_scale_coupling, float_limit_pair
 
 TYPED = (VertexError, ValueError, TypeError)
 
@@ -108,12 +108,15 @@ def pair(c) -> tuple[np.ndarray, np.ndarray]:
 #: pairs of the faults this test has found, kept as explicit examples: a subnormal
 #: pair (the Hermitian test overflowed), one whose form routes lost unitarity far
 #: from its scale, the same scaled near the float limits (the ST reduction
-#: overflowed), and a degree-1 pair whose ST block S overflows
+#: overflowed), a degree-1 pair whose ST block S overflows, and a pair whose
+#: largest part is 1.5e308 (the rank SVD met an infinite modulus and validate
+#: refused it as RankDeficient)
 SUBNORMAL = (1e-310 * np.eye(2), np.zeros((2, 2)))
 FAR_SCALE = pair(far_scale_coupling())
 HUGE = (1e300 * FAR_SCALE[0], 1e300 * FAR_SCALE[1])
 DEGREE_ONE = pair(random_coupling(1, 1, 1, np.random.default_rng(1)))
 UNEVEN = (1e150 * DEGREE_ONE[0], 1e-300 * DEGREE_ONE[1])
+FLOAT_LIMIT = float_limit_pair(random_coupling(3, 3, 3, np.random.default_rng(2)), 1.5e308)
 
 ROUTES = {
     "direct": lambda c, k: smatrix_direct(c, k),
@@ -133,6 +136,7 @@ ROUTES = {
 @example(pair=FAR_SCALE, k=1e17)
 @example(pair=HUGE, k=1.0)
 @example(pair=UNEVEN, k=1.0)
+@example(pair=FLOAT_LIMIT, k=1.0)
 def test_validate_routes_and_limits(pair, k):
     try:
         c = validate(*pair)

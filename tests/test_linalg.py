@@ -1,5 +1,6 @@
 """Tests for the dense complex matrix primitives."""
 
+import math
 import re
 
 import numpy as np
@@ -130,6 +131,29 @@ class TestHermitian:
 class TestHelpers:
     def test_max_norm_empty(self):
         assert linalg.max_norm(np.zeros((0, 3))) == 0.0
+
+    def test_largest_part_is_finite_where_the_modulus_overflows(self):
+        m = np.array([[1.5e308 + 1.5e308j, -1.7e308], [0.0, 1e-300j]])
+        with np.errstate(over="ignore"):
+            assert linalg.max_norm(m) == np.inf
+        assert linalg.largest_part(m) == 1.7e308
+        assert linalg.largest_part(np.zeros((0, 3), dtype=complex)) == 0.0
+
+    def test_in_range_shifts_by_one_power_of_two(self):
+        small = np.array([[2.0 + 1.0j, 1e150]])
+        assert linalg.in_range(small)[0] is small  # within 2^+-500: as given
+        m, tiny = np.array([[1.5e308 + 1.5e308j, -3.0]]), np.array([[1e-310j, 5e-324]])
+        shifted, flushed = linalg.in_range(m, tiny)  # one shift for both, from m's 2^1024
+        assert linalg.largest_part(shifted) == math.ldexp(1.5e308, -1024)
+        assert np.array_equal(np.ldexp(shifted.view(float), 1024).view(complex), m)
+        assert not flushed.any()
+        assert 0.5 <= linalg.largest_part(linalg.in_range(tiny)[0]) < 1.0
+
+    def test_rank_of_a_matrix_whose_modulus_overflows(self):
+        m = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0e300]])
+        assert linalg.rank(m) == 2
+        assert linalg.rank(m[:, :1] * np.ones((1, 2))) == 1
+        assert linalg.rank(np.array([[1.7e308, 1.7e308], [1.7e308, 1.6e308]])) == 2
 
     def test_frozen_is_readonly(self):
         m = linalg.frozen(np.eye(2))

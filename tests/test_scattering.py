@@ -19,6 +19,7 @@ from qgvertex import (
     limit_high_k,
     limit_low_k,
     linalg,
+    probability_sweep,
     pqrs_to_matrices,
     projector_to_matrices,
     random_coupling,
@@ -362,6 +363,53 @@ class TestRecordKinds:
         f = documents.FORM_KINDS[given].from_coupling(c)
         with pytest.raises(TypeError, match=f"^needs a {needed}, got {type(f).__name__}$"):
             call(f)
+
+    #: each function of a record, and the kinds of record it accepts
+    ACCEPTED = {
+        "smatrix_direct": (lambda f: smatrix_direct(f, 1.3), {"coupling"}),
+        "bc_residual": (lambda f: bc_residual(f, SMatrix(4, 1.3, np.eye(4))), {"coupling"}),
+        "smatrix_st": (lambda f: smatrix_st(f, 1.3), {"st"}),
+        "smatrix_reverse_st": (lambda f: smatrix_reverse_st(f, 1.3), {"reverse-st"}),
+        "smatrix_pqrs": (lambda f: smatrix_pqrs(f, 1.3), {"pqrs"}),
+        "smatrix_projector": (lambda f: smatrix_projector(f, 1.3), {"projector"}),
+        "limit_high_k": (limit_high_k, {"pqrs"}),
+        "limit_low_k": (limit_low_k, {"pqrs"}),
+        "expand": (lambda f: expand(f, "high-k", 2), {"pqrs"}),
+        **{name: (kind.from_coupling, {"coupling"}) for name, kind in (
+            ("to_st_form", documents.FORM_KINDS["st"]),
+            ("to_reverse_st_form", documents.FORM_KINDS["reverse-st"]),
+            ("to_pqrs_form", documents.FORM_KINDS["pqrs"]),
+            ("to_unitary", documents.FORM_KINDS["unitary"]),
+            ("to_projector_form", documents.FORM_KINDS["projector"]))},
+        **{f"{kind}_to_coupling": (spec.to_coupling, {kind})
+           for kind, spec in documents.FORM_KINDS.items()},
+        "coupling_to_document": (documents.coupling_to_document, {"coupling"}),
+        "form_to_document": (documents.form_to_document, {"coupling", *documents.FORM_KINDS}),
+        "as_coupling": (documents.as_coupling, {"coupling", *documents.FORM_KINDS}),
+        "uniform_block_pqrs": (uniform_block_pqrs, {"design"}),
+        "amplitude_limits": (amplitude_limits, {"design"}),
+        "classify_branching": (classify_branching, {"design"}),
+        "probability_sweep": (lambda f: probability_sweep(f, [1.0]), {"design"}),
+        "render_limits_report": (lambda f: documents.render_limits_report(
+            f, amplitude_limits(FIG1_PARAMS), "none", 3.0), {"design"}),
+    }
+
+    @pytest.mark.parametrize("name", ACCEPTED)
+    def test_every_record_kind_reaches_every_function(self, name):
+        """The coupling, each form record and a filter design, passed to each function
+        that reads a record: it returns for the kinds it accepts and raises TypeError
+        for the others (a form passed to ``coupling_to_document``, or any other record
+        to a filter function, raised AttributeError)."""
+        call, accepted = self.ACCEPTED[name]
+        c = random_coupling(4, 3, 2, np.random.default_rng(1))
+        records = {"coupling": c, "design": replace(FIG1_PARAMS),
+                   **{kind: spec.from_coupling(c) for kind, spec in documents.FORM_KINDS.items()}}
+        for kind, record in records.items():
+            if kind in accepted:
+                call(record)
+                continue
+            with pytest.raises(TypeError, match=f"^needs a .*, got {type(record).__name__}$"):
+                call(record)
 
 
 class TestLimits:
