@@ -30,6 +30,7 @@ S(k) and one scalar per block of two or more edges, and of any other pair each
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -98,11 +99,12 @@ def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
     return PQRSForm(fp.n, fp.r_a, fp.r_b, tuple(range(fp.n)), **blocks)
 
 
+@functools.cache
 def _orbit_members(sizes: tuple[int, int, int]) -> dict[tuple[int, int, str], list[int]]:
     """The orbits of the index pairs under the swaps of edges inside each block: the
     row-major flat indices of each, keyed (mu, nu, kind) by its blocks mu and nu in CSV
     column order, with kind "" for a cross block, "_refl" for a diagonal block's
-    diagonal and "_intra" for its off-diagonal."""
+    diagonal and "_intra" for its off-diagonal.  Cached: callers only read it."""
     blk = [mu for mu, size in zip((1, 2, 3), sizes) for _ in range(size)]
     members = {}  # keys first seen in row-major order come in CSV column order
     for pair, (mu, nu) in enumerate(itertools.product(blk, repeat=2)):
@@ -257,7 +259,7 @@ class SweepTable:
         """The table of ``values``, k and then value columns, in which index pair p
         (row-major) reads value column ``pair_columns[p]``.  Given ``block_sizes``, an
         orbit of ``_orbit_members`` whose pairs all read one column reuses it; any other
-        gets a column of their mean (``_block_means``)."""
+        gets a column of their mean (``_block_means``).  The table's values are floats."""
         columns, means = [0, *pair_columns], {}
         for key, pairs in ({} if block_sizes is None else _orbit_members(block_sizes)).items():
             read = [pair_columns[pair] for pair in pairs]
@@ -268,7 +270,7 @@ class SweepTable:
                 means[key] = read
         if means:
             values = np.column_stack([values, *_block_means(values, means).values()])
-        return cls(values, np.array(columns), block_sizes)
+        return cls(values.astype(float, copy=False), np.array(columns), block_sizes)
 
     @property
     def ks(self) -> np.ndarray:
@@ -340,13 +342,12 @@ def _quotient_sweep(A, B, sizes: tuple[int, int, int]):
     ``_smatrix_grid`` checks S_q, and each |s_mu|^2 may miss 1 by ``SMATRIX_ATOL``.
     """
     orbits = _orbit_members(sizes)
-    entries = A.ravel().tolist(), B.ravel().tolist()
-    if any(m[pair] != m[pairs[0]] for m in entries for pairs in orbits.values() for pair in pairs):
-        return None
     real = not (A.imag.any() or B.imag.any())
     keys = [(mu, nu, kind) for mu, nu, kind in orbits if not real or mu <= nu]  # value columns
-    pair_columns = [0] * A.size
+    entries, pair_columns = (A.ravel().tolist(), B.ravel().tolist()), [0] * A.size
     for (mu, nu, kind), pairs in orbits.items():  # a real pair's (nu, mu, "") reads (mu, nu, "")
+        if any(m[pair] != m[pairs[0]] for m in entries for pair in pairs):
+            return None
         col = 1 + keys.index((*sorted((mu, nu)), kind) if real else (mu, nu, kind))
         for pair in pairs:
             pair_columns[pair] = col

@@ -109,12 +109,10 @@ def require_tolerance(tol: float) -> None:
 def rank(m: np.ndarray, tol: float = DEFAULT_RTOL) -> int:
     """Number of singular values above ``tol`` times the largest one, 0 < tol < 1."""
     require_tolerance(tol)
-    m = np.asarray(m)
+    m = np.ascontiguousarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if not math.isfinite(s[0]):  # an entry's modulus overflows, and LAPACK's own scaling with it
-        s = np.linalg.svd(in_range(np.ascontiguousarray(m, dtype=complex))[0], compute_uv=False)
+    s = np.linalg.svd(in_range(m)[0], compute_uv=False)  # shifted: no modulus overflows
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))

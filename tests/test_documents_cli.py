@@ -678,8 +678,7 @@ class TestSweepCsv:
                                          "2.0,0.25,0.25,nan,nan"]
 
     def test_integer_table_is_written_as_floats(self):
-        # whole-number values keep the ".0" of their float repr
-        table = grid_table(np.array([1.0, 2.0]), np.array([[[1.0]], [[0.0]]]), None)
+        table = grid_table(np.array([1, 2]), np.array([[[1]], [[0]]]), None)
         assert written_csv(table) == "k,S11\n1.0,1.0\n2.0,0.0\n"
 
 
