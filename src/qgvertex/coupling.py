@@ -13,7 +13,9 @@ The same coupling is equivalently fixed by a single unitary matrix U via
 
     (U - I) Psi + i (U + I) Psi' = 0,
 
-and U is S(1), which ``to_unitary`` evaluates by ``_smatrix_grid``.
+and U is S(1), the scattering matrix at k = 1: ``to_unitary`` evaluates it by
+``_smatrix_grid``, the one solve of S(k) = -(A + ikB)^{-1}(A - ikB), which brings
+its pair into float range and refuses an S that is not unitary.
 """
 
 from __future__ import annotations
@@ -65,21 +67,20 @@ def _require_record(f, *records: type) -> None:
 
 
 def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve.
+    """S(k) = -(A + ikB)^{-1} (A - ikB) for the 1-d ``ks``, by one batched solve of the pair
+    (complex, rows contiguous) brought into float range: S is that of (cA, cB).  Raises
+    ValueError instead of returning an S that is not unitary (``linalg.require_unitary_columns``),
+    which comes from k B overflowing or from A + ikB being numerically singular."""
+    A, B = linalg.in_range(A, B)  # as given within 2^+-500
 
-    Raises ValueError instead of returning an S that is not unitary
-    (``linalg.require_unitary_columns``), which comes from k B overflowing or
-    from A + ikB being numerically singular; numpy's warnings are silenced,
-    since that error reports them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
+    def solve():
         ikb = (1j * ks)[:, None, None] * B
         try:
-            s = -np.linalg.solve(A + ikb, A - ikb)
-        except np.linalg.LinAlgError:  # an exactly singular A + ikB fails the check below
-            s = np.full(ikb.shape, np.nan)
-        linalg.require_unitary_columns(s, ks, "k B overflows or A + ikB is numerically singular")
-    return s
+            return -np.linalg.solve(A + ikb, A - ikb)
+        except np.linalg.LinAlgError:  # an exactly singular A + ikB fails the check
+            return np.full(ikb.shape, np.nan)
+    cause = "k B overflows or A + ikB is numerically singular"
+    return linalg.require_unitary_columns(solve, ks, cause)
 
 
 def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
@@ -118,11 +119,9 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
 
 
 def to_unitary(c: VertexCoupling) -> UnitaryForm:
-    """Unitary description of the coupling, U = S(1) = -(A + iB)^{-1}(A - iB),
-    which is defined for every admissible pair."""
+    """Unitary description U = S(1) = -(A + iB)^{-1}(A - iB), defined for every admissible pair."""
     _require_record(c, VertexCoupling)
-    A, B = linalg.in_range(c.A, c.B)  # S does not change under (A, B) -> (cA, cB)
-    return UnitaryForm(n=c.n, U=linalg.frozen(_smatrix_grid(A, B, np.array([1.0]))[0]))
+    return UnitaryForm(n=c.n, U=linalg.frozen(_smatrix_grid(c.A, c.B, np.array([1.0]))[0]))
 
 
 def from_unitary(u: UnitaryForm) -> VertexCoupling:

@@ -244,7 +244,8 @@ def classify_branching(fp: FilterParams, threshold: float = DEFAULT_DOMINANCE) -
 class SweepTable:
     """|S_ij(k)|^2 on a momentum grid, one value per orbit.
 
-    A CSV row (``header``) is k, each |S_ij|^2 in row-major order and, given
+    A CSV row (``header``) is k, each |S_ij|^2 in row-major order (named Sij, or
+    Si_j from n = 10 on, where Sij would name two pairs) and, given
     ``block_sizes``, one mean per orbit of ``_orbit_members``.  ``values`` holds k and
     each orbit's value once per row, and ``columns``, the orbit map, the value column
     of each CSV column: a CSV row is ``values[i, columns]``.
@@ -288,7 +289,8 @@ class SweepTable:
     def header(self) -> list[str]:
         blocks = [] if self.block_sizes is None else [
             f"b{mu}{nu}{kind}" for mu, nu, kind in _orbit_members(self.block_sizes)]
-        return ["k"] + [f"S{i + 1}{j + 1}" for i, j in np.ndindex(self._n, self._n)] + blocks
+        sep = "_" if self._n > 9 else ""  # S1_11 and S11_1, not S111 twice
+        return ["k"] + [f"S{i + 1}{sep}{j + 1}" for i, j in np.ndindex(self._n, self._n)] + blocks
 
     def rows(self):
         """Yield ``values`` in blocks of ``SWEEP_BLOCK`` rows, one momentum per row;
@@ -304,7 +306,8 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
     n; the table then carries one aggregate per orbit of ``_orbit_members``, and if
     (A, B) has the blocks' symmetry on those orbits, each orbit of index pairs gets one
     value, from the quotient (``_quotient_sweep``).  Otherwise each pair is its own
-    value column, the batched solve's |S_ij|^2 bit for bit.  A column of |S(k)|^2 that
+    value column, the batched solve's |S_ij|^2 bit for bit.  Both sides read the pair in
+    float range (``linalg.in_range``: S is that of (cA, cB)), and a column of |S(k)|^2 that
     misses 1 by more than ``linalg.SMATRIX_ATOL`` raises ValueError (``_smatrix_grid``).
     """
     ks = np.asarray(ks, dtype=float)
@@ -319,6 +322,7 @@ def pair_sweep(A, B, ks, block_sizes: tuple[int, int, int] | None) -> SweepTable
         block_sizes = tuple(map(operator.index, block_sizes))
         if len(block_sizes) != 3 or sum(block_sizes) != n or any(b < 0 for b in block_sizes):
             raise ShapeMismatch(f"block sizes must be three values summing to n={n}")
+    A, B = linalg.in_range(*(np.ascontiguousarray(M, dtype=complex) for M in (A, B)))
     quotient = None if block_sizes is None else _quotient_sweep(A, B, block_sizes)
     orbit_rows, pair_columns = quotient or (  # else each pair is its own value column
         lambda k: np.abs(_smatrix_grid(A, B, k)).reshape(len(k), -1) ** 2, range(1, n * n + 1))
@@ -368,10 +372,10 @@ def _quotient_sweep(A, B, sizes: tuple[int, int, int]):
     def orbit_rows(k):
         z = _smatrix_grid(Aq, Bq, k).reshape(len(k), -1)
         if multi:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                ikb = 1j * k[:, None] * beta
-                z = np.concatenate([z, (ikb - alpha) / (ikb + alpha)], axis=1)
-                linalg.require_unitary_columns(z[:, None, b * b:], k, "k B overflows")
+            def scalars():  # each s_mu(k) as a 1 x 1 S(k)
+                ikb = 1j * k[:, None, None] * beta
+                return (ikb - alpha) / (ikb + alpha)
+            z = np.hstack([z, linalg.require_unitary_columns(scalars, k, "k B overflows")[:, 0]])
         return np.abs(z @ c) ** 2
     return orbit_rows, pair_columns
 

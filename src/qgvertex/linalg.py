@@ -87,15 +87,17 @@ def unitarity_defect(u: np.ndarray) -> float:
     return max_norm(u @ u.conj().T - np.eye(len(u)))
 
 
-def require_unitary_columns(s: np.ndarray, ks, cause: str) -> None:
-    """ValueError unless each column of |s|^2 (s of shape (..., n, n)) sums to 1
-    within ``SMATRIX_ATOL``; a NaN or infinite entry fails too.  The message
-    names the range of the momenta ``ks`` and the likely ``cause``.  Call it under
-    ``np.errstate(over="ignore")``, where a huge entry's square is inf and fails."""
-    defect = np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0).max()
+def require_unitary_columns(compute, ks, cause: str) -> np.ndarray:
+    """``compute()``, an S(k) stack (..., n, n) for the momenta ``ks`` run with numpy's warnings
+    off, or ValueError naming the range of ``ks`` and the likely ``cause`` unless each column
+    of |S|^2 sums to 1 within ``SMATRIX_ATOL``: a NaN, infinite or huge entry fails."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = compute()
+        defect = np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0).max()
     if not defect <= SMATRIX_ATOL:
         raise ValueError(f"S(k) is not finite or not unitary for k in [{np.min(ks):g}, "
                          f"{np.max(ks):g}] ({cause}): a column of |S|^2 misses 1 by {defect:.2g}")
+    return s
 
 
 def require_tolerance(tol: float) -> None:

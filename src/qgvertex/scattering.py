@@ -73,7 +73,8 @@ class SeriesExpansion:
         return k * self.spectral_radius < 1.0
 
     def evaluate(self, k: float) -> np.ndarray:
-        """Sum the truncated series at k; warns outside the convergence region."""
+        """Sum the truncated series at k; warns outside the convergence region, and
+        raises ValueError, naming k and the order, where the sum overflows."""
         _require_momentum(k)
         if not self.converges_at(k):
             warnings.warn(
@@ -85,8 +86,14 @@ class SeriesExpansion:
             )
         base = 1.0 / (1j * k) if self.kind == "high-k" else 1j * k
         total = np.zeros((self.n, self.n), dtype=complex)
-        for j, c in enumerate(self.coefficients):
-            total += c * base**j
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for j, c in enumerate(self.coefficients):
+                    total += c * base**j
+            except OverflowError:  # a Python complex power raises it
+                total = None
+        if total is None or not np.isfinite(total).all():
+            raise ValueError(f"{self.kind} series of order {self.order} overflows at k={k:g}")
         return total
 
 
@@ -100,15 +107,14 @@ def _require_momentum(k: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _unitary(route):
-    """``route`` run with numpy's overflow and invalid warnings off, refusing an
-    S(k) that is not unitary (``linalg.require_unitary_columns``): far from the
-    coupling's scale a solve loses unitarity, as ``_smatrix_grid``'s does."""
+    """``route(f, k, ...)``'s S(k) as an SMatrix, refused unless unitary and run with numpy's
+    warnings off (``linalg.require_unitary_columns``): far from the coupling's scale a
+    solve loses unitarity, as ``_smatrix_grid``'s does."""
     @functools.wraps(route)
-    def checked(*args):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s = route(*args)
-            linalg.require_unitary_columns(s.entries, s.k, "k is too far from the coupling's scale")
-        return s
+    def checked(f, k, *rest):
+        s = linalg.require_unitary_columns(lambda: route(f, k, *rest), k,
+                                           "k is too far from the coupling's scale")
+        return SMatrix(n=f.n, k=k, entries=s)
     return checked
 
 
@@ -129,7 +135,7 @@ def _st_route(f: STForm | ReverseSTForm, k: float, sign: float) -> SMatrix:
     left = np.concatenate([np.eye(len(f.T)), f.T.conj().T])
     mid = left.conj().T @ left - z * np.asarray(f.S)
     s = sign * (2.0 * left @ np.linalg.solve(mid, left.conj().T) - np.eye(f.n))
-    return SMatrix(n=f.n, k=k, entries=linalg.unpermute(s, f.perm))
+    return linalg.unpermute(s, f.perm)
 
 
 def smatrix_st(f: STForm, k: float) -> SMatrix:
@@ -156,7 +162,7 @@ def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
     _require_record(f, PQRSForm)
     _require_momentum(k)
     _, u, w = f.split
-    return SMatrix(n=f.n, k=k, entries=_limit_matrix(f, u, k / (k + 1j * w)))
+    return _limit_matrix(f, u, k / (k + 1j * w))
 
 
 @_unitary
@@ -178,7 +184,7 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
     ik_c = 1j * k * proj_c
     resolvent = np.linalg.solve(lam_c - ik_c + np.eye(p.n) - proj_c, lam_c + ik_c)
     s = -np.asarray(p.projector_p) + np.asarray(p.projector_q) - resolvent
-    return SMatrix(n=p.n, k=k, entries=linalg.frozen(s))
+    return linalg.frozen(s)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +274,13 @@ def expand(f: PQRSForm, kind: str, order: int) -> SeriesExpansion:
 # ---------------------------------------------------------------------------
 
 def bc_residual(c: VertexCoupling, s: SMatrix) -> float:
-    """max-norm of A (I + S) + ik B (S - I); ~0 when S solves the coupling."""
+    """max-norm of A (I + S) + ik B (S - I); ~0 when S solves the coupling.  A pair
+    beyond 2^+-500 is first brought into float range (``linalg.in_range``), where the
+    products neither overflow nor flush to zero."""
     _require_record(c, VertexCoupling)
     _require_momentum(s.k)
+    A, B = linalg.in_range(c.A, c.B)
     entries = np.asarray(s.entries)
     eye = np.eye(c.n)
-    res = np.asarray(c.A) @ (eye + entries) + 1j * s.k * np.asarray(c.B) @ (entries - eye)
+    res = A @ (eye + entries) + 1j * s.k * B @ (entries - eye)
     return linalg.max_norm(res)

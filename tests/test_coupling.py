@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qgvertex import (
+    bc_residual,
     from_unitary,
     haar_unitary,
     linalg,
     pqrs_to_matrices,
     random_coupling,
     smatrix_direct,
+    smatrix_st,
     to_pqrs_form,
     to_projector_form,
     to_reverse_st_form,
@@ -72,6 +74,10 @@ class TestValidate:
             validate(np.eye(2), np.eye(3))
         with pytest.raises(ShapeMismatch):
             validate(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_empty_pair_is_refused(self):
+        with pytest.raises(ShapeMismatch, match="^vertex degree must be at least 1$"):
+            validate(np.zeros((0, 0)), np.zeros((0, 0)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("name", ["A", "B"])
@@ -179,7 +185,7 @@ class TestEquivalenceInvariance:
         """Scaled until their largest real or imaginary part is near the largest float,
         where an entry's modulus overflows: the rank SVD and the row division of the
         Hermitian test used to meet inf, and validate raised RankDeficient.  Every form
-        converts, and to_unitary gives the unscaled pair's U."""
+        converts, and to_unitary and smatrix_direct give the unscaled pair's U."""
         c = random_coupling(*ranks, np.random.default_rng(seed))
         A, B = float_limit_pair(c, top)
         scaled = validate(A, B)
@@ -187,6 +193,11 @@ class TestEquivalenceInvariance:
         assert linalg.max_norm(to_unitary(scaled).U - to_unitary(c).U) < 1e-12
         for convert in (to_st_form, to_reverse_st_form, to_pqrs_form, to_projector_form):
             assert convert(scaled).n == c.n
+        # the direct solve shifts its own pair; A + ikB overflowed and the guard refused S(1)
+        direct = smatrix_direct(scaled, 1.0)
+        assert np.array_equal(direct.entries, to_unitary(scaled).U)
+        assert linalg.max_norm(direct.entries - smatrix_st(to_st_form(scaled), 1.0).entries) <= 1e-14
+        assert bc_residual(scaled, direct) <= 1e-14  # of the pair in float range
 
     def test_inadmissible_pair_refused_at_every_scale(self):
         gen = np.random.default_rng(3)

@@ -33,7 +33,7 @@ from qgvertex.errors import DocumentError
 from qgvertex.filters import AmplitudeLimits, LimitMismatch
 
 from conftest import assert_same_csv, block_means, couplings_equivalent, grid_table, smatrix_distance
-from test_coupling import delta_pair, far_scale_coupling
+from test_coupling import delta_pair, far_scale_coupling, float_limit_pair
 
 
 def dirichlet_doc(n=2):
@@ -388,6 +388,18 @@ class TestCliSmatrix:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: S\(k\) is not finite or not unitary .*\n", captured.err)
+
+    def test_pair_at_the_float_limit_exits_0(self, tmp_path, capsys):
+        """A pair whose largest part is 1.5e308: ``smatrix`` and ``sweep`` refused it with
+        the guard's error (A + ikB overflowed), and the residual of S overflowed."""
+        c = validate(*float_limit_pair(random_coupling(3, 3, 3, np.random.default_rng(2)), 1.5e308))
+        path = write_doc(tmp_path, documents.coupling_to_document(c))
+        assert main(["smatrix", path, "--k", "1.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["unitarity_defect"] < 1e-12 and doc["bc_residual"] < 1e-12
+        assert main(["sweep", path, "--k-min", "0.1", "--k-max", "10", "--points", "5"]) == 0
+        body = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        assert np.max(np.abs(body[:, 1:].reshape(5, 3, 3).sum(axis=-2) - 1.0)) <= 1e-12
 
 
 class TestCliSweep:

@@ -38,8 +38,10 @@ from qgvertex.filters import (
     _quotient_sweep,
     pair_sweep,
 )
+from qgvertex.forms import _pqrs_pair
 
 from conftest import block_means, grid_table, unitarity_defect
+from test_coupling import float_limit_pair
 
 
 def csv_rows(table) -> np.ndarray:
@@ -426,6 +428,15 @@ class TestProbabilitySweep:
         assert "b12" in header and "b11_refl" in header and "b11_intra" in header
         assert "b33_intra" not in header  # block 3 has one line
 
+    @pytest.mark.parametrize("n", [9, 11, 12])
+    def test_pair_names_are_distinct(self, n):
+        """Sij names each pair up to n = 9; from n = 10 on S1_11 and S11_1 do, where S111
+        named both at n = 11 (and S112 both (1, 12) and (11, 2) at n = 12)."""
+        names = grid_table(np.ones(1), np.zeros((1, n, n)), (n - 2, 1, 1)).header()[1:1 + n * n]
+        assert len(set(names)) == n * n
+        assert names[:2] == (["S11", "S12"] if n < 10 else ["S1_1", "S1_2"])
+        assert names[-1] == f"S{n}{n}" if n < 10 else f"S{n}_{n}"
+
 
 def uniform_designs():
     """fig1, fig2 and one seeded design of real uniform blocks per rank pair with n <= 6."""
@@ -543,6 +554,23 @@ class TestQuotientSweep:
         distinct = [len(np.unique(row)) for row in table.probabilities.reshape(200, -1)]
         assert max(distinct) <= len(orbits(FIG1_PARAMS.block_sizes, transpose=True)) == 8
         assert table.values.shape == (200, 1 + 8)  # k, then one value per orbit
+
+
+class TestSweepAtTheFloatLimit:
+    """``pair_sweep`` brings its pair into float range before it picks a side: at a
+    largest part of 1.5e308 the n x n solve overflowed, and so did the row sums of the
+    quotient's pair, and both refused the sweep with the guard's ValueError."""
+
+    KS = np.logspace(-3, 3, 61)
+
+    @pytest.mark.parametrize("sizes", [None, (2, 2, 1)])
+    def test_fig1_sweeps_like_its_unscaled_pair(self, sizes):
+        A, B = _pqrs_pair(uniform_block_pqrs(FIG1_PARAMS))  # B's rows are not contiguous
+        scaled_a, scaled_b = float_limit_pair(validate(A, B), 1.5e308)
+        got = pair_sweep(scaled_a, np.asfortranarray(scaled_b), self.KS, sizes)
+        want = pair_sweep(A, B, self.KS, sizes)
+        assert got.values.shape == want.values.shape  # the same side
+        assert np.max(np.abs(got.values - want.values)) <= 1e-14
 
 
 class TestNoSymmetryNoAveraging:

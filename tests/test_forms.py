@@ -34,7 +34,7 @@ from qgvertex import (
 )
 from qgvertex.cli import main
 from qgvertex.errors import (DocumentError, InvalidRankPair, InvalidShape, NonFiniteMatrix,
-                             ShapeMismatch, SingularMatrix, VertexError)
+                             ShapeMismatch, SingularMatrix, SingularSBlock, VertexError)
 from qgvertex.forms import (PQRSForm, ReverseSTForm, STForm, _greedy_independent_columns,
                             _picked_first, _st_as_pqrs, _st_reduce)
 
@@ -505,6 +505,17 @@ class TestScaleGap:
             except (VertexError, ValueError):
                 pass
 
+    @pytest.mark.parametrize("error", [SingularMatrix, SingularSBlock])
+    def test_failed_pick_without_a_gap_keeps_its_error(self, monkeypatch, error):
+        """A rank pick that fails for a pair whose largest parts are within a float's
+        range of each other is re-raised as it came, type and message."""
+        def fail(A, B, r):
+            raise error("found only 0 independent columns")
+        monkeypatch.setattr(forms, "_st_reduce", fail)
+        with pytest.raises(error, match="^found only 0 independent columns$") as info:
+            to_st_form(random_coupling(3, 2, 2, np.random.default_rng(5)))
+        assert type(info.value) is error
+
     @pytest.mark.parametrize("kind", ["reverse-st", "pqrs", "projector"])
     def test_cli_convert_exits_2_with_one_line(self, kind, tmp_path, capsys):
         path = tmp_path / "gap.json"
@@ -762,6 +773,11 @@ class TestRankPairRule:
                         with pytest.raises(error):
                             call(n, r_a, r_b)
 
+    def test_random_coupling_needs_both_ranks_or_neither(self):
+        for r_a, r_b in ((2, None), (None, 2)):
+            with pytest.raises(InvalidRankPair, match="^prescribe both ranks or neither$"):
+                random_coupling(3, r_a, r_b, np.random.default_rng(1))
+
     def test_block_sizes_is_the_rule(self):
         assert forms.block_sizes(5, 3, 4) == (2, 2, 1)
         assert forms.block_sizes(2, 2, 0) == (0, 0, 2)
@@ -917,6 +933,10 @@ class TestParameterCounts:
         assert subfamily_count(1) == 3
         assert subfamily_count(3) == 10
         assert subfamily_count(5) == 21
+
+    def test_subfamily_of_no_edges_is_refused(self):
+        with pytest.raises(InvalidRankPair, match="^vertex degree must be positive, got 0$"):
+            subfamily_count(0)
 
     def test_subfamily_matches_enumeration(self):
         for n in range(1, 11):

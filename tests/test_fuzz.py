@@ -11,18 +11,22 @@ test is deterministic and takes about two seconds.
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qgvertex import (
+    FIG1_PARAMS,
     FilterParams,
     classify_branching,
     documents,
+    expand,
     limit_high_k,
     limit_low_k,
     linalg,
+    pqrs_to_matrices,
     probability_sweep,
     random_coupling,
     smatrix_direct,
@@ -34,10 +38,11 @@ from qgvertex import (
     to_projector_form,
     to_reverse_st_form,
     to_st_form,
+    uniform_block_pqrs,
     validate,
 )
 from qgvertex.cli import main
-from qgvertex.errors import VertexError
+from qgvertex.errors import SeriesDivergence, VertexError
 from qgvertex.filters import pair_sweep
 
 from test_coupling import far_scale_coupling, float_limit_pair
@@ -110,13 +115,15 @@ def pair(c) -> tuple[np.ndarray, np.ndarray]:
 #: from its scale, the same scaled near the float limits (the ST reduction
 #: overflowed), a degree-1 pair whose ST block S overflows, and a pair whose
 #: largest part is 1.5e308 (the rank SVD met an infinite modulus and validate
-#: refused it as RankDeficient)
+#: refused it as RankDeficient; the direct route and the sweeps refused it with the
+#: guard's error, as A + ikB overflowed, until the solve shifted its pair)
 SUBNORMAL = (1e-310 * np.eye(2), np.zeros((2, 2)))
 FAR_SCALE = pair(far_scale_coupling())
 HUGE = (1e300 * FAR_SCALE[0], 1e300 * FAR_SCALE[1])
 DEGREE_ONE = pair(random_coupling(1, 1, 1, np.random.default_rng(1)))
 UNEVEN = (1e150 * DEGREE_ONE[0], 1e-300 * DEGREE_ONE[1])
 FLOAT_LIMIT = float_limit_pair(random_coupling(3, 3, 3, np.random.default_rng(2)), 1.5e308)
+FIG1_LIMIT = float_limit_pair(pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS)), 1.5e308)
 
 ROUTES = {
     "direct": lambda c, k: smatrix_direct(c, k),
@@ -152,6 +159,8 @@ def test_validate_routes_and_limits(pair, k):
 
 @FUZZ
 @given(pair=pairs, ks=grids, sizes=block_sizes)
+@example(pair=FLOAT_LIMIT, ks=[0.5, 2.0], sizes=None)
+@example(pair=FIG1_LIMIT, ks=[1e-17, 1.0, 1e17], sizes=(2, 2, 1))
 def test_pair_sweep(pair, ks, sizes):
     try:
         c = validate(*pair)
@@ -161,6 +170,29 @@ def test_pair_sweep(pair, ks, sizes):
     rows = np.concatenate([block[:, table.columns] for block in table.rows()])
     assert rows.shape == (len(table.ks), len(table.header()))
     assert_unitary(np.sqrt(table.probabilities), ("pair_sweep", ks, sizes))
+
+
+@FUZZ
+@given(pair=admissible_pairs(), kind=st.sampled_from(["high-k", "low-k"]), order=st.integers(0, 4),
+       k=numbers)
+@example(pair=pair(random_coupling(3, 3, 3, np.random.default_rng(2))), kind="high-k", order=3,
+         k=1e-150)  # a Python complex power raised OverflowError
+@example(pair=pair(random_coupling(3, 3, 3, np.random.default_rng(2))), kind="low-k", order=3,
+         k=1e200)
+def test_series(pair, kind, order, k):
+    """A series evaluates to a finite matrix or raises a typed error; outside its
+    convergence region it also warns, which is its contract."""
+    try:
+        series = expand(to_pqrs_form(validate(*pair)), kind, order)
+    except TYPED:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeriesDivergence)
+        try:
+            total = series.evaluate(k)
+        except TYPED:
+            return
+    assert np.isfinite(total).all(), (kind, order, k)
 
 
 @FUZZ
@@ -205,6 +237,7 @@ def document_dir(tmp_path_factory):
        k=numbers)
 @example(pair=FAR_SCALE, k_min=5e-324, k_max=1.7976931348623157e308, points=2, scale="log",
          blocks="", k=1e14)  # the log grid overflowed; S(1e14) was not unitary
+@example(pair=FIG1_LIMIT, k_min=0.1, k_max=10.0, points=3, scale="log", blocks="2,2,1", k=1.0)
 def test_cli_sweep_and_smatrix(document_dir, pair, k_min, k_max, points, scale, blocks, k):
     try:
         c = validate(*pair)

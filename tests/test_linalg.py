@@ -149,6 +149,15 @@ class TestHelpers:
         assert not flushed.any()
         assert 0.5 <= linalg.largest_part(linalg.in_range(tiny)[0]) < 1.0
 
+    def test_unitarity_guard_runs_its_computation_with_warnings_off(self):
+        """The guard returns what it checked, and refuses an S whose entries overflow with
+        its ValueError; numpy's overflow warning, an error in this suite, stays off."""
+        s = np.eye(2)[None]
+        assert linalg.require_unitary_columns(lambda: s, [1.0], "cause") is s
+        message = r"^S\(k\) is not finite or not unitary for k in \[2, 3\] \(cause\): .* by inf$"
+        with pytest.raises(ValueError, match=message):
+            linalg.require_unitary_columns(lambda: np.full((2, 1, 1), 1e200) * 1e200, [2.0, 3.0], "cause")
+
     def test_rank_of_a_matrix_whose_modulus_overflows(self):
         m = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0e300]])
         assert linalg.rank(m) == 2

@@ -1,5 +1,6 @@
 """Tests for the scattering routes, limits and expansions."""
 
+import re
 from contextlib import suppress
 from dataclasses import replace
 
@@ -599,6 +600,25 @@ class TestExpansion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             series.evaluate(2.0)
+        low = expand(f, "low-k", 2)  # converges for k < 1
+        assert abs(low.spectral_radius - 1.0) < 1e-12
+        assert low.converges_at(0.5) and not low.converges_at(2.0)
+        with pytest.warns(SeriesDivergence):
+            low.evaluate(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low.evaluate(0.5)
+
+    @pytest.mark.parametrize("kind, k", [("high-k", 1e-150), ("low-k", 1e200),
+                                         ("high-k", 2.5e-103), ("low-k", 4e102)])
+    def test_overflowing_terms_raise_a_typed_error(self, kind, k):
+        """(1/ik)^3 at k = 1e-150 and (ik)^3 at k = 1e200 overflow a Python complex power,
+        which raised a bare OverflowError; at 2.5e-103 and 4e102 the power is finite and
+        its product with C_3 overflows, which returned an infinite sum."""
+        series = expand(to_pqrs_form(random_coupling(3, 3, 3, np.random.default_rng(2))), kind, 3)
+        with pytest.warns(SeriesDivergence), pytest.raises(
+                ValueError, match=re.escape(f"{kind} series of order 3 overflows at k={k:g}")):
+            series.evaluate(k)
 
     def test_bad_arguments(self):
         f = to_pqrs_form(validate(*delta_pair(2.0)))
