@@ -75,10 +75,7 @@ def _smatrix_grid(A: np.ndarray, B: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
     def solve():
         ikb = (1j * ks)[:, None, None] * B
-        try:
-            return -np.linalg.solve(A + ikb, A - ikb)
-        except np.linalg.LinAlgError:  # an exactly singular A + ikB fails the check
-            return np.full(ikb.shape, np.nan)
+        return -np.linalg.solve(A + ikb, A - ikb)
     cause = "k B overflows or A + ikB is numerically singular"
     return linalg.require_unitary_columns(solve, ks, cause)
 
@@ -113,7 +110,8 @@ def validate(A, B, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:
     r_a = linalg.rank(A)
     r_b = linalg.rank(B)
     if r_a + r_b < n:
-        # consequence of the two admissibility conditions; asserted defensively
+        # implied by admissibility in exact ranks; the cut ranks miss it when a row of (A|B)
+        # lies below the relative rank cut of both A and B, but not of (A|B)
         raise RankDeficient(f"computed ranks r_a={r_a}, r_b={r_b} violate r_a + r_b >= n = {n}")
     return VertexCoupling(n=n, A=A, B=B, r_a=r_a, r_b=r_b)
 

@@ -166,12 +166,11 @@ def amplitude_limits(fp: FilterParams) -> AmplitudeLimits:
     hi, lo = np.abs(np.asarray(high.entries)), np.abs(np.asarray(low.entries))
 
     l_p, l_q, l_r = nb * m, nb * na, na * m
-    try:  # a float power raises OverflowError, where a product turns inf
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy scalar powers overflow to inf
         g = fp.q - m * fp.r * fp.p
-        denom_hi = 1.0 + l_p * fp.p**2 + l_q * g**2
-        denom_lo = 1.0 + l_r * fp.r**2 + l_q * fp.q**2
-    except OverflowError:
-        denom_hi = denom_lo = math.inf
+        p2, q2, r2, g2 = (np.float64(x) ** 2 for x in (fp.p, fp.q, fp.r, g))
+        denom_hi = float(1.0 + l_p * p2 + l_q * g2)
+        denom_lo = float(1.0 + l_r * r2 + l_q * q2)
     if not (math.isfinite(denom_hi) and math.isfinite(denom_lo)):
         raise ValueError(f"block constants of {fp} too large: the closed-form "
                          "limit amplitudes overflow")

@@ -281,7 +281,6 @@ def _picked_first(picked: list[int], size: int) -> list[int]:
     return picked + np.flatnonzero(rest).tolist()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN block fails the record's check
 def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     """Reduce the pair (A, B) to ST shape; returns (perm, S, T).
 
@@ -315,14 +314,17 @@ def _st_reduce(A: np.ndarray, B: np.ndarray, r_b: int):
     return perm, S, T
 
 
-def _refuse_scale_gap(convert):
-    """``convert`` of a coupling, with a failed rank pick re-raised as a VertexError naming
-    the scale gap of A and B when the ratio of their largest parts overflows a float:
-    ``_st_reduce``'s shift then flushes the smaller one, and the pick blames its rank."""
+def _from_coupling(convert):
+    """``convert`` of a coupling (TypeError for another record) run with numpy's overflow and
+    invalid warnings off, as an inf or NaN block fails the record's check; a failed rank pick is
+    re-raised as a VertexError naming the scale gap of A and B when the ratio of their largest
+    parts overflows, since ``_st_reduce``'s shift then flushes the smaller one to zero."""
     @functools.wraps(convert)
-    def refused(c):
+    def converted(c):
+        _require_record(c, VertexCoupling)
         try:
-            return convert(c)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return convert(c)
         except (SingularMatrix, SingularSBlock) as exc:
             a, b = linalg.largest_part(c.A), linalg.largest_part(c.B)
             if not (a and b and math.isinf(max(a / b, b / a))):
@@ -331,26 +333,24 @@ def _refuse_scale_gap(convert):
             raise VertexError(f"the largest real or imaginary parts of A and B ({a:.3g} and {b:.3g}) "
                               f"lie a factor of about 1e{gap:.0f} apart, beyond the float range: "
                               "this form's S block cannot be represented") from exc
-    return refused
+    return converted
 
 
 @_once_per_record
-@_refuse_scale_gap
+@_from_coupling
 def to_st_form(c: VertexCoupling) -> STForm:
     """Unique ST form of a coupling, organized by r_b = rank(B); once per coupling."""
-    _require_record(c, VertexCoupling)
     perm, S, T = _st_reduce(np.asarray(c.A), np.asarray(c.B), c.r_b)
     return STForm(n=c.n, r_b=c.r_b, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
 
-@_refuse_scale_gap
+@_from_coupling
 def to_reverse_st_form(c: VertexCoupling) -> ReverseSTForm:
     """Unique reverse ST form, organized by r_a = rank(A).
 
     The reduction is the ST reduction applied to the swapped pair (B, A),
     which is admissible exactly when (A, B) is.
     """
-    _require_record(c, VertexCoupling)
     perm, S, T = _st_reduce(np.asarray(c.B), np.asarray(c.A), c.r_a)
     return ReverseSTForm(n=c.n, r_a=c.r_a, perm=perm, S=linalg.frozen(S), T=linalg.frozen(T))
 
@@ -384,8 +384,7 @@ def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -
 # ---------------------------------------------------------------------------
 
 @_once_per_record
-@_refuse_scale_gap
-@np.errstate(over="ignore", invalid="ignore")  # as in _st_reduce
+@_from_coupling
 def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     """Unique PQRS form of a coupling, once per coupling: its one ``split`` serves all.
 

@@ -89,10 +89,14 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def require_unitary_columns(compute, ks, cause: str) -> np.ndarray:
     """``compute()``, an S(k) stack (..., n, n) for the momenta ``ks`` run with numpy's warnings
-    off, or ValueError naming the range of ``ks`` and the likely ``cause`` unless each column
-    of |S|^2 sums to 1 within ``SMATRIX_ATOL``: a NaN, infinite or huge entry fails."""
+    off, or ValueError naming the range of ``ks`` and the likely ``cause`` unless each column of
+    |S|^2 sums to 1 within ``SMATRIX_ATOL``: a NaN, infinite or huge entry fails, as does a solve
+    that numpy finds exactly singular (``LinAlgError``), the one refusal of every S(k) route."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = compute()
+        try:
+            s = compute()
+        except np.linalg.LinAlgError:
+            s = np.full((1, 1), np.nan)
         defect = np.abs((np.abs(s) ** 2).sum(axis=-2) - 1.0).max()
     if not defect <= SMATRIX_ATOL:
         raise ValueError(f"S(k) is not finite or not unitary for k in [{np.min(ks):g}, "

@@ -73,8 +73,8 @@ class SeriesExpansion:
         return k * self.spectral_radius < 1.0
 
     def evaluate(self, k: float) -> np.ndarray:
-        """Sum the truncated series at k; warns outside the convergence region, and
-        raises ValueError, naming k and the order, where the sum overflows."""
+        """Sum the truncated series at k in numpy scalar powers; warns outside the convergence
+        region, and raises ValueError, naming k and the order, where the sum overflows."""
         _require_momentum(k)
         if not self.converges_at(k):
             warnings.warn(
@@ -84,15 +84,12 @@ class SeriesExpansion:
                 SeriesDivergence,
                 stacklevel=2,
             )
-        base = 1.0 / (1j * k) if self.kind == "high-k" else 1j * k
         total = np.zeros((self.n, self.n), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for j, c in enumerate(self.coefficients):
-                    total += c * base**j
-            except OverflowError:  # a Python complex power raises it
-                total = None
-        if total is None or not np.isfinite(total).all():
+            base = np.complex128(1.0 / (1j * k) if self.kind == "high-k" else 1j * k)
+            for j, c in enumerate(self.coefficients):
+                total += c * base**j
+        if not np.isfinite(total).all():
             raise ValueError(f"{self.kind} series of order {self.order} overflows at k={k:g}")
         return total
 
@@ -248,7 +245,8 @@ def expand(f: PQRSForm, kind: str, order: int) -> SeriesExpansion:
              needs a regular S, as ``limit_low_k`` decides it, and
              converges for k < min |w|.
 
-    Coefficients are returned in the original edge numbering.
+    Coefficients are returned in the original edge numbering, computed with numpy's warnings
+    off: ValueError, naming the kind and the order, where one is not finite (w^+-j overflows).
     """
     if order < 0:
         raise ValueError("expansion order must be non-negative")
@@ -258,12 +256,15 @@ def expand(f: PQRSForm, kind: str, order: int) -> SeriesExpansion:
     _, u, w = f.split
     if kind == "low-k" and _zero_eigenvalues(w).any():
         raise SingularSBlock("the low-k expansion requires a regular S block")
-    if kind == "high-k":
-        sign, ratio, kept = 2.0, w, u
-    else:
-        sign, ratio, kept = -2.0, 1.0 / w, u[:, :0]
-    coeffs = (_limit_matrix(f, kept, 1.0),) + tuple(
-        linalg.unpermute(sign * (u * ratio**j) @ u.conj().T, f.perm) for j in range(1, order + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "high-k":
+            sign, ratio, kept = 2.0, w, u
+        else:
+            sign, ratio, kept = -2.0, 1.0 / w, u[:, :0]
+        coeffs = (_limit_matrix(f, kept, 1.0),) + tuple(
+            linalg.unpermute(sign * (u * ratio**j) @ u.conj().T, f.perm) for j in range(1, order + 1))
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"{kind} series of order {order} overflows: a coefficient is not finite")
     radius = float(np.max(np.abs(ratio))) if ratio.size else 0.0
     return SeriesExpansion(n=f.n, kind=kind, order=order,
                            coefficients=coeffs, spectral_radius=radius)

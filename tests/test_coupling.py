@@ -11,6 +11,7 @@ from qgvertex import (
     pqrs_to_matrices,
     random_coupling,
     smatrix_direct,
+    smatrix_projector,
     smatrix_st,
     to_pqrs_form,
     to_projector_form,
@@ -68,6 +69,16 @@ class TestValidate:
         m = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(RankDeficient):
             validate(m, m)
+
+    def test_row_below_the_cut_of_both_a_and_b_is_refused_by_the_rank_sum(self):
+        """Row 2 of (A|B) passes the rank cut of (A|B) but not those of A and of B, so
+        the cut ranks miss r_a + r_b >= n; scaled up by 1e10, the row counts in both."""
+        A, B = np.diag([1.0, 0.9e-10, 0.0]), np.diag([0.0, 0.9e-10, 1.0])
+        with pytest.raises(RankDeficient, match=r"^computed ranks r_a=1, r_b=1 violate r_a \+ r_b >= n = 3$"):
+            validate(A, B)
+        row = np.diag([1.0, 1e10, 1.0])
+        c = validate(row @ A, row @ B)
+        assert (c.r_a, c.r_b) == (2, 2)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -260,6 +271,16 @@ class TestUnitarityGuard:
         fig1 = pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS))
         with pytest.raises(ValueError, match=message):
             pair_sweep(fig1.A, 1e-300 * fig1.B, np.array([1e-300, 1e-17]), (2, 2, 1))
+
+    def test_exactly_singular_projector_solve_raises_the_guard(self):
+        """The projector route's solve is exactly singular here; numpy's bare LinAlgError
+        named no cause, and the guard refuses it as it refuses the direct route's."""
+        c = random_coupling(4, 4, 2, np.random.default_rng(25))
+        p = to_projector_form(validate(1e300 * np.asarray(c.A), c.B))
+        message = r"^S\(k\) is not finite or not unitary for k in \[0.001, 0.001\] \(k is too far " \
+                  r"from the coupling's scale\): a column of \|S\|\^2 misses 1 by nan$"
+        with pytest.raises(ValueError, match=message):
+            smatrix_projector(p, 1e-3)
 
     def test_momenta_near_the_scale_pass(self):
         c = far_scale_coupling()

@@ -1,5 +1,6 @@
 """Tests for document round-trips and the command-line interface."""
 
+import argparse
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -991,6 +993,15 @@ class TestCliParams:
 
     def test_inadmissible_pair_exits_2(self, capsys):
         assert main(["params", "3", "1", "1"]) == 2
+
+
+def test_readme_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sub.choices
+    for name in sub.choices:
+        assert f"qgvertex {name} " in readme, name
 
 
 class TestGoldenStability:

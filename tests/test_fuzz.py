@@ -124,6 +124,11 @@ DEGREE_ONE = pair(random_coupling(1, 1, 1, np.random.default_rng(1)))
 UNEVEN = (1e150 * DEGREE_ONE[0], 1e-300 * DEGREE_ONE[1])
 FLOAT_LIMIT = float_limit_pair(random_coupling(3, 3, 3, np.random.default_rng(2)), 1.5e308)
 FIG1_LIMIT = float_limit_pair(pqrs_to_matrices(uniform_block_pqrs(FIG1_PARAMS)), 1.5e308)
+#: pairs whose series coefficients overflow: w^2 of the first (|w| = 1.4e200) and 1/w
+#: of the second (w = 5.4e-321); expand warned and returned them infinite
+SERIES_PAIR = pair(random_coupling(2, 2, 2, np.random.default_rng(0)))
+HUGE_W = (1e100 * SERIES_PAIR[0], 1e-100 * SERIES_PAIR[1])
+TINY_W = (1e-160 * SERIES_PAIR[0], 1e160 * SERIES_PAIR[1])
 
 ROUTES = {
     "direct": lambda c, k: smatrix_direct(c, k),
@@ -179,6 +184,8 @@ def test_pair_sweep(pair, ks, sizes):
          k=1e-150)  # a Python complex power raised OverflowError
 @example(pair=pair(random_coupling(3, 3, 3, np.random.default_rng(2))), kind="low-k", order=3,
          k=1e200)
+@example(pair=HUGE_W, kind="high-k", order=2, k=1.0)
+@example(pair=TINY_W, kind="low-k", order=1, k=1.0)
 def test_series(pair, kind, order, k):
     """A series evaluates to a finite matrix or raises a typed error; outside its
     convergence region it also warns, which is its contract."""
@@ -200,6 +207,8 @@ def test_series(pair, kind, order, k):
        constants=st.tuples(*[numbers] * 4), ks=grids, threshold=numbers)
 @example(n=1, r_a=1, r_b=1, constants=(0.0, 0.0, 0.0, 1.7976931348623157e308), ks=[1.0],
          threshold=np.nan)  # the split's H overflowed; a NaN threshold was accepted
+@example(n=5, r_a=3, r_b=4, constants=(1.0, np.float64(1e155), 1.0, 1.0), ks=[1.0],
+         threshold=3.0)  # q**2 of a numpy constant warned before the closed forms' refusal
 def test_designs(n, r_a, r_b, constants, ks, threshold):
     try:
         fp = FilterParams(n, r_a, r_b, *constants)

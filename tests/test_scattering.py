@@ -620,6 +620,17 @@ class TestExpansion:
                 ValueError, match=re.escape(f"{kind} series of order 3 overflows at k={k:g}")):
             series.evaluate(k)
 
+    @pytest.mark.parametrize("kind, order, scale_a, scale_b", [
+        ("high-k", 2, 1e100, 1e-100), ("low-k", 1, 1e-160, 1e160)])
+    def test_overflowing_coefficients_raise_a_typed_error(self, kind, order, scale_a, scale_b):
+        """w^2 with |w| = 1.4e200 and 1/w with w = 5.4e-321 overflow; expand warned and
+        returned an infinite or NaN coefficient."""
+        c = random_coupling(2, 2, 2, np.random.default_rng(0))
+        f = to_pqrs_form(validate(scale_a * np.asarray(c.A), scale_b * np.asarray(c.B)))
+        message = f"{kind} series of order {order} overflows: a coefficient is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            expand(f, kind, order)
+
     def test_bad_arguments(self):
         f = to_pqrs_form(validate(*delta_pair(2.0)))
         with pytest.raises(ValueError):
