@@ -90,10 +90,9 @@ DELTA_DELTAPRIME_DELTAPRIME = "delta-deltaprime-deltaprime"
 NO_BRANCHING = "none"
 
 
-@_once_per_record
+@_once_per_record(FilterParams)
 def uniform_block_pqrs(fp: FilterParams) -> PQRSForm:
     """PQRS form of blocks p, q, r, s times all-ones, identity numbering; built once per design."""
-    _require_record(fp, FilterParams)
     blocks = {name: linalg.frozen(getattr(fp, name.lower()) * np.ones(shape, dtype=complex))
               for name, shape in PQRSForm.layout(fp.n, fp.r_a, fp.r_b).items()}
     return PQRSForm(fp.n, fp.r_a, fp.r_b, tuple(range(fp.n)), **blocks)

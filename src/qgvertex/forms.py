@@ -34,12 +34,18 @@ invertible matrix, in one of several unique shapes:
   proj_c Psi' = lam Psi.
 
 Permutations are stored explicitly (``perm[i]`` is the original edge index
-sitting at permuted slot i) and applied on reconstruction, so callers
-always see matrices in their original edge numbering.  Each record checks
-at construction that its permutation holds each of 0..n-1 once and its
-blocks are finite and of the shapes of its ``layout``, a dict of block name
--> shape.  Conversions build on the ST and PQRS forms, so a coupling record,
-being immutable, computes each of them once.
+sitting at permuted slot i).  A record leaves its permuted coordinates once:
+the assembled pair (``_pqrs_pair``) and the data a record computes once for
+its routes (``PQRSForm.split``, ``ProjectorForm.split`` and, for the ST
+routes, ``scattering._st_left``) are in the original edge numbering, so
+callers always see matrices in it and no route maps a result back per call.
+Each record checks at construction that its permutation holds each of
+0..n-1 once and its blocks are finite and of the shapes of its ``layout``,
+a dict of block name -> shape; the identities its routes rely on (S
+Hermitian; proj_c a projector, the three projectors summing to I, and lam
+Hermitian on range(proj_c)) are checked when that data is computed.
+Conversions build on the ST and PQRS forms, so a coupling record, being
+immutable, computes each of them once.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ import numpy as np
 
 from . import linalg
 from .coupling import VertexCoupling, _require_record, validate
-from .errors import (InvalidRankPair, NonFiniteMatrix, ShapeMismatch, SingularMatrix, SingularSBlock,
-                     VertexError)
+from .errors import (InvalidRankPair, NonFiniteMatrix, NotUnitary, ShapeMismatch, SingularMatrix,
+                     SingularSBlock, VertexError)
 
 
 def block_sizes(n: int, r_a: int, r_b: int) -> tuple[int, int, int]:
@@ -77,15 +83,19 @@ def _check_layout(layout: dict, n: int, perm, blocks: dict) -> None:
     linalg.require_finite(blocks, layout)
 
 
-def _once_per_record(convert):
-    """``convert`` run once per immutable record, kept in its ``__dict__`` as a cached_property."""
-    key = f"{convert.__module__}.{convert.__qualname__}"  # dotted: no attribute shadows it
+def _once_per_record(*kinds: type):
+    """Decorator: ``convert`` run once per immutable record of one of ``kinds``, kept in its
+    ``__dict__`` as a cached_property; another object raises ``_require_record``'s TypeError."""
+    def decorate(convert):
+        key = f"{convert.__module__}.{convert.__qualname__}"  # dotted: no attribute shadows it
 
-    @functools.wraps(convert)
-    def once(record):
-        cache = vars(record)
-        return cache[key] if key in cache else cache.setdefault(key, convert(record))
-    return once
+        @functools.wraps(convert)
+        def once(record):
+            _require_record(record, *kinds)
+            cache = vars(record)
+            return cache[key] if key in cache else cache.setdefault(key, convert(record))
+        return once
+    return decorate
 
 
 def _st_layout(n: int, r_a: int, r_b: int) -> dict:
@@ -151,7 +161,7 @@ class PQRSForm:
     @functools.cached_property
     def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(proj_z, U, w), the one split of the record that ``scattering`` writes S(k),
-        its limits and its series with; read-only, computed once per record.
+        its limits and its series with, in the original numbering; read-only, once per record.
 
         One reduced QR factorisation of (Z | W), the adjoints of the two nonzero
         block rows of ``_b_hat``: its leading columns Q_z give proj_z = Q_z Q_z*.
@@ -162,8 +172,10 @@ class PQRSForm:
         eigensystem (w, V) of the Hermitian H = R^{-*} S R^{-1} and U = Q_x V,
         X (X*X - S/ik)^{-1} X* = Q_x (I - H/ik)^{-1} Q_x* = U diag(k/(k + iw)) U*.
         SingularMatrix when X is rank-deficient within the default tolerance, as
-        it is for blocks P so large that W's columns agree to rounding.
+        it is for blocks P so large that W's columns agree to rounding, and
+        NotSelfAdjoint, checked first, unless S is Hermitian.
         """
+        linalg.require_hermitian(self.S, "the S block of the PQRS form")
         Bh = _b_hat(self)
         m, na, _ = self.block_sizes
         q, r = np.linalg.qr(np.concatenate([Bh[m:m + na], Bh[:m]]).conj().T)
@@ -179,7 +191,9 @@ class PQRSForm:
             raise NonFiniteMatrix("H = R^-* S R^-1 of the PQRS split overflows: "
                                   "the S block is too large")
         w, v = np.linalg.eigh(h)
-        return linalg.read_only(qz @ qz.conj().T, qx @ v, w)
+        inv = linalg.inverse_permutation(self.perm)
+        return linalg.read_only((qz @ qz.conj().T).take(inv, axis=0).take(inv, axis=1),
+                                (qx @ v).take(inv, axis=0), w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +214,33 @@ class ProjectorForm:
     @staticmethod
     def layout(n: int) -> dict:
         return dict.fromkeys(("projector_p", "projector_q", "projector_c", "lam"), (n, n))
+
+    @functools.cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, w) with S(k) = proj_q - proj_p + U diag((k - iw)/(k + iw)) U*; read-only,
+        computed once per record.  U0 is an orthonormal basis of range(proj_c) from
+        ``eigh(proj_c)``, (w, V) the eigensystem of U0* lam U0 and U = U0 V, so lam acts
+        through proj_c lam proj_c only.  The record's identities are checked first:
+        NotUnitary unless each eigenvalue of proj_c lies within ``linalg.DEFAULT_ATOL``
+        of 0 or 1 and proj_p + proj_q + proj_c misses I by at most that, NonFiniteMatrix
+        where U0* lam U0 overflows, and NotSelfAdjoint unless it is Hermitian."""
+        e, v = np.linalg.eigh(np.asarray(self.projector_c))
+        miss = np.minimum(np.abs(e), np.abs(e - 1.0)).max()
+        if not miss <= linalg.DEFAULT_ATOL:
+            raise NotUnitary(f"projector_c is not an orthogonal projector: an eigenvalue "
+                             f"misses 0 or 1 by {miss:.2g}")
+        total = sum(np.asarray(m) for m in (self.projector_p, self.projector_q, self.projector_c))
+        miss = linalg.max_norm(total - np.eye(self.n))
+        if not miss <= linalg.DEFAULT_ATOL:
+            raise NotUnitary(f"projector_p + projector_q + projector_c misses I by {miss:.2g}")
+        u0 = v[:, e > 0.5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam_c = u0.conj().T @ np.asarray(self.lam) @ u0
+        if not np.isfinite(lam_c).all():
+            raise NonFiniteMatrix("U0* lam U0 of the projector split overflows: lam is too large")
+        linalg.require_hermitian(lam_c, "lam on range(projector_c)")
+        w, vc = np.linalg.eigh(lam_c)
+        return linalg.read_only(u0 @ vc, w)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +377,7 @@ def _from_coupling(convert):
     return converted
 
 
-@_once_per_record
+@_once_per_record(VertexCoupling)
 @_from_coupling
 def to_st_form(c: VertexCoupling) -> STForm:
     """Unique ST form of a coupling, organized by r_b = rank(B); once per coupling."""
@@ -383,7 +424,7 @@ def reverse_st_to_matrices(f: ReverseSTForm, tol: float = linalg.DEFAULT_RTOL) -
 # PQRS form
 # ---------------------------------------------------------------------------
 
-@_once_per_record
+@_once_per_record(VertexCoupling)
 @_from_coupling
 def to_pqrs_form(c: VertexCoupling) -> PQRSForm:
     """Unique PQRS form of a coupling, once per coupling: its one ``split`` serves all.
@@ -488,12 +529,10 @@ def to_projector_form(c: VertexCoupling) -> ProjectorForm:
     the projector formula.
     """
     f = to_pqrs_form(c)
-    n = f.n
     proj_q, u, w = f.split
     proj_c = u @ u.conj().T
-    proj_p = np.eye(n) - proj_q - proj_c
     lam = linalg.hermitian_part((u * w) @ u.conj().T)
-    return ProjectorForm(n, *(linalg.unpermute(m, f.perm) for m in (proj_p, proj_q, proj_c, lam)))
+    return ProjectorForm(f.n, *linalg.read_only(np.eye(f.n) - proj_q - proj_c, proj_q, proj_c, lam))
 
 
 def projector_to_matrices(p: ProjectorForm, tol: float = linalg.DEFAULT_RTOL) -> VertexCoupling:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteMatrix, ShapeMismatch, SingularMatrix
+from .errors import NonFiniteMatrix, NotSelfAdjoint, ShapeMismatch, SingularMatrix
 
 # Relative cutoff on singular values for every rank decision after the
 # admissibility verdict: the ranks r_a and r_b that ``validate`` records, each
@@ -62,7 +62,7 @@ def require_finite(blocks: dict, shapes: dict | None = None) -> None:
 
 def max_norm(m: np.ndarray) -> float:
     """Entrywise max-norm; 0 for zero-dimensional matrices."""
-    return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
+    return float(np.abs(m).max(initial=0.0))
 
 
 def largest_part(m: np.ndarray) -> float:
@@ -161,6 +161,16 @@ def is_hermitian(m: np.ndarray, tol: float) -> bool:
     return max_norm(m - m.conj().T) <= tol
 
 
+def require_hermitian(m: np.ndarray, name: str) -> None:
+    """NotSelfAdjoint naming ``name`` unless the max-norm of (M - M*) is at most
+    ``DEFAULT_ATOL`` times that of M: a record's own identity, checked once per record."""
+    m = np.asarray(m)
+    defect = max_norm(m - m.conj().T)
+    if defect and not defect <= DEFAULT_ATOL * max_norm(m):  # NaN fails too
+        raise NotSelfAdjoint(f"{name} is not Hermitian: max|M - M*| = {defect:.2g} exceeds "
+                             f"{DEFAULT_ATOL:g} max|M|")
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*)/2; used to symmetrize blocks that are Hermitian in theory."""
     return 0.5 * (m + m.conj().T)
@@ -174,10 +184,3 @@ def inverse_permutation(perm) -> np.ndarray:
     if sorted(perm) != list(range(n)):
         raise ShapeMismatch(f"not a permutation of 0..{n - 1}: {perm}")
     return np.array(perm).argsort()  # a third of the cost of np.argsort(perm) at small n
-
-
-def unpermute(m: np.ndarray, perm) -> np.ndarray:
-    """Square M with rows and columns moved from slots ``perm`` back to the original
-    numbering, as a new read-only matrix: the one exit from permuted coordinates."""
-    inv = inverse_permutation(perm)
-    return read_only(m.take(inv, axis=0).take(inv, axis=1))[0]

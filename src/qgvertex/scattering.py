@@ -7,14 +7,14 @@ The on-shell scattering matrix of a coupling (A, B) at momentum k > 0 is
 an n x n unitary matrix with S(1) = U.  ``smatrix_direct`` evaluates it and
 serves as the reference oracle; the ST and reverse-ST routes compute the
 same matrix while inverting only blocks of the sizes fixed by the ranks
-(r_b and r_a), and the projector route reads it off the projectors with
-one n x n solve.  The ST, reverse-ST and PQRS routes work in permuted
-coordinates and are conjugated back, so every function here returns S(k)
-in the original edge numbering.
+(r_b and r_a), and the projector route reads it off the eigensystem of lam
+on range(proj_c) (``ProjectorForm.split``) with no solve.  Each form record
+computes what its routes need once, in the original edge numbering, so every
+function here returns S(k) in that numbering and maps nothing back per call.
 
 k = 0 and k = infinity are never substituted into the definition.  The
 PQRS route, the limits and both momentum series come from one formula
-instead: in the permuted coordinates of a PQRS form,
+instead: for a PQRS form,
 
     S(k) = -I + 2 proj_z + 2 U diag(k/(k + iw)) U*,
 
@@ -23,7 +23,8 @@ reduced QR factorisation of the auxiliary matrix X, (w, V) the eigensystem
 of the Hermitian R^{-*} S R^{-1} and U = QV.  A PQRS record computes the
 triple (proj_z, U, w) once, as ``PQRSForm.split``, and ``_limit_matrix``
 writes the formula for the route and both limits; they take a PQRS form
-only.  A record of another kind than a function reads raises TypeError.
+only.  A record of another kind than a function reads raises TypeError, and
+one whose own identities fail raises the typed error that names them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from . import linalg
 from .coupling import VertexCoupling, _require_record, _smatrix_grid
 from .errors import SeriesDivergence, SingularSBlock
-from .forms import PQRSForm, ProjectorForm, ReverseSTForm, STForm
+from .forms import PQRSForm, ProjectorForm, ReverseSTForm, STForm, _once_per_record
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +105,14 @@ def _require_momentum(k: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _unitary(route):
-    """``route(f, k, ...)``'s S(k) as an SMatrix, refused unless unitary and run with numpy's
-    warnings off (``linalg.require_unitary_columns``): far from the coupling's scale a
-    solve loses unitarity, as ``_smatrix_grid``'s does."""
+    """``route(f, k, ...)``'s S(k) as an SMatrix with read-only entries, refused unless unitary
+    and run with numpy's warnings off (``linalg.require_unitary_columns``): far from the
+    coupling's scale a solve loses unitarity, as ``_smatrix_grid``'s does."""
     @functools.wraps(route)
     def checked(f, k, *rest):
         s = linalg.require_unitary_columns(lambda: route(f, k, *rest), k,
                                            "k is too far from the coupling's scale")
-        return SMatrix(n=f.n, k=k, entries=s)
+        return SMatrix(n=f.n, k=k, entries=linalg.read_only(s)[0])
     return checked
 
 
@@ -123,16 +124,25 @@ def smatrix_direct(c: VertexCoupling, k: float) -> SMatrix:
     return SMatrix(n=c.n, k=k, entries=linalg.frozen(s))
 
 
+@_once_per_record(STForm, ReverseSTForm)
+def _st_left(f: STForm | ReverseSTForm) -> tuple[np.ndarray, np.ndarray]:
+    """(L*L, L) of an ST or reverse ST record, L = (I; T*) with its rows in the original
+    numbering; read-only, computed once per record.  NotSelfAdjoint unless S is Hermitian."""
+    linalg.require_hermitian(f.S, "the S block of the ST form")
+    left = np.concatenate([np.eye(len(f.T)), f.T.conj().T])
+    return linalg.read_only(left.conj().T @ left,
+                            left.take(linalg.inverse_permutation(f.perm), axis=0))
+
+
 @_unitary
 def _st_route(f: STForm | ReverseSTForm, k: float, sign: float) -> SMatrix:
-    """sign (-I + 2 L (L*L - zS)^{-1} L*), L = (I; T*), in the original numbering:
-    S(k) of the ST form for (z, sign) = (1/ik, 1), of the reverse one for (ik, -1)."""
+    """sign (-I + 2 L (L*L - zS)^{-1} L*) with ``_st_left``'s (L*L, L): S(k) of the
+    ST form for (z, sign) = (1/ik, 1), of the reverse one for (ik, -1)."""
     _require_momentum(k)
     z = 1.0 / (1j * k) if sign > 0 else 1j * k
-    left = np.concatenate([np.eye(len(f.T)), f.T.conj().T])
-    mid = left.conj().T @ left - z * np.asarray(f.S)
-    s = sign * (2.0 * left @ np.linalg.solve(mid, left.conj().T) - np.eye(f.n))
-    return linalg.unpermute(s, f.perm)
+    gram, left = _st_left(f)
+    return sign * (2.0 * left @ np.linalg.solve(gram - z * np.asarray(f.S), left.conj().T)
+                   - np.eye(f.n))
 
 
 def smatrix_st(f: STForm, k: float) -> SMatrix:
@@ -164,24 +174,12 @@ def smatrix_pqrs(f: PQRSForm, k: float) -> SMatrix:
 
 @_unitary
 def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
-    """S(k) = -proj_p + proj_q - (lam - ik)^{-1} (lam + ik) proj_c.
-
-    The resolvent acts on range(proj_c) only.  One n x n solve covers it:
-    with lam_c = proj_c lam proj_c, the matrix lam_c - ik proj_c + I - proj_c
-    is lam_c - ik on range(proj_c) and the identity on its complement,
-    where lam_c + ik proj_c vanishes, so
-
-        S(k) = -proj_p + proj_q
-               - (lam_c - ik proj_c + I - proj_c)^{-1} (lam_c + ik proj_c).
-    """
+    """S(k) = proj_q - proj_p + U diag((k - iw)/(k + iw)) U* with the record's ``split`` (U, w)."""
     _require_record(p, ProjectorForm)
     _require_momentum(k)
-    proj_c = np.asarray(p.projector_c)
-    lam_c = proj_c @ np.asarray(p.lam) @ proj_c
-    ik_c = 1j * k * proj_c
-    resolvent = np.linalg.solve(lam_c - ik_c + np.eye(p.n) - proj_c, lam_c + ik_c)
-    s = -np.asarray(p.projector_p) + np.asarray(p.projector_q) - resolvent
-    return linalg.frozen(s)
+    u, w = p.split
+    return (np.asarray(p.projector_q) - p.projector_p
+            + (u * ((k - 1j * w) / (k + 1j * w))) @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +192,11 @@ def smatrix_projector(p: ProjectorForm, k: float) -> SMatrix:
 # ---------------------------------------------------------------------------
 
 def _limit_matrix(f: PQRSForm, u: np.ndarray, factors) -> np.ndarray:
-    """-I + 2 proj_z + 2 u diag(factors) u* in the original numbering, proj_z from the
-    record's ``split``: S(k) for u = U and factors k/(k + iw), and the limit that keeps
-    the columns u of U, those whose factor tends to 1, for factors 1."""
+    """-I + 2 proj_z + 2 u diag(factors) u*, read-only, proj_z from the record's ``split``:
+    S(k) for u = U and factors k/(k + iw), and the limit that keeps the columns u of U,
+    those whose factor tends to 1, for factors 1."""
     s = -np.eye(f.n, dtype=complex) + 2.0 * (f.split[0] + (u * factors) @ u.conj().T)
-    return linalg.unpermute(s, f.perm)
+    return linalg.read_only(s)[0]
 
 
 def _zero_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -261,8 +259,8 @@ def expand(f: PQRSForm, kind: str, order: int) -> SeriesExpansion:
             sign, ratio, kept = 2.0, w, u
         else:
             sign, ratio, kept = -2.0, 1.0 / w, u[:, :0]
-        coeffs = (_limit_matrix(f, kept, 1.0),) + tuple(
-            linalg.unpermute(sign * (u * ratio**j) @ u.conj().T, f.perm) for j in range(1, order + 1))
+        coeffs = (_limit_matrix(f, kept, 1.0),) + linalg.read_only(
+            *(sign * (u * ratio**j) @ u.conj().T for j in range(1, order + 1)))
     if not np.isfinite(coeffs).all():
         raise ValueError(f"{kind} series of order {order} overflows: a coefficient is not finite")
     radius = float(np.max(np.abs(ratio))) if ratio.size else 0.0

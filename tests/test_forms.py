@@ -831,11 +831,15 @@ class TestParameterCounts:
 
     def test_blocks_are_independent_parameters(self):
         """The central-difference Jacobian of (P, Q, R, S) -> U = S(1), S Hermitian and
-        the numbering the identity, has rank ``parameter_count`` for every rank pair
-        with n <= 5: no direction of the blocks leaves the coupling unchanged."""
+        the numbering the identity, each column pulled back to the Lie algebra by U*, for
+        every rank pair with n <= 6.  Its columns keep the eigenvalues 1 and -1 of U at
+        their multiplicities n - r_a and n - r_b to first order, so they lie in the tangent
+        space of that stratum of U(n), whose dimension is ``parameter_count``; and the
+        Jacobian has that rank: the blocks are local coordinates on the stratum."""
         gen = np.random.default_rng(9)
-        h = 1e-5
-        for n in range(1, 6):
+        h = 1e-6
+        rank_gap, compression = np.inf, 0.0  # smallest s_min / s_max, largest compression
+        for n in range(1, 7):
             for r_a, r_b in admissible_rank_pairs(n):
                 layout = PQRSForm.layout(n, r_a, r_b)
                 blocks = {name: gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
@@ -847,6 +851,12 @@ class TestParameterCounts:
                     f = PQRSForm(n, r_a, r_b, tuple(range(n)), **moved)
                     return np.asarray(smatrix_pqrs(f, 1.0).entries)
 
+                u = unitary({})
+                eigenspaces = []  # orthonormal bases of ker(U - I) and ker(U + I)
+                for sign in (1.0, -1.0):
+                    _, sv, vh = np.linalg.svd(u - sign * np.eye(n))
+                    eigenspaces.append(vh[sv <= 1e-8].conj().T)
+                assert [v.shape[1] for v in eigenspaces] == [n - r_a, n - r_b]
                 columns = []
                 for name, shape in layout.items():
                     for i, j in np.ndindex(*shape):
@@ -858,12 +868,16 @@ class TestParameterCounts:
                             e[i, j] = unit * h
                             if hermitian:
                                 e[j, i] = np.conj(unit) * h
-                            d = (unitary({name: e}) - unitary({name: -e})) / (2.0 * h)
-                            columns.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))
+                            x = u.conj().T @ (unitary({name: e}) - unitary({name: -e})) / (2.0 * h)
+                            compression = max(compression, *(linalg.max_norm(v.conj().T @ x @ v)
+                                                             for v in eigenspaces))
+                            columns.append(np.concatenate([x.real.ravel(), x.imag.ravel()]))
                 count = parameter_count(n, r_a, r_b)
                 assert len(columns) == count
-                jacobian = np.array(columns).T.reshape(2 * n * n, count)
-                assert linalg.rank(jacobian, 1e-6) == count, (n, r_a, r_b)
+                if count:
+                    sv = np.linalg.svd(np.array(columns), compute_uv=False)
+                    rank_gap = min(rank_gap, sv[-1] / sv[0])
+        assert rank_gap > 1e-6 and compression <= 1e-7, (rank_gap, compression)
 
     def test_stratum_dimension_is_the_parameter_count(self):
         """The unitaries V diag(1, -1, e^{i theta}) V*, V = exp(X) with X skew-Hermitian,

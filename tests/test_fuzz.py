@@ -9,13 +9,14 @@ test is deterministic and takes about two seconds.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from qgvertex import (
     FIG1_PARAMS,
@@ -44,8 +45,10 @@ from qgvertex import (
 from qgvertex.cli import main
 from qgvertex.errors import SeriesDivergence, VertexError
 from qgvertex.filters import pair_sweep
+from qgvertex.forms import ProjectorForm
 
 from test_coupling import far_scale_coupling, float_limit_pair
+from test_scattering import RECORD_READERS, broken_records
 
 TYPED = (VertexError, ValueError, TypeError)
 
@@ -221,6 +224,74 @@ def test_designs(n, r_a, r_b, constants, ks, threshold):
             classify_branching(fp, threshold)
     with contextlib.suppress(*TYPED):
         classify_branching(fp, threshold)
+
+
+@st.composite
+def form_records(draw):
+    """A form record of a random coupling of degree n <= 4, rebuilt with a drawn number,
+    real or imaginary, added to a drawn entry of a drawn block: a record built directly,
+    whose identities may not hold."""
+    n = draw(st.integers(1, 4))
+    r_a = draw(st.integers(0, n))
+    r_b = draw(st.integers(n - r_a, n))
+    c = random_coupling(n, r_a, r_b, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    record = documents.FORM_KINDS[draw(st.sampled_from(["st", "reverse-st", "pqrs", "projector"]))
+                                  ].from_coupling(c)
+    blocks = {f.name: np.array(getattr(record, f.name)) for f in dataclasses.fields(record)
+              if isinstance(getattr(record, f.name), np.ndarray) and getattr(record, f.name).size}
+    assume(blocks)  # an ST form of rank 0 has none
+    name = draw(st.sampled_from(sorted(blocks)))
+    rows, cols = blocks[name].shape
+    with np.errstate(invalid="ignore"):  # inf * 1j
+        blocks[name][draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] += (
+            draw(numbers) * draw(st.sampled_from([1.0, 1j])))
+    try:
+        return dataclasses.replace(record, **{name: blocks[name]})
+    except TYPED:  # an inf or NaN entry is refused at construction
+        assume(False)
+
+
+def identities_hold(record) -> bool:
+    """The identities of a form record, checked within 100 times the routes' tolerance:
+    S Hermitian, or three projectors summing to I with proj_c idempotent and proj_c lam
+    proj_c Hermitian."""
+    tol = 100 * linalg.DEFAULT_ATOL
+    hermitian = lambda m: linalg.max_norm(m - m.conj().T) <= tol * linalg.max_norm(m)
+    if not isinstance(record, ProjectorForm):
+        return hermitian(np.asarray(record.S))
+    p, q, c, lam = (np.asarray(m) for m in (record.projector_p, record.projector_q,
+                                            record.projector_c, record.lam))
+    return (linalg.max_norm(p + q + c - np.eye(record.n)) <= tol
+            and linalg.max_norm(c @ c - c) <= tol and hermitian(c @ lam @ c))
+
+
+#: records with one identity broken: the PQRS route and limits returned the S(k) of the PQRS
+#: record's Hermitian part, the guard refused the ST record and 2 proj_p blaming the momentum,
+#: and a projector split without checks returns an S(k) for 1.5 proj_c and for the lam record
+BROKEN = broken_records()
+
+
+@FUZZ
+@given(record=form_records())
+@example(record=BROKEN["pqrs"])
+@example(record=BROKEN["st"])
+@example(record=BROKEN["2 proj_p"])
+@example(record=BROKEN["1.5 proj_c"])
+@example(record=BROKEN["lam"])
+def test_form_records(record):
+    """Every route, limit and series that reads a record returns a finite unitary S, or
+    finite coefficients, only when the record's own identities hold, and otherwise
+    raises a typed error."""
+    for read in RECORD_READERS[type(record)]:
+        try:
+            result = read(record)
+        except TYPED:
+            continue
+        assert identities_hold(record), (record, read)
+        if hasattr(result, "coefficients"):
+            assert np.isfinite(result.coefficients).all()
+        else:
+            assert_unitary(result.entries, (record, read))
 
 
 def run(argv) -> tuple[int, str, str]:

@@ -174,14 +174,6 @@ class TestHelpers:
         x = np.array([10.0, 20.0, 30.0])
         assert np.array_equal(x[[2, 0, 1]][inv], x)
 
-    def test_unpermute_undoes_the_permutation(self, rng):
-        perm = (3, 0, 4, 1, 2)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        back = linalg.unpermute(m[np.ix_(perm, perm)], perm)
-        assert np.array_equal(back, m)
-        inv = linalg.inverse_permutation(perm)
-        assert np.array_equal(linalg.unpermute(m, perm), m[np.ix_(inv, inv)])
-
     def test_inverse_permutation_invalid(self):
         with pytest.raises(ValueError):
             linalg.inverse_permutation((0, 0, 1))

@@ -39,9 +39,10 @@ from qgvertex import (
     uniform_block_pqrs,
     validate,
 )
-from qgvertex.errors import SeriesDivergence, SingularSBlock
+from qgvertex.errors import (NonFiniteMatrix, NotSelfAdjoint, NotUnitary, SeriesDivergence,
+                             SingularSBlock)
 from qgvertex.filters import FIG1_PARAMS, FilterParams
-from qgvertex.forms import ProjectorForm, ReverseSTForm, STForm
+from qgvertex.forms import PQRSForm, ProjectorForm, ReverseSTForm, STForm
 
 from conftest import unitarity_defect
 from test_coupling import delta_pair
@@ -74,9 +75,10 @@ def build_x(f):
 
 
 def x_projector_gap(f) -> float:
-    """Gap between U U* = Q_x Q_x* of the split and X (X*X)^{-1} X* of ``build_x``."""
+    """Gap between U U* = Q_x Q_x* of the split and X (X*X)^{-1} X* of ``build_x``, both
+    in the original numbering."""
     _, u, _ = f.split
-    x = build_x(f)
+    x = build_x(f)[linalg.inverse_permutation(f.perm)]
     return gap(u @ u.conj().T, x @ np.linalg.solve(x.conj().T @ x, x.conj().T))
 
 
@@ -282,10 +284,19 @@ def mp_array(a) -> np.ndarray:
     return np.vectorize(mpmath.mpc, otypes=[object])(np.asarray(a, dtype=complex))
 
 
+def smatrix_30(A, B, k: float) -> np.ndarray:
+    """-(A + ikB)^{-1} (A - ikB) of two object arrays of mpmath numbers, at 30 digits,
+    rounded to complex."""
+    with mpmath.workdps(30):
+        ik = mpmath.mpc(0, k)
+        s = -mpmath.inverse(mpmath.matrix((A + ik * B).tolist())) * mpmath.matrix((A - ik * B).tolist())
+        return np.array(s.tolist(), dtype=complex)
+
+
 def pqrs_smatrix_30(f, k: float) -> np.ndarray:
-    """S(k) = -(A + ikB)^{-1} (A - ikB) of the PQRS form ``f`` at 30 digits: its float
-    blocks assembled into (A, B) exactly as the form writes them, under the form's own
-    permutation, then rounded to complex and returned in the original numbering."""
+    """S(k) of the PQRS form ``f`` at 30 digits: its float blocks assembled into (A, B)
+    exactly as the form writes them, under the form's own permutation, then rounded to
+    complex and returned in the original numbering."""
     m, na, nb = f.block_sizes
     with mpmath.workdps(30):
         P, Q, R, S = (mp_array(b) for b in (f.P, f.Q, f.R, f.S))
@@ -295,36 +306,49 @@ def pqrs_smatrix_30(f, k: float) -> np.ndarray:
         B = np.block([[eye(m), zeros(m, na), P], [R, eye(na), Q], [zeros(nb, f.n)]])
         A = -np.block([[S, -S @ adj(R), zeros(m, nb)], [zeros(na, f.n)],
                        [-adj(P), adj(R @ P - Q), eye(nb)]])
-        ik = mpmath.mpc(0, k)
-        s = -mpmath.inverse(mpmath.matrix((A + ik * B).tolist())) * mpmath.matrix((A - ik * B).tolist())
-        s = np.array(s.tolist(), dtype=complex)
+        s = smatrix_30(A, B, k)
     inv = np.argsort(f.perm)
     return s[np.ix_(inv, inv)]
 
 
-class TestPQRSRouteAccuracy:
-    """The route part of the PQRS route's error: the route on a float form against the
-    30-digit S(k) of that same form, so the conversion's error does not enter."""
+def projector_smatrix_30(p, k: float) -> np.ndarray:
+    """S(k) of the projector form ``p`` at 30 digits: that of the pair
+    (proj_p - lam, proj_q + proj_c) that ``projector_to_matrices`` assembles."""
+    with mpmath.workdps(30):
+        proj_p, proj_q, proj_c, lam = (mp_array(b) for b in (
+            p.projector_p, p.projector_q, p.projector_c, p.lam))
+        return smatrix_30(proj_p - lam, proj_q + proj_c, k)
 
-    def test_route_part_against_30_digits(self, corpus):
+
+class TestPQRSRouteAccuracy:
+    """The route part of the PQRS and projector routes' error: the route on a float form
+    against the 30-digit S(k) of that same form, so the conversion's error does not enter."""
+
+    @staticmethod
+    def worst_gap(corpus, route, convert, reference) -> float:
         cases = corpus[:55]  # the corpus opens with one coupling per rank pair, n <= 5
         assert {(c.n, c.r_a, c.r_b) for c in cases} == {
             (n, r_a, r_b) for n in range(1, 6) for r_a, r_b in admissible_rank_pairs(n)}
-        worst = 0.0
-        for c in cases:
-            f = to_pqrs_form(c)
-            for k in (0.1, 1.7, 40.0):
-                worst = max(worst, gap(smatrix_pqrs(f, k).entries, pqrs_smatrix_30(f, k)))
-        assert worst <= 1e-13
+        return max(gap(route(f, k).entries, reference(f, k))
+                   for f in map(convert, cases) for k in (0.1, 1.7, 40.0))
+
+    def test_route_part_against_30_digits(self, corpus):
+        assert self.worst_gap(corpus, smatrix_pqrs, to_pqrs_form, pqrs_smatrix_30) <= 1e-13
+
+    def test_projector_route_against_30_digits(self, corpus):
+        assert self.worst_gap(corpus, smatrix_projector, to_projector_form,
+                              projector_smatrix_30) <= 1e-13
 
     def test_far_momenta_keep_the_columns_unitary(self, corpus):
-        """Each factor k/(k + iw) stays finite at every momentum, so S(k) keeps the
-        orthonormality of the split's basis: no momentum is refused."""
+        """Each factor k/(k + iw) of the PQRS route and (k - iw)/(k + iw) of the projector
+        route stays finite at every momentum, so S(k) keeps the orthonormality of the
+        split's basis: no momentum is refused."""
         for c in corpus:
-            f = to_pqrs_form(c)
-            for k in (5e-324, 1e-300, 1e-17, 1e17, 1e300, 1.7e308):
-                s = np.asarray(smatrix_pqrs(f, k).entries)
-                assert np.max(np.abs((np.abs(s) ** 2).sum(axis=0) - 1.0)) <= 1e-13
+            for s_of_k in (lambda k: smatrix_pqrs(to_pqrs_form(c), k),
+                           lambda k: smatrix_projector(to_projector_form(c), k)):
+                for k in (5e-324, 1e-300, 1e-17, 1e17, 1e300, 1.7e308):
+                    s = np.asarray(s_of_k(k).entries)
+                    assert np.max(np.abs((np.abs(s) ** 2).sum(axis=0) - 1.0)) <= 1e-13
 
 
 class TestRecordKinds:
@@ -397,20 +421,106 @@ class TestRecordKinds:
 
     @pytest.mark.parametrize("name", ACCEPTED)
     def test_every_record_kind_reaches_every_function(self, name):
-        """The coupling, each form record and a filter design, passed to each function
-        that reads a record: it returns for the kinds it accepts and raises TypeError
-        for the others (a form passed to ``coupling_to_document``, or any other record
-        to a filter function, raised AttributeError)."""
+        """The coupling, each form record, a filter design and three objects that are no
+        record, passed to each function that reads a record: it returns for the kinds it
+        accepts and raises TypeError for the others (a form passed to
+        ``coupling_to_document``, or any other record to a filter function, raised
+        AttributeError, and an object without a ``__dict__`` passed to a cached conversion
+        raised the TypeError of ``vars``)."""
         call, accepted = self.ACCEPTED[name]
         c = random_coupling(4, 3, 2, np.random.default_rng(1))
         records = {"coupling": c, "design": replace(FIG1_PARAMS),
-                   **{kind: spec.from_coupling(c) for kind, spec in documents.FORM_KINDS.items()}}
+                   **{kind: spec.from_coupling(c) for kind, spec in documents.FORM_KINDS.items()},
+                   "array": np.eye(2), "tuple": (1, 2), "none": None}
         for kind, record in records.items():
             if kind in accepted:
                 call(record)
                 continue
             with pytest.raises(TypeError, match=f"^needs a .*, got {type(record).__name__}$"):
                 call(record)
+
+
+def broken_records() -> dict:
+    """Form records of ``random_coupling(4, 3, 3, default_rng(1))`` with one identity broken:
+    1 added above the diagonal of S, and a projector form with 2 proj_p, with 1.5 proj_c,
+    or with lam + proj_c h proj_c, h[0, 1] = 0.5j."""
+    c = random_coupling(4, 3, 3, np.random.default_rng(1))
+    p = to_projector_form(c)
+    proj_c = np.asarray(p.projector_c)
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = 0.5j
+    upper = lambda f: replace(f, S=np.asarray(f.S) + np.triu(np.ones(f.S.shape), 1))
+    return {"pqrs": upper(to_pqrs_form(c)), "st": upper(to_st_form(c)),
+            "reverse-st": upper(to_reverse_st_form(c)),
+            "2 proj_p": replace(p, projector_p=2.0 * np.asarray(p.projector_p)),
+            "1.5 proj_c": replace(p, projector_c=1.5 * proj_c),
+            "lam": replace(p, lam=np.asarray(p.lam) + proj_c @ h @ proj_c)}
+
+
+#: every route, limit and series that reads a form record of each kind, at k = 1.7
+RECORD_READERS = {
+    STForm: (lambda f: smatrix_st(f, 1.7),),
+    ReverseSTForm: (lambda f: smatrix_reverse_st(f, 1.7),),
+    PQRSForm: (lambda f: smatrix_pqrs(f, 1.7), limit_high_k, limit_low_k,
+               lambda f: limit_low_k(f, allow_singular=True),
+               lambda f: expand(f, "high-k", 2), lambda f: expand(f, "low-k", 2)),
+    ProjectorForm: (lambda f: smatrix_projector(f, 1.7),),
+}
+
+
+class TestRecordIdentities:
+    """Each route, limit and series checks, once per record, the identity of its record
+    that it relies on, and raises a typed error naming it.  The PQRS route and limits
+    returned the S(k) of a non-Hermitian S's Hermitian part; the unitarity guard refused
+    the other records, blaming the momentum."""
+
+    #: each probe's error and the start of its message
+    REFUSALS = {
+        "pqrs": (NotSelfAdjoint, "the S block of the PQRS form is not Hermitian"),
+        "st": (NotSelfAdjoint, "the S block of the ST form is not Hermitian"),
+        "reverse-st": (NotSelfAdjoint, "the S block of the ST form is not Hermitian"),
+        "2 proj_p": (NotUnitary, r"projector_p \+ projector_q \+ projector_c misses I by 0.58"),
+        "1.5 proj_c": (NotUnitary, "projector_c is not an orthogonal projector: an "
+                                   "eigenvalue misses 0 or 1 by 0.5"),
+        "lam": (NotSelfAdjoint, r"lam on range\(projector_c\) is not Hermitian"),
+    }
+
+    @pytest.mark.parametrize("probe", REFUSALS)
+    def test_every_reader_refuses_the_broken_identity(self, probe):
+        error, message = self.REFUSALS[probe]
+        record = broken_records()[probe]
+        for read in RECORD_READERS[type(record)]:
+            with pytest.raises(error, match=f"^{message}"):
+                read(record)
+
+    def test_lam_whose_compression_overflows_is_refused_by_name(self):
+        """lam = 1e308 times all-ones on a proj_c onto the all-ones vector: U0* lam U0 is
+        4e308.  The guard refused it, blaming the momentum."""
+        proj_c = np.full((4, 4), 0.25)
+        p = ProjectorForm(4, np.eye(4) - proj_c, np.zeros((4, 4)), proj_c, np.full((4, 4), 1e308))
+        with pytest.raises(NonFiniteMatrix, match=r"^U0\* lam U0 of the projector split overflows"):
+            smatrix_projector(p, 1.0)
+
+    def test_record_kind_then_momentum_then_identity(self):
+        records = broken_records()
+        with pytest.raises(TypeError, match="needs a STForm"):
+            smatrix_st(records["reverse-st"], -1.0)
+        for route, probe in ((smatrix_pqrs, "pqrs"), (smatrix_st, "st"),
+                             (smatrix_reverse_st, "reverse-st"), (smatrix_projector, "lam")):
+            with pytest.raises(ValueError, match="^momentum k must be positive"):
+                route(records[probe], -1.0)
+
+    def test_converted_records_pass_with_room(self, corpus):
+        """Conversions write S exactly Hermitian, and projectors that sum to I and whose
+        proj_c has eigenvalues 0 and 1, all far inside ``linalg.DEFAULT_ATOL``."""
+        for c in corpus:
+            for f in (to_st_form(c), to_reverse_st_form(c), to_pqrs_form(c)):
+                assert np.array_equal(f.S, np.asarray(f.S).conj().T)
+            p = to_projector_form(c)
+            total = np.asarray(p.projector_p) + p.projector_q + p.projector_c
+            assert gap(total, np.eye(c.n)) <= 1e-14
+            e = np.linalg.eigvalsh(np.asarray(p.projector_c))
+            assert np.minimum(np.abs(e), np.abs(e - 1.0)).max() <= 1e-13
 
 
 class TestLimits:
@@ -502,6 +612,26 @@ class TestEdgeRelabelling:
             assert (relabelled.r_a, relabelled.r_b) == (c.r_a, c.r_b)
             for s, s_relabelled in zip(route_results(c), route_results(relabelled)):
                 assert gap(s_relabelled, s[np.ix_(order, order)]) <= 1e-12
+
+    def test_forms_that_renumber_their_edges(self, corpus):
+        """A Dirichlet and a Neumann edge placed before a coupling's edges: the forms move
+        them, the zero columns of B and A, behind the others, mostly by a permutation that
+        is not its own inverse, and every S(k) and limit is the direct sum of -1, 1 and the
+        coupling's own.  A corpus coupling's forms keep its numbering."""
+        cycles = 0  # ST forms whose permutation is not its own inverse
+        for c in corpus[:30]:
+            n = c.n
+            A, B = np.zeros((n + 2, n + 2), dtype=complex), np.zeros((n + 2, n + 2), dtype=complex)
+            A[0, 0] = B[1, 1] = 1.0
+            A[2:, 2:], B[2:, 2:] = c.A, c.B
+            joined = validate(A, B)
+            perm = to_st_form(joined).perm
+            cycles += [perm[i] for i in perm] != list(range(n + 2))
+            for s, s_joined in zip(route_results(c), route_results(joined)):
+                want = np.diag([-1.0, 1.0] + [0.0] * n).astype(complex)
+                want[2:, 2:] = s
+                assert gap(s_joined, want) <= 1e-12
+        assert cycles >= 20
 
 
 def reference_expansion(f, kind, order):
